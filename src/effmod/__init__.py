@@ -43,7 +43,6 @@ from .kernels import (
     ConvSpec,
     batched_matmul,
     conv2d,
-    elementwise,
     fuse_modulate,
     gelu,
     global_avg_pool,
@@ -61,6 +60,7 @@ from .model import (
     build_isotropic,
     build_model,
     build_preset,
+    forward_features,
     load_params,
     model_forward,
     save_params,

@@ -135,12 +135,6 @@ def backward(out: Var, seed: np.ndarray | None = None) -> None:
                 grads[id(parent)] = pg
 
 
-def zero_grads(vars_: "list[Var] | dict") -> None:
-    it = vars_.values() if isinstance(vars_, dict) else vars_
-    for v in it:
-        v.grad = None
-
-
 # ---------------------------------------------------------------- basic ops
 
 
@@ -218,17 +212,6 @@ def sum_all(a: Var) -> Var:
     )
 
 
-def mean_all(a: Var) -> Var:
-    n = a.data.size
-    shape = a.data.shape
-    return _node(
-        np.asarray(a.data.mean()),
-        "mean_all",
-        (a,),
-        lambda g: (np.broadcast_to(g / n, shape).copy(),),
-    )
-
-
 # ----------------------------------------------------------- neural-net ops
 
 
@@ -297,26 +280,9 @@ def sigmoid(x: Var) -> Var:
 
 def layer_norm(x: Var, gamma: Var, beta: Var, eps: float = 1e-6, axis: int = 1) -> Var:
     out = K.layer_norm(x.data, gamma.data, beta.data, eps=eps, axis=axis)
-    axis = axis % x.data.ndim  # the reductions below exclude by index
-    c = x.data.shape[axis]
-    shape = [1] * x.data.ndim
-    shape[axis] = c
-    mu = x.data.mean(axis=axis, keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
 
     def vjp(g):
-        red = tuple(i for i in range(x.data.ndim) if i != axis)
-        dgamma = (g * xhat).sum(axis=red)
-        dbeta = g.sum(axis=red)
-        gx = g * gamma.data.reshape(shape)
-        # standard layernorm backward in terms of xhat
-        m = gx.mean(axis=axis, keepdims=True)
-        mx = (gx * xhat).mean(axis=axis, keepdims=True)
-        dx = inv * (gx - m - xhat * mx)
-        return (dx, dgamma, dbeta)
+        return K.layer_norm_vjp(x.data, gamma.data, g, eps, axis)
 
     return _node(out, "layer_norm", (x, gamma, beta), vjp)
 
@@ -384,7 +350,7 @@ def cross_entropy(logits: Var, labels: np.ndarray) -> Var:
 
 
 def finite_diff_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of scalar f at x, elementwise; O(2*size) evals."""
+    """Central-difference gradient of scalar f at x, one entry at a time; O(2*size) evals."""
     x = np.asarray(x, dtype=np.float64)
     g = np.zeros_like(x)
     flat = x.reshape(-1)

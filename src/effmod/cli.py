@@ -103,24 +103,18 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    threads = args.threads
     print(f"# bench {args.experiment}, seed {args.seed}")
     if args.experiment == "fusion":
         res = bench.bench_fusion_modes(
             c=args.channels, expansion=args.expansion, res=args.res,
-            warmup=args.warmup if args.warmup is not None else bench.DEFAULT_WARMUP,
-            iters=args.iters if args.iters is not None else bench.DEFAULT_ITERS,
-            threads=threads, seed=args.seed,
+            warmup=args.warmup, iters=args.iters, threads=args.threads, seed=args.seed,
         )
         print(res.summary())
         _write(args.csv, bench.bench_csv([res.repeat, res.reshape]), "bench csv")
     else:
-        pair = args.experiment.removeprefix("pair-")
         res = bench.bench_pair_mbconv(
-            pair=pair, input_res=args.res if args.res != 14 else 224,
-            warmup=args.warmup if args.warmup is not None else bench.PAIR_WARMUP,
-            iters=args.iters if args.iters is not None else bench.PAIR_ITERS,
-            threads=threads, seed=args.seed,
+            pair=args.experiment.removeprefix("pair-"), input_res=args.res,
+            warmup=args.warmup, iters=args.iters, threads=args.threads, seed=args.seed,
         )
         print(res.summary())
         _write(args.csv, bench.bench_csv(list(res.results.values())), "bench csv")
@@ -214,18 +208,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_gradcheck)
 
     sp = sub.add_parser("bench", help="latency experiments")
-    sp.add_argument(
-        "experiment", choices=("fusion", "pair-iso-256-13", "pair-iso-196-11"),
-    )
-    sp.add_argument("--threads", type=int, default=None, help="default: EFFMOD_THREADS or 4")
-    sp.add_argument("--iters", type=int, default=None)
-    sp.add_argument("--warmup", type=int, default=None)
-    sp.add_argument("--channels", type=int, default=144, help="fusion: block width")
-    sp.add_argument("--expansion", type=int, default=6, help="fusion: value expansion")
-    sp.add_argument("--res", type=int, default=14, help="fusion: feature size / pair: input size")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--csv", help="write results to this path")
-    sp.set_defaults(fn=cmd_bench)
+    experiments = sp.add_subparsers(dest="experiment", required=True)
+    for name, res, warmup, iters in (
+        ("fusion", 14, bench.DEFAULT_WARMUP, bench.DEFAULT_ITERS),
+        ("pair-iso-256-13", 224, bench.PAIR_WARMUP, bench.PAIR_ITERS),
+        ("pair-iso-196-11", 224, bench.PAIR_WARMUP, bench.PAIR_ITERS),
+    ):
+        ep = experiments.add_parser(name)
+        ep.add_argument("--threads", type=int, default=None, help="default: EFFMOD_THREADS or 4")
+        ep.add_argument("--iters", type=int, default=iters)
+        ep.add_argument("--warmup", type=int, default=warmup)
+        if name == "fusion":
+            ep.add_argument("--channels", type=int, default=144, help="block width")
+            ep.add_argument("--expansion", type=int, default=6, help="value expansion")
+        what = "feature size" if name == "fusion" else "input size"
+        ep.add_argument("--res", type=int, default=res, help=f"{what} (default {res})")
+        ep.add_argument("--seed", type=int, default=0)
+        ep.add_argument("--csv", help="write results to this path")
+        ep.set_defaults(fn=cmd_bench)
 
     sp = sub.add_parser("train", help="train the micro preset on synthetic bars")
     sp.add_argument("--epochs", type=int, default=30)
@@ -246,7 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ctxmap", help="context-branch map of one block as PGM")
     sp.add_argument("model", help="preset name or .json model spec")
-    sp.add_argument("image", help="P5/P6 image, spatial dims divisible by 32")
+    sp.add_argument(
+        "image", help="P5/P6 image, spatial dims divisible by the model's total stride"
+    )
     sp.add_argument("--stage", type=int, default=2)
     sp.add_argument("--block", type=int, default=0)
     sp.add_argument("--seed", type=int, default=0)

@@ -1,19 +1,21 @@
 """Context-branch visualization.
 
-Runs an image through a model and captures the context output of one
-modulation block (computed on that block's post-norm input), reduced to a
+Runs an image through the model up to one modulation block and captures that
+block's context output (computed on its post-norm input), reduced to a
 grayscale grid: channel mean, then min-max normalized to 0..255. A constant
 map (e.g. zero input through a bias-free model) normalizes to all zeros.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import autodiff as ad
+from .blocks import efficient_mod_ctx
 from .errors import ConfigError, PreconditionError
-from .model import Model, model_forward
+from .model import Model, _check_input, forward_features
 
 
 @dataclass
@@ -40,7 +42,17 @@ def context_map(model: Model, image: np.ndarray, stage: int, block: int) -> Cont
         raise ConfigError(
             f"stage {stage} block {block} is not a modulation block (candidates: {mods})"
         )
-    _, ctx = model_forward(model, img, ctx_tap=(stage, block))
+    _check_input(model, img)  # the whole model's stride, not the prefix's
+    prefix = replace(
+        model,
+        stages=model.stages[:stage] + [entries[:block]],
+        downs=model.downs[:stage],
+    )
+    wrap = entries[block].wrap
+    with ad.no_grad():
+        h = forward_features(prefix, img)
+        normed = ad.layer_norm(h, wrap.norm_gamma, wrap.norm_beta, axis=1)
+        ctx = efficient_mod_ctx(normed, entries[block].params).data
     raw = ctx[0].mean(axis=0)  # channel mean -> [h, w]
     lo, hi = float(raw.min()), float(raw.max())
     if hi > lo:

@@ -276,6 +276,23 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return _checked(out, "sigmoid")
 
 
+def _layer_norm_stats(x: np.ndarray, eps: float, axis: int):
+    """(xhat, inv): x standardized over one axis, and the inverse std (keepdims)."""
+    if eps <= 0:
+        raise PreconditionError(f"eps must be > 0, got {eps}")
+    mu = x.mean(axis=axis, keepdims=True)
+    xc = x - mu
+    var = np.mean(xc * xc, axis=axis, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    return xc * inv, inv
+
+
+def _channel_shape(x: np.ndarray, axis: int) -> list:
+    shape = [1] * x.ndim
+    shape[axis] = x.shape[axis]
+    return shape
+
+
 def layer_norm(
     x: np.ndarray,
     gamma: np.ndarray,
@@ -288,21 +305,31 @@ def layer_norm(
     Uses the biased variance. With gamma=1, beta=0 the output has per-position
     mean 0 and variance sigma^2/(sigma^2+eps), i.e. 1 up to the eps regularizer.
     """
-    if eps <= 0:
-        raise PreconditionError(f"eps must be > 0, got {eps}")
     c = x.shape[axis]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise PreconditionError(
             f"gamma/beta: expected shape ({c},) for axis {axis}, got {gamma.shape}/{beta.shape}"
         )
-    mu = x.mean(axis=axis, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    shape = [1] * x.ndim
-    shape[axis] = c
-    out = gamma.reshape(shape) * (xc * inv) + beta.reshape(shape)
+    xhat, _ = _layer_norm_stats(x, eps, axis)
+    shape = _channel_shape(x, axis)
+    out = gamma.reshape(shape) * xhat + beta.reshape(shape)
     return _checked(out, "layer_norm")
+
+
+def layer_norm_vjp(
+    x: np.ndarray, gamma: np.ndarray, grad_out: np.ndarray, eps: float = 1e-6, axis: int = 1
+):
+    """Gradients of layer_norm w.r.t. (x, gamma, beta) given the output cotangent."""
+    axis = axis % x.ndim  # the parameter reductions exclude it by index
+    xhat, inv = _layer_norm_stats(x, eps, axis)
+    red = tuple(i for i in range(x.ndim) if i != axis)
+    dgamma = (grad_out * xhat).sum(axis=red)
+    dbeta = grad_out.sum(axis=red)
+    gx = grad_out * gamma.reshape(_channel_shape(x, axis))
+    m = gx.mean(axis=axis, keepdims=True)
+    mx = (gx * xhat).mean(axis=axis, keepdims=True)
+    dx = inv * (gx - m - xhat * mx)
+    return dx, dgamma, dbeta
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -391,13 +418,3 @@ def global_avg_pool(x: np.ndarray) -> np.ndarray:
     check_nchw(x, "x")
     return _checked(x.mean(axis=(2, 3), keepdims=True), "global_avg_pool")
 
-
-def elementwise(a: np.ndarray, b: np.ndarray, op: str = "mul") -> np.ndarray:
-    """Strict elementwise combine; shapes must match exactly (no broadcasting)."""
-    if a.shape != b.shape:
-        raise PreconditionError(f"elementwise: shape mismatch {a.shape} vs {b.shape}")
-    if op == "mul":
-        return _checked(a * b, "elementwise")
-    if op == "add":
-        return _checked(a + b, "elementwise")
-    raise ConfigError(f"op must be 'mul' or 'add', got {op!r}")

@@ -16,15 +16,16 @@ width is the one free knob used to calibrate preset budgets.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import blocks as B
 from .autodiff import Var
-from .errors import ConfigError, NumericalError, PreconditionError
+from .errors import ConfigError, PreconditionError
 from .kernels import ConvSpec
 
 STEM_PAD = 3  # stem is k7 s4; same-style padding
@@ -250,7 +251,6 @@ class BlockEntry:
 class Model:
     """A built network: parameter Vars plus the structure to run/analyze it."""
 
-    arch: str  # "hierarchical" | "isotropic"
     spec: object
     stem: ConvLayer
     stages: list  # list[list[BlockEntry]]
@@ -294,58 +294,68 @@ def _conv_layer(rng, c_in, c_out, kernel, stride, padding, bias, std, dtype) -> 
     return ConvLayer(w=w, b=b, spec=ConvSpec(kernel, stride=stride, padding=padding))
 
 
+_BLOCK_INITS = {"mod": B.init_efficient_mod, "mbconv": B.init_mbconv, "attn": B.init_attention}
+
+
+def _assemble(spec, stem: tuple, plan: list, seed, dtype, bias, combine) -> Model:
+    """Draw stem, stages (each but the last followed by its downsample) and
+    head from one RNG, in that order; a seed gives bit-identical parameters.
+
+    stem is (kernel, stride, padding); plan holds one (dim, blocks) pair per
+    stage, where each block is (kind, init kwargs). Attention blocks carry
+    their own norms; the others get a pre-norm residual wrap.
+    """
+    if combine not in ("mul", "sum"):
+        raise ConfigError(f"combine must be 'mul' or 'sum', got {combine!r}")
+    rng = np.random.default_rng(seed)
+    std = 0.02
+    dims = [dim for dim, _ in plan]
+    stem_layer = _conv_layer(rng, 3, dims[0], *stem, bias, std, dtype)
+    stages: list[list[BlockEntry]] = []
+    downs: list[ConvLayer] = []
+    for si, (dim, blocks) in enumerate(plan):
+        entries = []
+        for kind, kwargs in blocks:
+            params = _BLOCK_INITS[kind](rng, dim, bias=bias, std=std, dtype=dtype, **kwargs)
+            wrap = None if kind == "attn" else B.init_residual_wrap(
+                dim, spec.layer_scale_init, spec.drop_path_rate, dtype=dtype
+            )
+            entries.append(BlockEntry(kind, params, wrap))
+        stages.append(entries)
+        if si + 1 < len(plan):
+            downs.append(_conv_layer(
+                rng, dim, dims[si + 1], DOWN_KERNEL, DOWN_STRIDE, DOWN_PAD, bias, std, dtype
+            ))
+    return Model(
+        spec=spec,
+        stem=stem_layer,
+        stages=stages,
+        downs=downs,
+        head_norm_g=Var(np.ones((dims[-1],), dtype=dtype)),
+        head_norm_b=Var(np.zeros((dims[-1],), dtype=dtype)),
+        head_w=Var(B.trunc_normal(rng, (spec.head, dims[-1]), std=std, dtype=dtype)),
+        head_b=Var(np.zeros((spec.head,), dtype=dtype)) if bias else None,
+        combine=combine,
+    )
+
+
 def build_model(
     spec: ModelSpec, seed: int = 0, dtype=np.float32, bias: bool = True, combine: str = "mul"
 ) -> Model:
     """Materialize a hierarchical model; same seed gives bit-identical params."""
     spec.validate()
-    if combine not in ("mul", "sum"):
-        raise ConfigError(f"combine must be 'mul' or 'sum', got {combine!r}")
-    rng = np.random.default_rng(seed)
-    std = 0.02
-    stem = _conv_layer(
-        rng, 3, spec.stages[0].dim, spec.stem.kernel, spec.stem.stride, STEM_PAD, bias, std, dtype
-    )
-    stages: list[list[BlockEntry]] = []
-    downs: list[ConvLayer] = []
-    for si, st in enumerate(spec.stages):
-        entries: list[BlockEntry] = []
-        for bi in range(st.mod_blocks):
-            r = st.expansion_pattern[bi % len(st.expansion_pattern)]
-            params = B.init_efficient_mod(
-                rng, st.dim, expansion=r, kernel=st.dw_kernel, bias=bias, std=std, dtype=dtype
-            )
-            wrap = B.init_residual_wrap(
-                st.dim, spec.layer_scale_init, spec.drop_path_rate, dtype=dtype
-            )
-            entries.append(BlockEntry("mod", params, wrap))
-        for _ in range(st.attn_blocks):
-            params = B.init_attention(
-                rng, st.dim, heads=spec.heads, mlp_ratio=spec.attn_mlp_ratio,
-                bias=bias, std=std, dtype=dtype,
-            )
-            entries.append(BlockEntry("attn", params, None))
-        stages.append(entries)
-        if si < 3:
-            downs.append(
-                _conv_layer(
-                    rng, st.dim, spec.stages[si + 1].dim,
-                    DOWN_KERNEL, DOWN_STRIDE, DOWN_PAD, bias, std, dtype,
-                )
-            )
-    c_last = spec.stages[-1].dim
-    return Model(
-        arch="hierarchical",
-        spec=spec,
-        stem=stem,
-        stages=stages,
-        downs=downs,
-        head_norm_g=Var(np.ones((c_last,), dtype=dtype)),
-        head_norm_b=Var(np.zeros((c_last,), dtype=dtype)),
-        head_w=Var(B.trunc_normal(rng, (spec.head, c_last), std=std, dtype=dtype)),
-        head_b=Var(np.zeros((spec.head,), dtype=dtype)) if bias else None,
-        combine=combine,
-    )
+    plan = []
+    for st in spec.stages:
+        pattern = st.expansion_pattern
+        blocks = [
+            ("mod", {"expansion": pattern[bi % len(pattern)], "kernel": st.dw_kernel})
+            for bi in range(st.mod_blocks)
+        ]
+        attn = ("attn", {"heads": spec.heads, "mlp_ratio": spec.attn_mlp_ratio})
+        blocks += [attn] * st.attn_blocks
+        plan.append((st.dim, blocks))
+    stem = (spec.stem.kernel, spec.stem.stride, STEM_PAD)
+    return _assemble(spec, stem, plan, seed, dtype, bias, combine)
 
 
 def build_isotropic(
@@ -353,37 +363,10 @@ def build_isotropic(
 ) -> Model:
     """Single-width stack behind a patchify conv; blocks are all one kind."""
     spec.validate()
-    rng = np.random.default_rng(seed)
-    std = 0.02
-    stem = _conv_layer(rng, 3, spec.dim, spec.patch, spec.patch, 0, bias, std, dtype)
-    entries = []
-    for _ in range(spec.depth):
-        if spec.block == "efficient_mod":
-            params = B.init_efficient_mod(
-                rng, spec.dim, expansion=spec.expansion, kernel=spec.dw_kernel,
-                bias=bias, std=std, dtype=dtype,
-            )
-            kind = "mod"
-        else:
-            params = B.init_mbconv(
-                rng, spec.dim, expansion=spec.expansion, kernel=spec.dw_kernel,
-                bias=bias, std=std, dtype=dtype,
-            )
-            kind = "mbconv"
-        wrap = B.init_residual_wrap(spec.dim, spec.layer_scale_init, spec.drop_path_rate, dtype)
-        entries.append(BlockEntry(kind, params, wrap))
-    return Model(
-        arch="isotropic",
-        spec=spec,
-        stem=stem,
-        stages=[entries],
-        downs=[],
-        head_norm_g=Var(np.ones((spec.dim,), dtype=dtype)),
-        head_norm_b=Var(np.zeros((spec.dim,), dtype=dtype)),
-        head_w=Var(B.trunc_normal(rng, (spec.head, spec.dim), std=std, dtype=dtype)),
-        head_b=Var(np.zeros((spec.head,), dtype=dtype)) if bias else None,
-        combine=combine,
-    )
+    kind = "mod" if spec.block == "efficient_mod" else "mbconv"
+    block = (kind, {"expansion": spec.expansion, "kernel": spec.dw_kernel})
+    plan = [(spec.dim, [block] * spec.depth)]
+    return _assemble(spec, (spec.patch, spec.patch, 0), plan, seed, dtype, bias, combine)
 
 
 def build_iso_pair(pair: str, seed: int = 0, dtype=np.float32, bias: bool = True):
@@ -403,42 +386,29 @@ def _check_input(model: Model, x: np.ndarray):
     if x.ndim != 4 or x.shape[1] != 3:
         raise PreconditionError(f"model input must be [n, 3, h, w], got {x.shape}")
     h, w = x.shape[2], x.shape[3]
-    if model.arch == "hierarchical":
-        if h % 32 or w % 32:
-            raise PreconditionError(
-                f"hierarchical input spatial dims must be divisible by 32, got {h}x{w}"
-            )
-    else:
-        p = model.spec.patch
-        if h < p or w < p:
-            raise PreconditionError(f"input {h}x{w} smaller than patch size {p}")
+    stride = model.stem.spec.stride * math.prod(d.spec.stride for d in model.downs)
+    if h % stride or w % stride:
+        raise PreconditionError(
+            f"input spatial dims must be divisible by the model's total stride {stride}, "
+            f"got {h}x{w}"
+        )
 
 
-def model_forward(
-    model: Model,
-    x,
-    training: bool = False,
-    seed: int = 0,
-    step: int = 0,
-    ctx_tap: tuple | None = None,
-):
-    """Run the network; returns logits Var, or (logits, ctx array) with ctx_tap.
+def forward_features(model: Model, x, training: bool = False, seed: int = 0, step: int = 0) -> Var:
+    """Stem, stages and downsamples: the feature map the head pools.
 
-    ctx_tap = (stage_idx, block_idx) captures the context-branch output of one
-    modulation block (computed on that block's post-norm input).
     Stochastic-depth draws are keyed by (seed, wrapped-block index, step), so a
     fixed key reproduces the same drop pattern regardless of batch order.
     """
     data = x.data if isinstance(x, Var) else np.asarray(x)
     _check_input(model, data)
     h = x if isinstance(x, Var) else Var(data)
-    tap_value = None
 
     h = ad.conv2d(h, model.stem.w, model.stem.b, model.stem.spec)
     layer_idx = 0
     for si, stage in enumerate(model.stages):
         tokens = None  # lazily built [n,t,c] view for the attention tail
-        for bi, entry in enumerate(stage):
+        for entry in stage:
             if entry.kind in ("mod", "mbconv"):
                 if tokens is not None:
                     raise ConfigError(
@@ -451,12 +421,6 @@ def model_forward(
                 )
                 if entry.kind == "mod":
                     inner = lambda z, p=entry.params: B.efficient_mod(z, p, combine=model.combine)
-                    if ctx_tap == (si, bi):
-                        with ad.no_grad():
-                            normed = ad.layer_norm(
-                                h, entry.wrap.norm_gamma, entry.wrap.norm_beta, axis=1
-                            )
-                            tap_value = B.efficient_mod_ctx(normed, entry.params).data
                 else:
                     inner = lambda z, p=entry.params: B.mbconv_block(z, p)
                 h = B.residual_apply(h, inner, entry.wrap, training=training, rng=rng)
@@ -474,17 +438,16 @@ def model_forward(
         if si < len(model.downs):
             d = model.downs[si]
             h = ad.conv2d(h, d.w, d.b, d.spec)
+    return h
 
-    h = ad.global_avg_pool(h)
+
+def model_forward(model: Model, x, training: bool = False, seed: int = 0, step: int = 0) -> Var:
+    """Run the network: forward_features, then GAP -> LayerNorm -> linear; returns logits."""
+    h = ad.global_avg_pool(forward_features(model, x, training, seed, step))
     n, c = h.data.shape[0], h.data.shape[1]
     h = ad.reshape(h, (n, c))
     h = ad.layer_norm(h, model.head_norm_g, model.head_norm_b, axis=1)
-    logits = ad.linear(h, model.head_w, model.head_b)
-    if ctx_tap is not None:
-        if tap_value is None:
-            raise ConfigError(f"ctx_tap {ctx_tap} does not address a modulation block")
-        return logits, tap_value
-    return logits
+    return ad.linear(h, model.head_w, model.head_b)
 
 
 def stage_resolutions(model: Model, input_res) -> list:

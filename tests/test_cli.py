@@ -125,6 +125,21 @@ def test_bench_fusion_small(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_bench_pair_keeps_requested_res(tmp_path, capsys):
+    csv_path = tmp_path / "pair.csv"
+    code, _, _ = run(
+        [
+            "bench", "pair-iso-196-11", "--res", "14", "--iters", "1", "--warmup", "0",
+            "--threads", "1", "--csv", str(csv_path),
+        ],
+        capsys,
+    )
+    assert code == 0
+    rows = csv_path.read_text().strip().split("\n")[1:]
+    assert len(rows) == 2
+    assert all(r.endswith(",1x3x14x14") for r in rows)
+
+
 # ------------------------------------------------------------- training
 
 

@@ -19,12 +19,12 @@ from effmod.kernels import (
     batched_matmul,
     conv2d,
     conv2d_vjp,
-    elementwise,
     fuse_modulate,
     gelu,
     gelu_grad,
     global_avg_pool,
     layer_norm,
+    layer_norm_vjp,
     pointwise,
     set_validation,
     sigmoid,
@@ -324,6 +324,33 @@ def test_layer_norm_matches_loop_oracle():
         assert rel_err(got, want) <= 1e-10
 
 
+def test_layer_norm_vjp_matches_central_differences():
+    # grad_out is the cotangent of <layer_norm(x, gamma, beta), grad_out>, so each
+    # returned gradient is the central difference of that scalar through the oracle.
+    def diff(f, a, eps=1e-6):
+        g = np.zeros_like(a)
+        for i in np.ndindex(a.shape):
+            orig = a[i]
+            a[i] = orig + eps
+            fp = f()
+            a[i] = orig - eps
+            fm = f()
+            a[i] = orig
+            g[i] = (fp - fm) / (2 * eps)
+        return g
+
+    for axis, shape in [(1, (2, 3, 2, 2)), (-1, (3, 4))]:
+        x = RNG.normal(size=shape) * 2
+        c = shape[axis]
+        gamma, beta = RNG.normal(size=c), RNG.normal(size=c)
+        go = RNG.normal(size=shape)
+        dx, dgamma, dbeta = layer_norm_vjp(x, gamma, go, 1e-6, axis)
+        f = lambda: float((layer_norm_oracle(x, gamma, beta, 1e-6, axis) * go).sum())
+        for got, a in ((dx, x), (dgamma, gamma), (dbeta, beta)):
+            assert got.shape == a.shape
+            np.testing.assert_allclose(got, diff(f, a), rtol=1e-6, atol=1e-8)
+
+
 def test_layer_norm_validates():
     with pytest.raises(PreconditionError):
         layer_norm(RNG.normal(size=(1, 3, 2, 2)), np.ones(4), np.zeros(4))
@@ -441,7 +468,7 @@ def test_fuse_modulate_rejects_bad_shapes():
         )
 
 
-# ------------------------------------------------- pool and elementwise
+# ---------------------------------------------------------------- pool
 
 
 def test_global_avg_pool_frozen_values():
@@ -450,17 +477,6 @@ def test_global_avg_pool_frozen_values():
     x = np.array([[1.0, 3.0], [5.0, 7.0]]).reshape(1, 1, 2, 2)
     assert global_avg_pool(x)[0, 0, 0, 0] == 4.0
     assert not global_avg_pool(np.zeros((2, 3, 4, 4))).any()
-
-
-def test_elementwise_identities():
-    x = RNG.normal(size=(1, 2, 3, 3))
-    np.testing.assert_array_equal(elementwise(x, np.ones_like(x)), x)
-    np.testing.assert_array_equal(elementwise(x, np.zeros_like(x), op="add"), x)
-    assert not elementwise(np.zeros_like(x), x).any()
-    with pytest.raises(PreconditionError):
-        elementwise(x, RNG.normal(size=(1, 2, 3, 4)))
-    with pytest.raises(ConfigError):
-        elementwise(x, x, op="div")
 
 
 # ------------------------------------------------------------ validation

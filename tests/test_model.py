@@ -7,6 +7,7 @@ import pytest
 
 from effmod import autodiff as ad
 from effmod import model as M
+from effmod.ctxmap import context_map
 from effmod.errors import ConfigError, PreconditionError
 
 RNG = np.random.default_rng(11)
@@ -170,6 +171,8 @@ def test_parameter_naming_layout():
 def test_build_rejects_bad_combine():
     with pytest.raises(ConfigError):
         M.build_model(M.build_preset("micro"), combine="xor")
+    with pytest.raises(ConfigError):
+        M.build_isotropic(M.ISO_SPECS["iso-effmod-196-11"], combine="bogus")
 
 
 def test_bias_false_drops_bias_params():
@@ -241,26 +244,42 @@ def test_training_forward_with_drop_path_is_step_keyed():
     assert a.tobytes() != c.tobytes()
 
 
-def test_ctx_tap_returns_context_and_same_logits():
+def test_context_map_micro_stage2_grid():
     m = M.build_model(M.build_preset("micro"), seed=0, dtype=np.float64)
-    x = RNG.normal(size=(1, 3, 64, 64))
-    with ad.no_grad():
-        plain = M.model_forward(m, x).data
-        logits, ctx = M.model_forward(m, x, ctx_tap=(2, 0))
-    assert np.array_equal(logits.data, plain)
-    assert ctx.shape == (1, 24, 4, 4)  # stage 2 dim at 64/16
+    cm = context_map(m, RNG.normal(size=(1, 3, 64, 64)), stage=2, block=0)
+    assert cm.grid.shape == (4, 4)  # stage 2 runs at 64/16
+    assert cm.grid.dtype == np.uint8
 
 
-def test_ctx_tap_must_point_at_modulation():
-    m = M.build_model(M.build_preset("micro"), seed=0)
-    x = RNG.normal(size=(1, 3, 32, 32)).astype(np.float32)
-    with pytest.raises(ConfigError):
-        M.model_forward(m, x, ctx_tap=(3, 5))
+def test_context_map_must_point_at_modulation():
     xxs = M.build_model(M.build_preset("xxs"), seed=0)
+    img = RNG.normal(size=(1, 3, 32, 32)).astype(np.float32)
     with pytest.raises(ConfigError):
-        M.model_forward(
-            xxs, RNG.normal(size=(1, 3, 32, 32)).astype(np.float32), ctx_tap=(3, 2)
-        )  # index 2 in stage 3 is an attention block
+        context_map(xxs, img, stage=3, block=2)  # index 2 in stage 3 is an attention block
+    with pytest.raises(ConfigError):
+        context_map(xxs, img, stage=4, block=0)
+
+
+def test_forward_features_is_the_pre_head_map():
+    m = M.build_model(M.build_preset("micro"), seed=0, dtype=np.float64)
+    x = RNG.normal(size=(2, 3, 64, 64))
+    with ad.no_grad():
+        feats = M.forward_features(m, x).data
+        logits = M.model_forward(m, x).data
+    assert feats.shape == (2, 32, 2, 2)  # last stage dim at 64/32
+    h = feats.mean(axis=(2, 3))
+    h = (h - h.mean(axis=1, keepdims=True)) / np.sqrt(h.var(axis=1, keepdims=True) + 1e-6)
+    want = (h * m.head_norm_g.data + m.head_norm_b.data) @ m.head_w.data.T + m.head_b.data
+    np.testing.assert_allclose(logits, want, rtol=1e-10, atol=1e-12)
+
+
+def test_input_divisibility_follows_stem_and_downsample_strides():
+    spec = M.ModelSpec(stem=M.StemSpec(7, 2), stages=M.build_preset("micro").stages, head=4)
+    m = M.build_model(spec, seed=0, dtype=np.float64)
+    with ad.no_grad():
+        assert M.model_forward(m, RNG.normal(size=(1, 3, 48, 48))).data.shape == (1, 4)
+    with pytest.raises(PreconditionError):
+        M.model_forward(m, RNG.normal(size=(1, 3, 40, 40)))
 
 
 def test_combine_sum_changes_forward_not_params():
@@ -307,6 +326,8 @@ def test_isotropic_patch_too_large_for_input():
     m = M.build_isotropic(spec, seed=0)
     with pytest.raises(PreconditionError):
         M.model_forward(m, RNG.normal(size=(1, 3, 8, 8)).astype(np.float32))
+    with pytest.raises(PreconditionError):  # larger than a patch, but not a whole number of them
+        M.model_forward(m, RNG.normal(size=(1, 3, 21, 21)).astype(np.float32))
 
 
 # -------------------------------------------------------- serialization
