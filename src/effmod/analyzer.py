@@ -25,7 +25,7 @@ import numpy as np
 
 from . import blocks as B
 from .errors import ConfigError
-from .model import Model, ModelSpec
+from .model import Model, ModelSpec, check_resolution, total_stride
 
 # --------------------------------------------------------------- report
 
@@ -190,6 +190,7 @@ def complexity_report(model: Model, input_res=(224, 224)) -> ComplexityReport:
     """Per-layer params and MACs for a built model at a given input size."""
     if isinstance(input_res, int):
         input_res = (input_res, input_res)
+    check_resolution(model, *input_res)
     rows: list[LayerRow] = []
     closed: list[ClosedFormRow] = []
     hw = (model.stem.spec.out_size(input_res[0]), model.stem.spec.out_size(input_res[1]))
@@ -225,7 +226,7 @@ def complexity_report(model: Model, input_res=(224, 224)) -> ComplexityReport:
 
 def count_params(model: Model) -> ComplexityReport:
     """Parameter-only report (macs column zeroed, no input size applied)."""
-    rep = complexity_report(model, input_res=(32, 32))
+    rep = complexity_report(model, input_res=total_stride(model))
     for r in rep.rows:
         r.macs = 0
     rep.input_res = None
@@ -238,7 +239,7 @@ def count_macs(model: Model, input_res=(224, 224)) -> int:
 
 def stage_param_totals(model: Model) -> list:
     """With-bias parameter total per stage (stem/downsample/head excluded)."""
-    rep = complexity_report(model, input_res=(32, 32))
+    rep = complexity_report(model, input_res=total_stride(model))
     totals = [0] * len(model.stages)
     for r in rep.rows:
         if r.name.startswith("stage"):

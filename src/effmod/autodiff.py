@@ -172,7 +172,11 @@ def mul(a: Var, b: Var) -> Var:
 
 
 def scale(a: Var, s: float) -> Var:
-    """Multiply by a python float constant (no gradient for s)."""
+    """Multiply by a python float constant (no gradient for s).
+
+    s is converted with float(): a numpy float64 scalar would promote f32 data to f64.
+    """
+    s = float(s)
     return _node(a.data * s, "scale", (a,), lambda g: (g * s,))
 
 

@@ -86,6 +86,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not 1 <= args.cases <= GC_CASES:
+        raise ConfigError(f"--cases must be in 1..{GC_CASES}, got {args.cases}")
     kinds = BLOCK_KINDS if args.block == "all" else (args.block,)
     print(f"# gradcheck tol {args.tol:g}, seed {args.seed}, cases per kind {args.cases}")
     ok = True

@@ -5,10 +5,18 @@ float32 or float64. Everything else in the package (autodiff, blocks, models)
 is built from these. Each kernel has an independent naive-loop oracle in the
 test suite; keep the implementations boring and the contracts explicit.
 
-Convolution is a tap loop: one slice + contraction per kernel position, so a
-k x k kernel costs k^2 vectorized passes instead of a Python loop per output
-pixel. Dense channel mixing goes through np.tensordot (BLAS); depthwise taps
-are plain broadcast multiply-accumulate.
+Convolution has one route per kind, and every route visits only live taps:
+kernel offsets whose reads all fall in the zero padding are skipped (a 7x7
+kernel with pad 3 has 9 live taps at a 2x2 input, 1 at 1x1).
+- Depthwise (groups = channels): forward and VJP run on a zero-padded
+  channels-last [h, w, n, c] copy, so each tap is one long contiguous
+  multiply-add; the weight gradient is one einsum per tap.
+- Dense (groups = 1: stems, downsamples, patchify): the forward is one matmul
+  per image over the im2col of a sliding_window_view of the padded input. The
+  VJP stays a tap loop of small GEMMs on an [h, w, n, c] copy: a one-GEMM VJP
+  holds the whole patch matrix and its cotangent during backward, and took
+  the micro training step (batch 32, f64) from 13.0 to 17.7 MB peak.
+- Other group counts run the dense route once per group.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 from .errors import ConfigError, NumericalError, PreconditionError
@@ -119,10 +128,76 @@ def _conv_check(x: np.ndarray, w: np.ndarray, b, spec: ConvSpec):
     return oh, ow
 
 
-def _tap_slice(xp: np.ndarray, i: int, j: int, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
-    # Strided view of the padded input aligned with kernel position (i, j).
+def _span(i: int, lo: int, hi: int, spec: ConvSpec) -> slice:
+    # Padded-input positions that kernel offset i reads for outputs lo..hi-1 along one axis.
     s, d = spec.stride, spec.dilation
-    return xp[:, :, i * d : i * d + s * (oh - 1) + 1 : s, j * d : j * d + s * (ow - 1) + 1 : s]
+    return slice(i * d + s * lo, i * d + s * (hi - 1) + 1, s)
+
+
+def _live_taps(spec: ConvSpec, size: int, out: int) -> list:
+    """(i, lo, hi) for each kernel offset i along one axis that reads the input.
+
+    Outputs lo..hi-1 are the ones whose offset-i read lands inside the input
+    rather than in the zero padding. An offset with no such output is dead and
+    left out.
+    """
+    s, d, p = spec.stride, spec.dilation, spec.pad
+    taps = []
+    for i in range(spec.kernel):
+        lo = max(0, -((i * d - p) // s))
+        hi = min(out, (p + size - 1 - i * d) // s + 1)
+        if lo < hi:
+            taps.append((i, lo, hi))
+    return taps
+
+
+def _pad_hwnc(x: np.ndarray, p: int) -> np.ndarray:
+    """Zero-padded channels-last copy [h+2p, w+2p, n, c] of an NCHW array."""
+    n, c, h, w = x.shape
+    xp = np.zeros((h + 2 * p, w + 2 * p, n, c), dtype=x.dtype)
+    xp[p : p + h, p : p + w] = x.transpose(2, 3, 0, 1)
+    return xp
+
+
+def _depthwise(x: np.ndarray, w: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
+    n, c, h, wd = x.shape
+    xp = _pad_hwnc(x, spec.pad)
+    out = np.zeros((oh, ow, n, c), dtype=x.dtype)
+    # One tap's weights repeated along an output row, so each multiply-add is
+    # one long contiguous run instead of a c-long broadcast per pixel.
+    wrow = np.empty((ow, n, c), dtype=x.dtype)
+    cols = _live_taps(spec, wd, ow)
+    # Each tap updates the whole (contiguous) output; restricting it to the
+    # live outputs would save MACs at the borders but makes the add strided.
+    for i, _, _ in _live_taps(spec, h, oh):
+        for j, _, _ in cols:
+            wrow[...] = w[:, 0, i, j]
+            out += xp[_span(i, 0, oh, spec), _span(j, 0, ow, spec)] * wrow
+    return np.ascontiguousarray(out.transpose(2, 3, 0, 1))
+
+
+def _dense(x: np.ndarray, w: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
+    n, c_in, h, wd = x.shape
+    s, d, p = spec.stride, spec.dilation, spec.pad
+    rows, cols = _live_taps(spec, h, oh), _live_taps(spec, wd, ow)
+    # Kernel offsets from the first live tap to the last; empty when none is live.
+    i0, i1 = (rows[0][0], rows[-1][0] + 1) if rows else (0, 0)
+    j0, j1 = (cols[0][0], cols[-1][0] + 1) if cols else (0, 0)
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    span = d * (spec.kernel - 1) + 1
+    win = sliding_window_view(xp, (span, span), axis=(2, 3))[
+        :, :, ::s, ::s, i0 * d : i1 * d : d, j0 * d : j1 * d : d
+    ]
+    # im2col over the live kernel rows/columns: [n, c_in*kh*kw, oh*ow]
+    patches = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, -1, oh * ow)
+    wm = w[:, :, i0:i1, j0:j1].reshape(w.shape[0], -1).astype(x.dtype, copy=False)
+    return (wm @ patches).reshape(n, -1, oh, ow)
+
+
+def _group_slices(spec: ConvSpec, c_in: int, c_out: int):
+    g = spec.groups
+    cig, cog = c_in // g, c_out // g
+    return [(slice(k * cig, (k + 1) * cig), slice(k * cog, (k + 1) * cog)) for k in range(g)]
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -> np.ndarray:
@@ -130,45 +205,63 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -
 
     x [n, c_in, h, w], w [c_out, c_in/groups, k, k], optional b [c_out].
     groups=1 is a dense conv, groups=c_in=c_out is depthwise; other group
-    counts take a per-group path.
+    counts run the dense route once per group.
     """
     oh, ow = _conv_check(x, w, b, spec)
-    n, c_in, _, _ = x.shape
-    c_out = w.shape[0]
-    k, g, p = spec.kernel, spec.groups, spec.pad
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-
+    c_in, c_out = x.shape[1], w.shape[0]
+    g = spec.groups
     if g == c_in and g == c_out:
-        # depthwise: each channel convolved with its own k x k filter
-        out = np.zeros((n, c_out, oh, ow), dtype=x.dtype)
-        for i in range(k):
-            for j in range(k):
-                out += _tap_slice(xp, i, j, spec, oh, ow) * w[:, 0, i, j][None, :, None, None]
+        out = _depthwise(x, w, spec, oh, ow)
     elif g == 1:
-        acc = np.zeros((n, oh, ow, c_out), dtype=x.dtype)
-        for i in range(k):
-            for j in range(k):
-                xs = _tap_slice(xp, i, j, spec, oh, ow)
-                # (n,c_in,oh,ow) x (c_out,c_in) -> (n,oh,ow,c_out)
-                acc += np.tensordot(xs, w[:, :, i, j], axes=([1], [1]))
-        out = np.ascontiguousarray(np.moveaxis(acc, -1, 1))
+        out = _dense(x, w, spec, oh, ow)
     else:
-        cig, cog = c_in // g, c_out // g
-        out = np.empty((n, c_out, oh, ow), dtype=x.dtype)
-        for gi in range(g):
-            xg = xp[:, gi * cig : (gi + 1) * cig]
-            wg = w[gi * cog : (gi + 1) * cog]
-            acc = np.zeros((n, oh, ow, cog), dtype=x.dtype)
-            for i in range(k):
-                for j in range(k):
-                    xs = _tap_slice(xg, i, j, spec, oh, ow)
-                    acc += np.tensordot(xs, wg[:, :, i, j], axes=([1], [1]))
-            out[:, gi * cog : (gi + 1) * cog] = np.moveaxis(acc, -1, 1)
-        out = np.ascontiguousarray(out)
-
+        out = np.empty((x.shape[0], c_out, oh, ow), dtype=x.dtype)
+        for sl_in, sl_out in _group_slices(spec, c_in, c_out):
+            out[:, sl_out] = _dense(x[:, sl_in], w[sl_out], spec, oh, ow)
     if b is not None:
-        out = out + b[None, :, None, None]
+        out += b[None, :, None, None]
     return _checked(out, "conv2d")
+
+
+def _depthwise_vjp(x: np.ndarray, w: np.ndarray, spec: ConvSpec, go: np.ndarray):
+    n, c, h, wd = x.shape
+    oh, ow = go.shape[2:]
+    p = spec.pad
+    xp = _pad_hwnc(x, p)
+    dxp = np.zeros_like(xp)
+    got = np.ascontiguousarray(go.transpose(2, 3, 0, 1))
+    dw = np.zeros_like(w)
+    wrow = np.empty((ow, n, c), dtype=x.dtype)
+    cols = _live_taps(spec, wd, ow)
+    # dx is a strided scatter whatever the update covers, so each tap touches
+    # only the outputs whose reads land in the input.
+    for i, ilo, ihi in _live_taps(spec, h, oh):
+        for j, jlo, jhi in cols:
+            win = (_span(i, ilo, ihi, spec), _span(j, jlo, jhi, spec))
+            g = got[ilo:ihi, jlo:jhi]
+            wrow[...] = w[:, 0, i, j]
+            dxp[win] += g * wrow[: jhi - jlo]
+            dw[:, 0, i, j] = np.einsum("hwnc,hwnc->c", g, xp[win])
+    return dxp[p : p + h, p : p + wd].transpose(2, 3, 0, 1), dw
+
+
+def _dense_vjp(x: np.ndarray, w: np.ndarray, spec: ConvSpec, go: np.ndarray):
+    # A tap loop, not one GEMM: see the module docstring.
+    n, c_in, h, wd = x.shape
+    c_out = w.shape[0]
+    oh, ow = go.shape[2:]
+    p = spec.pad
+    xp = _pad_hwnc(x, p)
+    dxp = np.zeros_like(xp)
+    g2 = np.ascontiguousarray(go.transpose(2, 3, 0, 1)).reshape(-1, c_out)
+    dw = np.zeros_like(w)
+    cols = _live_taps(spec, wd, ow)
+    for i, _, _ in _live_taps(spec, h, oh):
+        for j, _, _ in cols:
+            win = (_span(i, 0, oh, spec), _span(j, 0, ow, spec))
+            dxp[win] += (g2 @ w[:, :, i, j]).reshape(oh, ow, n, c_in)
+            dw[:, :, i, j] = g2.T @ xp[win].reshape(-1, c_in)
+    return dxp[p : p + h, p : p + wd].transpose(2, 3, 0, 1), dw
 
 
 def conv2d_vjp(
@@ -184,46 +277,19 @@ def conv2d_vjp(
         raise PreconditionError(
             f"grad_out: expected {(x.shape[0], w.shape[0], oh, ow)}, got {grad_out.shape}"
         )
-    n, c_in, h, wd = x.shape
-    c_out = w.shape[0]
-    k, g, p = spec.kernel, spec.groups, spec.pad
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
-    go = grad_out
-
+    c_in, c_out = x.shape[1], w.shape[0]
+    g = spec.groups
     if g == c_in and g == c_out:
-        for i in range(k):
-            for j in range(k):
-                xs = _tap_slice(xp, i, j, spec, oh, ow)
-                dxs = _tap_slice(dxp, i, j, spec, oh, ow)
-                dxs += go * w[:, 0, i, j][None, :, None, None]
-                dw[:, 0, i, j] = (go * xs).sum(axis=(0, 2, 3))
+        dx, dw = _depthwise_vjp(x, w, spec, grad_out)
     elif g == 1:
-        for i in range(k):
-            for j in range(k):
-                xs = _tap_slice(xp, i, j, spec, oh, ow)
-                dxs = _tap_slice(dxp, i, j, spec, oh, ow)
-                # (n,c_out,oh,ow) x (c_out,c_in) -> (n,oh,ow,c_in)
-                dxs += np.moveaxis(np.tensordot(go, w[:, :, i, j], axes=([1], [0])), -1, 1)
-                dw[:, :, i, j] = np.tensordot(go, xs, axes=([0, 2, 3], [0, 2, 3]))
+        dx, dw = _dense_vjp(x, w, spec, grad_out)
     else:
-        cig, cog = c_in // g, c_out // g
-        for gi in range(g):
-            sl_in = slice(gi * cig, (gi + 1) * cig)
-            sl_out = slice(gi * cog, (gi + 1) * cog)
-            gog = go[:, sl_out]
-            for i in range(k):
-                for j in range(k):
-                    xs = _tap_slice(xp[:, sl_in], i, j, spec, oh, ow)
-                    dxs = _tap_slice(dxp[:, sl_in], i, j, spec, oh, ow)
-                    dxs += np.moveaxis(
-                        np.tensordot(gog, w[sl_out, :, i, j], axes=([1], [0])), -1, 1
-                    )
-                    dw[sl_out, :, i, j] = np.tensordot(gog, xs, axes=([0, 2, 3], [0, 2, 3]))
-
-    dx = dxp[:, :, p : p + h, p : p + wd] if p else dxp
-    db = go.sum(axis=(0, 2, 3)) if need_bias else None
+        dx, dw = np.empty_like(x), np.empty_like(w)
+        for sl_in, sl_out in _group_slices(spec, c_in, c_out):
+            dx[:, sl_in], dw[sl_out] = _dense_vjp(
+                x[:, sl_in], w[sl_out], spec, grad_out[:, sl_out]
+            )
+    db = grad_out.sum(axis=(0, 2, 3)) if need_bias else None
     return np.ascontiguousarray(dx), dw, db
 
 

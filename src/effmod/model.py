@@ -382,16 +382,25 @@ def build_iso_pair(pair: str, seed: int = 0, dtype=np.float32, bias: bool = True
 # -------------------------------------------------------------- forward
 
 
+def total_stride(model: Model) -> int:
+    """Stem stride times the downsample strides: the smallest input side the model takes."""
+    return model.stem.spec.stride * math.prod(d.spec.stride for d in model.downs)
+
+
+def check_resolution(model: Model, h: int, w: int) -> None:
+    """Reject input sizes the model cannot run: each side a positive multiple of total_stride."""
+    stride = total_stride(model)
+    if h < 1 or w < 1 or h % stride or w % stride:
+        raise PreconditionError(
+            f"input spatial dims must be positive and divisible by the model's total stride "
+            f"{stride}, got {h}x{w}"
+        )
+
+
 def _check_input(model: Model, x: np.ndarray):
     if x.ndim != 4 or x.shape[1] != 3:
         raise PreconditionError(f"model input must be [n, 3, h, w], got {x.shape}")
-    h, w = x.shape[2], x.shape[3]
-    stride = model.stem.spec.stride * math.prod(d.spec.stride for d in model.downs)
-    if h % stride or w % stride:
-        raise PreconditionError(
-            f"input spatial dims must be divisible by the model's total stride {stride}, "
-            f"got {h}x{w}"
-        )
+    check_resolution(model, x.shape[2], x.shape[3])
 
 
 def forward_features(model: Model, x, training: bool = False, seed: int = 0, step: int = 0) -> Var:

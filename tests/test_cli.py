@@ -7,6 +7,7 @@ import pytest
 
 from effmod import cli
 from effmod import model as M
+from effmod.blocks import GC_CASES
 from effmod.pnm import read_pnm, write_pgm
 
 
@@ -58,6 +59,23 @@ def test_impossible_tolerance_is_numerical_error(capsys):
     )
     assert code == 4
     assert err.startswith("error: numerical:")
+
+
+def test_analyze_rejects_sizes_the_model_rejects(capsys):
+    for res in ("0", "33", "48"):
+        code, out, err = run(["analyze", "micro", "--res", res], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: config:") and err.count("\n") == 1
+        assert "total stride 32" in err
+
+
+def test_gradcheck_cases_out_of_range_runs_nothing(capsys):
+    for cases in ("0", str(GC_CASES + 1), "9", "-1"):
+        code, out, err = run(["gradcheck", "efficient_mod", "--cases", cases], capsys)
+        assert code == 3
+        assert "PASS" not in out and "FAIL" not in out
+        assert err.startswith("error: config:") and err.count("\n") == 1
 
 
 # -------------------------------------------------------------- reports

@@ -231,6 +231,71 @@ def test_conv_vjp_matches_finite_differences():
             assert abs(num - gflat[i]) <= 1e-5 * max(1.0, abs(num))
 
 
+def _conv_vjp_sweep_cases(count):
+    """Valid (x, w, b, spec) draws over the dense, depthwise and grouped routes.
+
+    Sides 1-6 against kernels up to 7 with dilation up to 3, stride up to 4
+    and explicit pads, so many kernel offsets read only padding.
+    """
+    rng = np.random.default_rng(31)
+    cases = []
+    while len(cases) < count:
+        route = ("dense", "depthwise", "grouped")[len(cases) % 3]
+        k = int(rng.choice([1, 3, 5, 7]))
+        padding = None if rng.integers(0, 3) == 0 else int(rng.integers(0, 5))
+        groups, c_in, c_out = {
+            "dense": (1, int(rng.integers(1, 4)), int(rng.integers(1, 4))),
+            "depthwise": (3, 3, 3),
+            "grouped": (2, 4, int(rng.choice([2, 4]))),
+        }[route]
+        spec = ConvSpec(
+            k,
+            stride=int(rng.integers(1, 5)),
+            dilation=int(rng.integers(1, 4)),
+            groups=groups,
+            padding=padding,
+        )
+        h, w = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        if spec.out_size(h) < 1 or spec.out_size(w) < 1:
+            continue
+        n = int(rng.integers(1, 3))
+        cases.append((
+            rng.normal(size=(n, c_in, h, w)),
+            rng.normal(size=(c_out, c_in // groups, k, k)),
+            rng.normal(size=(c_out,)),
+            spec,
+        ))
+    return cases
+
+
+def test_conv_vjp_sweep_matches_central_differences():
+    """conv2d_vjp against central differences of conv2d, along random directions.
+
+    The loss <conv2d(x, w, b), go> is linear in each argument, so the central
+    difference along a direction equals the exact directional derivative up
+    to rounding.
+    """
+    rng = np.random.default_rng(32)
+    eps = 1e-3
+    seen = set()
+    for x, w, b, spec in _conv_vjp_sweep_cases(150):
+        seen.add((spec.kernel, spec.stride, spec.dilation, spec.groups > 1, spec.padding is None))
+        go = rng.normal(size=conv2d(x, w, b, spec).shape)
+        grads = conv2d_vjp(x, w, spec, go, need_bias=True)
+        args = [x, w, b]
+        for a, grad in enumerate(grads):
+            for _ in range(2):
+                v = rng.normal(size=args[a].shape)
+                plus, minus = list(args), list(args)
+                plus[a], minus[a] = args[a] + eps * v, args[a] - eps * v
+                num = float(((conv2d(*plus, spec) - conv2d(*minus, spec)) * go).sum()) / (2 * eps)
+                got = float((grad * v).sum())
+                assert abs(num - got) <= 1e-8 * max(1.0, abs(num)), (spec, x.shape, a)
+    assert {k for k, *_ in seen} == {1, 3, 5, 7}
+    assert {s for _, s, *_ in seen} == {1, 2, 3, 4}
+    assert {d for _, _, d, *_ in seen} == {1, 2, 3}
+
+
 # ------------------------------------------------------------ pointwise
 
 

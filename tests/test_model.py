@@ -202,6 +202,21 @@ def test_forward_dtype_follows_build():
     assert out.dtype == np.float32
 
 
+def test_f32_models_stay_f32_through_forward_and_backward():
+    """No op may promote an f32 model to f64: logits and leaf grads stay f32 for every spec."""
+    models = {n: M.build_model(M.build_preset(n), seed=0, dtype=np.float32) for n in M.PRESETS}
+    models.update(
+        (n, M.build_isotropic(spec, seed=0, dtype=np.float32)) for n, spec in M.ISO_SPECS.items()
+    )
+    for name, m in models.items():
+        side = M.total_stride(m)  # the smallest valid input
+        out = M.model_forward(m, RNG.normal(size=(1, 3, side, side)).astype(np.float32))
+        assert out.data.dtype == np.float32, name
+        ad.backward(ad.sum_all(out))
+        for pname, v in m.named_parameters():
+            assert v.grad.dtype == np.float32, (name, pname)
+
+
 def test_forward_input_validation():
     m = M.build_model(M.build_preset("micro"), seed=0)
     with pytest.raises(PreconditionError):
@@ -276,6 +291,7 @@ def test_forward_features_is_the_pre_head_map():
 def test_input_divisibility_follows_stem_and_downsample_strides():
     spec = M.ModelSpec(stem=M.StemSpec(7, 2), stages=M.build_preset("micro").stages, head=4)
     m = M.build_model(spec, seed=0, dtype=np.float64)
+    assert M.total_stride(m) == 16
     with ad.no_grad():
         assert M.model_forward(m, RNG.normal(size=(1, 3, 48, 48))).data.shape == (1, 4)
     with pytest.raises(PreconditionError):
