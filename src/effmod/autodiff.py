@@ -2,7 +2,11 @@
 
 A Var wraps an ndarray and remembers how it was produced; backward() walks the
 tape in reverse topological order and accumulates cotangents, so fan-out adds
-gradients as it must. The op set is exactly what the blocks need, nothing more.
+gradients as it must. Only leaves (Vars without a vjp: parameters and inputs
+the caller wrapped) keep a .grad; an intermediate node passes its cotangent on
+and keeps nothing. A plain ndarray passed where an op accepts one (conv2d's
+input) is a constant: it is not on the tape and no gradient is computed for
+it. The op set is exactly what the blocks need, nothing more.
 
 Gradient certification is two-sided: every analytic rule here is checked
 against central finite differences (grad_check), and the test suite runs that
@@ -84,10 +88,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def backward(out: Var, seed: np.ndarray | None = None) -> None:
-    """Accumulate d(out)/d(leaf) into .grad over the whole tape.
+    """Accumulate d(out)/d(leaf) into the .grad of every leaf on the tape.
 
-    seed defaults to ones (the usual choice for a scalar loss). Grads add onto
-    whatever is already in .grad, so zero them between steps.
+    Leaves are the Vars without a vjp; intermediate nodes keep no .grad.
+    Constants (ndarrays an op took in place of a Var) are not on the tape and
+    get no gradient. seed defaults to ones (the usual choice for a scalar
+    loss). Grads add onto whatever is already in .grad, so zero them between
+    steps.
     """
     if seed is None:
         seed = np.ones_like(out.data)
@@ -120,11 +127,8 @@ def backward(out: Var, seed: np.ndarray | None = None) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.grad is None:
-            node.grad = g.copy()
-        else:
-            node.grad = node.grad + g
         if node._vjp is None:
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node.parents, node._vjp(g)):
             if pg is None:
@@ -219,20 +223,20 @@ def sum_all(a: Var) -> Var:
 # ----------------------------------------------------------- neural-net ops
 
 
-def conv2d(x: Var, w: Var, b: Var | None, spec: K.ConvSpec) -> Var:
-    out = K.conv2d(x.data, w.data, None if b is None else b.data, spec)
-    if b is None:
-        def vjp(g):
-            dx, dw, _ = K.conv2d_vjp(x.data, w.data, spec, g, need_bias=False)
-            return (dx, dw)
+def conv2d(x: Var | np.ndarray, w: Var, b: Var | None, spec: K.ConvSpec) -> Var:
+    """Convolution node; an ndarray x is a constant, so the VJP skips its gradient."""
+    need_input = isinstance(x, Var)
+    xd = x.data if need_input else x
+    out = K.conv2d(xd, w.data, None if b is None else b.data, spec)
+    parents = tuple(p for p in (x if need_input else None, w, b) if p is not None)
 
-        return _node(out, "conv2d", (x, w), vjp)
+    def vjp(g):
+        grads = K.conv2d_vjp(
+            xd, w.data, spec, g, need_bias=b is not None, need_input=need_input
+        )
+        return tuple(d for d in grads if d is not None)
 
-    def vjp_b(g):
-        dx, dw, db = K.conv2d_vjp(x.data, w.data, spec, g, need_bias=True)
-        return (dx, dw, db)
-
-    return _node(out, "conv2d", (x, w, b), vjp_b)
+    return _node(out, "conv2d", parents, vjp)
 
 
 def pointwise(x: Var, w: Var, b: Var | None = None) -> Var:

@@ -9,7 +9,8 @@ the first, and a mismatch aborts the run.
 
 Thread budget: defaults to 4 (EFFMOD_THREADS overrides). When threadpoolctl is
 importable the budget is enforced for real by limiting the BLAS pools around
-the timed region; otherwise it is recorded in the result only.
+the timed region; otherwise it is recorded in the result only. Each result
+says which (threads_enforced), in its summary and its CSV row.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ class BenchResult:
     warmup: int
     iters: int
     threads: int
+    threads_enforced: bool = False  # True only when threadpoolctl limited the BLAS pools
     shape: tuple | None = None
     output_hash: str = ""
     samples_ms: list = field(default_factory=list, repr=False)
@@ -94,7 +96,8 @@ class BenchResult:
         return (
             f"{self.label}: mean {self.mean_ms:.4f} ms, std {self.std_ms:.4f}, "
             f"p50 {self.p50_ms:.4f}, p90 {self.p90_ms:.4f} "
-            f"({self.iters} iters, {self.warmup} warmup, {self.threads} threads){flag}"
+            f"({self.iters} iters, {self.warmup} warmup, {self.threads} threads "
+            f"{'enforced' if self.threads_enforced else 'requested, not enforced'}){flag}"
         )
 
 
@@ -108,7 +111,9 @@ def _hash_output(out) -> str:
     return ""
 
 
-def stats_from_samples(samples_ms, label="", warmup=0, threads=0, shape=None, output_hash=""):
+def stats_from_samples(
+    samples_ms, label="", warmup=0, threads=0, shape=None, output_hash="", threads_enforced=False
+):
     """Order-independent summary of a sample vector (exposed for testing)."""
     arr = np.asarray(samples_ms, dtype=np.float64)
     if arr.size == 0:
@@ -122,6 +127,7 @@ def stats_from_samples(samples_ms, label="", warmup=0, threads=0, shape=None, ou
         warmup=warmup,
         iters=int(arr.size),
         threads=threads,
+        threads_enforced=threads_enforced,
         shape=shape,
         output_hash=output_hash,
         samples_ms=[float(s) for s in arr],
@@ -161,7 +167,8 @@ def bench(
                         f"(hash {h[:12]} != {ref_hash[:12]})"
                     )
     return stats_from_samples(
-        samples, label=label, warmup=warmup, threads=n_threads, shape=shape, output_hash=ref_hash
+        samples, label=label, warmup=warmup, threads=n_threads, shape=shape,
+        output_hash=ref_hash, threads_enforced=_HAVE_TPC,
     )
 
 
@@ -301,11 +308,14 @@ def bench_pair_mbconv(
 
 def bench_csv(results) -> str:
     """CSV rows for a list of BenchResult."""
-    lines = ["label,mean_ms,std_ms,p50_ms,p90_ms,cv,unstable,warmup,iters,threads,shape"]
+    lines = [
+        "label,mean_ms,std_ms,p50_ms,p90_ms,cv,unstable,warmup,iters,threads,threads_enforced,shape"
+    ]
     for r in results:
         shape = "x".join(str(s) for s in r.shape) if r.shape else ""
         lines.append(
             f"{r.label},{r.mean_ms:.6f},{r.std_ms:.6f},{r.p50_ms:.6f},{r.p90_ms:.6f},"
-            f"{r.cv:.4f},{int(r.unstable)},{r.warmup},{r.iters},{r.threads},{shape}"
+            f"{r.cv:.4f},{int(r.unstable)},{r.warmup},{r.iters},{r.threads},"
+            f"{int(r.threads_enforced)},{shape}"
         )
     return "\n".join(lines) + "\n"

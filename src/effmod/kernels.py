@@ -223,12 +223,12 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -
     return _checked(out, "conv2d")
 
 
-def _depthwise_vjp(x: np.ndarray, w: np.ndarray, spec: ConvSpec, go: np.ndarray):
+def _depthwise_vjp(x: np.ndarray, w: np.ndarray, spec: ConvSpec, go: np.ndarray, need_input: bool):
     n, c, h, wd = x.shape
     oh, ow = go.shape[2:]
     p = spec.pad
     xp = _pad_hwnc(x, p)
-    dxp = np.zeros_like(xp)
+    dxp = np.zeros_like(xp) if need_input else None
     got = np.ascontiguousarray(go.transpose(2, 3, 0, 1))
     dw = np.zeros_like(w)
     wrow = np.empty((ow, n, c), dtype=x.dtype)
@@ -239,29 +239,33 @@ def _depthwise_vjp(x: np.ndarray, w: np.ndarray, spec: ConvSpec, go: np.ndarray)
         for j, jlo, jhi in cols:
             win = (_span(i, ilo, ihi, spec), _span(j, jlo, jhi, spec))
             g = got[ilo:ihi, jlo:jhi]
-            wrow[...] = w[:, 0, i, j]
-            dxp[win] += g * wrow[: jhi - jlo]
+            if need_input:
+                wrow[...] = w[:, 0, i, j]
+                dxp[win] += g * wrow[: jhi - jlo]
             dw[:, 0, i, j] = np.einsum("hwnc,hwnc->c", g, xp[win])
-    return dxp[p : p + h, p : p + wd].transpose(2, 3, 0, 1), dw
+    dx = dxp[p : p + h, p : p + wd].transpose(2, 3, 0, 1) if need_input else None
+    return dx, dw
 
 
-def _dense_vjp(x: np.ndarray, w: np.ndarray, spec: ConvSpec, go: np.ndarray):
+def _dense_vjp(x: np.ndarray, w: np.ndarray, spec: ConvSpec, go: np.ndarray, need_input: bool):
     # A tap loop, not one GEMM: see the module docstring.
     n, c_in, h, wd = x.shape
     c_out = w.shape[0]
     oh, ow = go.shape[2:]
     p = spec.pad
     xp = _pad_hwnc(x, p)
-    dxp = np.zeros_like(xp)
+    dxp = np.zeros_like(xp) if need_input else None
     g2 = np.ascontiguousarray(go.transpose(2, 3, 0, 1)).reshape(-1, c_out)
     dw = np.zeros_like(w)
     cols = _live_taps(spec, wd, ow)
     for i, _, _ in _live_taps(spec, h, oh):
         for j, _, _ in cols:
             win = (_span(i, 0, oh, spec), _span(j, 0, ow, spec))
-            dxp[win] += (g2 @ w[:, :, i, j]).reshape(oh, ow, n, c_in)
+            if need_input:
+                dxp[win] += (g2 @ w[:, :, i, j]).reshape(oh, ow, n, c_in)
             dw[:, :, i, j] = g2.T @ xp[win].reshape(-1, c_in)
-    return dxp[p : p + h, p : p + wd].transpose(2, 3, 0, 1), dw
+    dx = dxp[p : p + h, p : p + wd].transpose(2, 3, 0, 1) if need_input else None
+    return dx, dw
 
 
 def conv2d_vjp(
@@ -270,8 +274,14 @@ def conv2d_vjp(
     spec: ConvSpec,
     grad_out: np.ndarray,
     need_bias: bool = True,
+    need_input: bool = True,
 ):
-    """Gradients of conv2d w.r.t. (x, w, b) given the output cotangent."""
+    """Gradients (dx, dw, db) of conv2d given the output cotangent.
+
+    dx is None when need_input is False (x is a constant, such as the input
+    image) and db is None when need_bias is False; every route then skips that
+    work. dw and db do not depend on either flag, bit for bit.
+    """
     oh, ow = _conv_check(x, w, None, spec)
     if grad_out.shape != (x.shape[0], w.shape[0], oh, ow):
         raise PreconditionError(
@@ -280,17 +290,20 @@ def conv2d_vjp(
     c_in, c_out = x.shape[1], w.shape[0]
     g = spec.groups
     if g == c_in and g == c_out:
-        dx, dw = _depthwise_vjp(x, w, spec, grad_out)
+        dx, dw = _depthwise_vjp(x, w, spec, grad_out, need_input)
     elif g == 1:
-        dx, dw = _dense_vjp(x, w, spec, grad_out)
+        dx, dw = _dense_vjp(x, w, spec, grad_out, need_input)
     else:
-        dx, dw = np.empty_like(x), np.empty_like(w)
+        dx = np.empty_like(x) if need_input else None
+        dw = np.empty_like(w)
         for sl_in, sl_out in _group_slices(spec, c_in, c_out):
-            dx[:, sl_in], dw[sl_out] = _dense_vjp(
-                x[:, sl_in], w[sl_out], spec, grad_out[:, sl_out]
+            dxg, dw[sl_out] = _dense_vjp(
+                x[:, sl_in], w[sl_out], spec, grad_out[:, sl_out], need_input
             )
+            if need_input:
+                dx[:, sl_in] = dxg
     db = grad_out.sum(axis=(0, 2, 3)) if need_bias else None
-    return np.ascontiguousarray(dx), dw, db
+    return None if dx is None else np.ascontiguousarray(dx), dw, db
 
 
 def pointwise(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:

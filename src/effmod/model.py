@@ -1,9 +1,10 @@
 """Model assembly: 4-stage hierarchical backbones and isotropic stacks.
 
-Hierarchy: stem conv (k7 s4 pad3) -> 4 stages at 1/4, 1/8, 1/16, 1/32 of the
-input, joined by k3 s2 pad1 downsampling convs -> GAP -> LayerNorm -> linear
-head. Within a stage every modulation block precedes every attention block,
-and attention only appears in stages 3 and 4 where the token count is small.
+Hierarchy: stem conv (k7 s4, padded kernel // 2 per side) -> 4 stages at 1/4,
+1/8, 1/16, 1/32 of the input, joined by k3 s2 pad1 downsampling convs -> GAP
+-> LayerNorm -> linear head. Within a stage every modulation block precedes
+every attention block, and attention only appears in stages 3 and 4 where the
+token count is small.
 
 Isotropic: patchify conv (k14 s14) -> depth identical blocks at one width ->
 same head. Used for the parameter-matched modulation-vs-MBConv pairs.
@@ -28,7 +29,6 @@ from .autodiff import Var
 from .errors import ConfigError, PreconditionError
 from .kernels import ConvSpec
 
-STEM_PAD = 3  # stem is k7 s4; same-style padding
 DOWN_KERNEL, DOWN_STRIDE, DOWN_PAD = 3, 2, 1
 
 
@@ -58,6 +58,11 @@ class ModelSpec:
     heads: int = 8  # fixed default; not serialized
 
     def validate(self) -> "ModelSpec":
+        # The stem pads kernel // 2 per side, which maps h to h / stride only for odd kernels.
+        if self.stem.kernel < 1 or self.stem.kernel % 2 == 0:
+            raise ConfigError(f"stem kernel must be a positive odd int, got {self.stem.kernel}")
+        if self.stem.stride < 1:
+            raise ConfigError(f"stem stride must be positive, got {self.stem.stride}")
         if len(self.stages) != 4:
             raise ConfigError(f"expected exactly 4 stages, got {len(self.stages)}")
         for i, st in enumerate(self.stages):
@@ -184,48 +189,72 @@ def spec_to_json(spec: ModelSpec) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _reject_unknown(doc: dict, allowed: set, where: str):
+def _object(doc, where: str, allowed: set) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    return doc
+
+
+def _as_int(v, what: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def _as_float(v, what: str) -> float:
+    # json.loads accepts NaN and Infinity; a NaN layer scale would run to NaN logits.
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"{what} must be a finite number, got {v!r}")
+    return float(v)
 
 
 def spec_from_json(text: str) -> ModelSpec:
+    """Parse and validate a model spec; every malformed document raises ConfigError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed model spec JSON at line {e.lineno} column {e.colno}: {e.msg}")
-    if not isinstance(doc, dict):
-        raise ConfigError("model spec JSON must be an object")
-    _reject_unknown(doc, _TOP_KEYS, "model spec")
+    _object(doc, "model spec", _TOP_KEYS)
     for key in ("stem", "stages", "head"):
         if key not in doc:
             raise ConfigError(f"model spec missing required key {key!r}")
-    _reject_unknown(doc["stem"], _STEM_KEYS, "stem")
+    stem = _object(doc["stem"], "stem", _STEM_KEYS)
     stages = doc["stages"]
     if not isinstance(stages, list) or len(stages) != 4:
         raise ConfigError("model spec 'stages' must be an array of exactly 4 stages")
     built = []
     for i, st in enumerate(stages):
-        _reject_unknown(st, _STAGE_KEYS, f"stage {i}")
+        where = f"stage {i}"
+        _object(st, where, _STAGE_KEYS)
         if "dim" not in st or "mod_blocks" not in st:
-            raise ConfigError(f"stage {i} missing required dim/mod_blocks")
+            raise ConfigError(f"{where} missing required dim/mod_blocks")
+        pattern = st.get("expansion_pattern", [1, 6])
+        if not isinstance(pattern, list):
+            raise ConfigError(f"{where}: 'expansion_pattern' must be an array, got {pattern!r}")
         built.append(
             StageSpec(
-                dim=int(st["dim"]),
-                mod_blocks=int(st["mod_blocks"]),
-                attn_blocks=int(st.get("attn_blocks", 0)),
-                expansion_pattern=tuple(int(r) for r in st.get("expansion_pattern", [1, 6])),
-                dw_kernel=int(st.get("dw_kernel", 7)),
+                dim=_as_int(st["dim"], f"{where} dim"),
+                mod_blocks=_as_int(st["mod_blocks"], f"{where} mod_blocks"),
+                attn_blocks=_as_int(st.get("attn_blocks", 0), f"{where} attn_blocks"),
+                expansion_pattern=tuple(
+                    _as_int(r, f"{where} expansion_pattern entry") for r in pattern
+                ),
+                dw_kernel=_as_int(st.get("dw_kernel", 7), f"{where} dw_kernel"),
             )
         )
     spec = ModelSpec(
-        stem=StemSpec(int(doc["stem"].get("kernel", 7)), int(doc["stem"].get("stride", 4))),
+        stem=StemSpec(
+            _as_int(stem.get("kernel", 7), "stem kernel"),
+            _as_int(stem.get("stride", 4), "stem stride"),
+        ),
         stages=tuple(built),
-        head=int(doc["head"]),
-        drop_path_rate=float(doc.get("drop_path_rate", 0.0)),
-        layer_scale_init=float(doc.get("layer_scale_init", 1e-4)),
-        attn_mlp_ratio=float(doc.get("attn_mlp_ratio", 4.0)),
+        head=_as_int(doc["head"], "head"),
+        drop_path_rate=_as_float(doc.get("drop_path_rate", 0.0), "drop_path_rate"),
+        layer_scale_init=_as_float(doc.get("layer_scale_init", 1e-4), "layer_scale_init"),
+        attn_mlp_ratio=_as_float(doc.get("attn_mlp_ratio", 4.0), "attn_mlp_ratio"),
     )
     return spec.validate()
 
@@ -354,7 +383,7 @@ def build_model(
         attn = ("attn", {"heads": spec.heads, "mlp_ratio": spec.attn_mlp_ratio})
         blocks += [attn] * st.attn_blocks
         plan.append((st.dim, blocks))
-    stem = (spec.stem.kernel, spec.stem.stride, STEM_PAD)
+    stem = (spec.stem.kernel, spec.stem.stride, spec.stem.kernel // 2)
     return _assemble(spec, stem, plan, seed, dtype, bias, combine)
 
 
@@ -406,14 +435,15 @@ def _check_input(model: Model, x: np.ndarray):
 def forward_features(model: Model, x, training: bool = False, seed: int = 0, step: int = 0) -> Var:
     """Stem, stages and downsamples: the feature map the head pools.
 
+    x is an ndarray or a Var. An ndarray image is a constant, so backward
+    computes no gradient for it; a Var input receives its gradient in .grad.
     Stochastic-depth draws are keyed by (seed, wrapped-block index, step), so a
     fixed key reproduces the same drop pattern regardless of batch order.
     """
     data = x.data if isinstance(x, Var) else np.asarray(x)
     _check_input(model, data)
-    h = x if isinstance(x, Var) else Var(data)
-
-    h = ad.conv2d(h, model.stem.w, model.stem.b, model.stem.spec)
+    stem = model.stem
+    h = ad.conv2d(x if isinstance(x, Var) else data, stem.w, stem.b, stem.spec)
     layer_idx = 0
     for si, stage in enumerate(model.stages):
         tokens = None  # lazily built [n,t,c] view for the attention tail
@@ -505,37 +535,60 @@ def save_params(model: Model, path: str) -> int:
 
 
 def load_params(model: Model, path: str) -> None:
-    """Read parameters saved by save_params into the model, strict on layout."""
+    """Read parameters saved by save_params into the model, strict on layout.
+
+    Every byte must be accounted for: a truncated file, trailing bytes, a name
+    the model lacks or repeats, a shape or dtype that differs from the model's,
+    or a missing parameter raises ConfigError and leaves the model unchanged.
+    """
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[:8] != _MAGIC:
+    off = 0
+
+    def take(nbytes: int, what: str) -> bytes:
+        nonlocal off
+        if off + nbytes > len(blob):
+            raise ConfigError(f"{path}: truncated in {what} (byte {off} of {len(blob)})")
+        off += nbytes
+        return blob[off - nbytes : off]
+
+    if take(8, "magic") != _MAGIC:
         raise ConfigError(f"{path}: not a parameter file (bad magic)")
-    version, count = struct.unpack_from("<II", blob, 8)
+    version, count = struct.unpack("<II", take(8, "header"))
     if version != _VERSION:
         raise ConfigError(f"{path}: unsupported version {version}")
-    off = 16
+    params = dict(model.named_parameters())
     loaded = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off : off + nlen].decode("utf-8")
-        off += nlen
-        code, ndim = struct.unpack_from("<BB", blob, off)
-        off += 2
-        shape = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
-        dtype = _CODE_DTYPES.get(code)
-        if dtype is None:
+        (nlen,) = struct.unpack("<H", take(2, "a name length"))
+        try:
+            name = take(nlen, "a name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: parameter name at byte {off - nlen} is not UTF-8")
+        if name not in params:
+            raise ConfigError(f"{path}: parameter {name!r} is not in the model")
+        if name in loaded:
+            raise ConfigError(f"{path}: parameter {name!r} appears twice")
+        code, ndim = struct.unpack("<BB", take(2, name))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, name))
+        if code not in _CODE_DTYPES:
             raise ConfigError(f"{path}: unknown dtype code {code} for {name}")
-        nbytes = int(np.prod(shape)) * dtype.itemsize if ndim else dtype.itemsize
-        arr = np.frombuffer(blob, dtype=dtype, count=max(int(np.prod(shape)), 1), offset=off)
-        off += nbytes
-        loaded[name] = arr.reshape(shape).astype(dtype.newbyteorder("="))
-    for name, v in model.named_parameters():
+        want = params[name].data
+        if shape != want.shape:
+            raise ConfigError(
+                f"{path}: shape mismatch for {name}: file {shape}, model {want.shape}"
+            )
+        if code != _DTYPE_CODES.get(want.dtype):
+            raise ConfigError(
+                f"{path}: dtype mismatch for {name}: file {_CODE_DTYPES[code].name}, "
+                f"model {want.dtype.name}"
+            )
+        raw = np.frombuffer(take(want.nbytes, name), dtype=_CODE_DTYPES[code])
+        loaded[name] = raw.reshape(shape).astype(want.dtype)
+    if off != len(blob):
+        raise ConfigError(f"{path}: {len(blob) - off} trailing bytes after the last parameter")
+    for name in params:
         if name not in loaded:
             raise ConfigError(f"{path}: missing parameter {name}")
-        if loaded[name].shape != v.data.shape:
-            raise ConfigError(
-                f"{path}: shape mismatch for {name}: file {loaded[name].shape}, model {v.data.shape}"
-            )
-        v.data = loaded[name].astype(v.data.dtype)
+    for name, v in params.items():
+        v.data = loaded[name]

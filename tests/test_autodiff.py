@@ -65,6 +65,31 @@ def test_backward_linearity_in_seed():
     )
 
 
+def test_only_leaves_keep_gradients():
+    x = ad.Var(RNG.normal(size=(2, 3)))
+    w = ad.Var(RNG.normal(size=(1, 3)))
+    m = ad.mul(x, w)
+    h = ad.gelu(m)
+    a = ad.add(h, h)
+    y = ad.sum_all(a)
+    ad.backward(y)
+    assert x.grad is not None and w.grad is not None
+    assert all(n.grad is None for n in (m, h, a, y))
+
+
+def test_conv2d_ndarray_input_is_a_constant():
+    x = RNG.normal(size=(2, 2, 5, 5))
+    w = ad.Var(RNG.normal(size=(3, 2, 3, 3)))
+    b = ad.Var(RNG.normal(size=3))
+    out = ad.conv2d(x, w, b, ConvSpec(3, stride=2))
+    assert out.parents == (w, b)
+    ad.backward(ad.sum_all(out))
+    xv, wv, bv = ad.Var(x), ad.Var(w.data), ad.Var(b.data)
+    ad.backward(ad.sum_all(ad.conv2d(xv, wv, bv, ConvSpec(3, stride=2))))
+    assert xv.grad is not None
+    assert w.grad.tobytes() == wv.grad.tobytes() and b.grad.tobytes() == bv.grad.tobytes()
+
+
 def test_grads_add_across_backward_calls():
     x = ad.Var(RNG.normal(size=3))
     y = ad.sum_all(x)

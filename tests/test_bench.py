@@ -1,6 +1,8 @@
 """Timing harness mechanics, kept fast: tiny iteration counts throughout."""
 
+import contextlib
 import time
+import types
 
 import numpy as np
 import pytest
@@ -113,9 +115,31 @@ def test_bench_csv_layout():
     b = bn.stats_from_samples([3.0], label="b", warmup=0, threads=1)
     text = bn.bench_csv([a, b])
     lines = text.strip().split("\n")
-    assert lines[0] == "label,mean_ms,std_ms,p50_ms,p90_ms,cv,unstable,warmup,iters,threads,shape"
+    assert lines[0] == (
+        "label,mean_ms,std_ms,p50_ms,p90_ms,cv,unstable,warmup,iters,threads,threads_enforced,shape"
+    )
     assert lines[1].startswith("a,1.5")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("have_tpc", [False, True])
+def test_thread_budget_enforcement_is_reported(monkeypatch, have_tpc):
+    seen = []
+
+    def threadpool_limits(limits):
+        seen.append(limits)
+        return contextlib.nullcontext()
+
+    monkeypatch.setattr(bn, "_HAVE_TPC", have_tpc)
+    fake = types.SimpleNamespace(threadpool_limits=threadpool_limits)
+    monkeypatch.setattr(bn, "threadpoolctl", fake)
+    res = bn.bench(lambda: None, warmup=0, iters=2, threads=3)
+    assert res.threads_enforced is have_tpc
+    assert seen == ([3] if have_tpc else [])
+    assert ("3 threads enforced" in res.summary()) is have_tpc
+    assert ("3 threads requested, not enforced" in res.summary()) is not have_tpc
+    row = bn.bench_csv([res]).strip().split("\n")[1].split(",")
+    assert row[-3:-1] == ["3", str(int(have_tpc))]
 
 
 # -------------------------------------------------------------- fusion

@@ -282,6 +282,9 @@ def test_conv_vjp_sweep_matches_central_differences():
         seen.add((spec.kernel, spec.stride, spec.dilation, spec.groups > 1, spec.padding is None))
         go = rng.normal(size=conv2d(x, w, b, spec).shape)
         grads = conv2d_vjp(x, w, spec, go, need_bias=True)
+        dx, dw, db = conv2d_vjp(x, w, spec, go, need_bias=True, need_input=False)
+        assert dx is None
+        assert dw.tobytes() == grads[1].tobytes() and db.tobytes() == grads[2].tobytes()
         args = [x, w, b]
         for a, grad in enumerate(grads):
             for _ in range(2):

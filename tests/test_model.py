@@ -1,5 +1,6 @@
 """Model assembly: presets, JSON round trips, forward contracts, serialization."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -80,6 +81,9 @@ def test_validate_rejects_bad_specs():
         M.ModelSpec(stem=ok.stem, stages=ok.stages, head=4, drop_path_rate=1.0).validate()
     with pytest.raises(ConfigError):
         M.ModelSpec(stem=ok.stem, stages=ok.stages, head=0).validate()
+    for stem in (M.StemSpec(4, 4), M.StemSpec(0, 4), M.StemSpec(7, 0)):
+        with pytest.raises(ConfigError, match="stem"):
+            M.ModelSpec(stem=stem, stages=ok.stages, head=4).validate()
     with pytest.raises(ConfigError):
         M.ModelSpec(
             stem=ok.stem,
@@ -111,6 +115,27 @@ def test_json_unknown_keys_rejected_each_level():
     bad_stage["stages"][1]["width"] = 12
     with pytest.raises(ConfigError, match="width"):
         M.spec_from_json(json.dumps(bad_stage))
+    # wrong types at each level, and a stem kernel the derived padding cannot center
+    for path, value in (
+        (("stem",), [7, 4]),
+        (("stem", "kernel"), 4),
+        (("stem", "stride"), "4"),
+        (("stages", 1), 16),
+        (("stages", 0, "dim"), "a"),
+        (("stages", 0, "expansion_pattern"), 4),
+        (("stages", 0, "expansion_pattern"), [1, 2.5]),
+        (("head",), True),
+        (("drop_path_rate",), "0.1"),
+        (("layer_scale_init",), float("nan")),
+        (("attn_mlp_ratio",), float("inf")),
+    ):
+        bad = json.loads(json.dumps(doc))
+        target = bad
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ConfigError):
+            M.spec_from_json(json.dumps(bad))
 
 
 def test_json_missing_required_keys():
@@ -217,6 +242,19 @@ def test_f32_models_stay_f32_through_forward_and_backward():
             assert v.grad.dtype == np.float32, (name, pname)
 
 
+def test_ndarray_image_is_a_constant_with_the_same_parameter_grads():
+    x = RNG.normal(size=(2, 3, 32, 32))
+
+    def grads(image):
+        m = M.build_model(M.build_preset("micro"), seed=0, dtype=np.float64)
+        ad.backward(ad.sum_all(M.model_forward(m, image)))
+        return [v.grad.tobytes() for _, v in m.named_parameters()]
+
+    xv = ad.Var(x.copy())
+    assert grads(x) == grads(xv)
+    assert xv.grad is not None and xv.grad.shape == x.shape
+
+
 def test_forward_input_validation():
     m = M.build_model(M.build_preset("micro"), seed=0)
     with pytest.raises(PreconditionError):
@@ -296,6 +334,8 @@ def test_input_divisibility_follows_stem_and_downsample_strides():
         assert M.model_forward(m, RNG.normal(size=(1, 3, 48, 48))).data.shape == (1, 4)
     with pytest.raises(PreconditionError):
         M.model_forward(m, RNG.normal(size=(1, 3, 40, 40)))
+    k5 = M.build_model(dataclasses.replace(spec, stem=M.StemSpec(5, 4)), seed=0)
+    assert M.stage_resolutions(k5, 32)[0] == (8, 8)  # the stem pads kernel // 2
 
 
 def test_combine_sum_changes_forward_not_params():
@@ -398,3 +438,41 @@ def test_param_load_rejects_bad_version(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(ConfigError, match="version"):
         M.load_params(m, str(path))
+
+
+def _saved_micro(tmp_path, dtype=np.float64):
+    m = M.build_model(M.build_preset("micro"), seed=0, dtype=dtype)
+    path = tmp_path / "m.efmod"
+    M.save_params(m, str(path))
+    return path, path.read_bytes()
+
+
+def test_param_load_rejects_truncated_file(tmp_path):
+    path, blob = _saved_micro(tmp_path)
+    m = M.build_model(M.build_preset("micro"), seed=1, dtype=np.float64)
+    before = [v.data.tobytes() for _, v in m.named_parameters()]
+    for cut in (4, 12, 17, 30, len(blob) // 2, len(blob) - 1):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ConfigError, match="truncated"):
+            M.load_params(m, str(path))
+    assert [v.data.tobytes() for _, v in m.named_parameters()] == before
+
+
+def test_param_load_rejects_trailing_bytes(tmp_path):
+    path, blob = _saved_micro(tmp_path)
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(ConfigError, match="trailing"):
+        M.load_params(M.build_model(M.build_preset("micro"), dtype=np.float64), str(path))
+
+
+def test_param_load_rejects_names_the_model_lacks(tmp_path):
+    path, blob = _saved_micro(tmp_path)
+    path.write_bytes(blob.replace(b"stem.w", b"stem.q", 1))
+    with pytest.raises(ConfigError, match="stem.q"):
+        M.load_params(M.build_model(M.build_preset("micro"), dtype=np.float64), str(path))
+
+
+def test_param_load_rejects_dtype_mismatch(tmp_path):
+    path, _ = _saved_micro(tmp_path, dtype=np.float32)
+    with pytest.raises(ConfigError, match="dtype"):
+        M.load_params(M.build_model(M.build_preset("micro"), dtype=np.float64), str(path))
