@@ -25,7 +25,7 @@ import numpy as np
 
 from . import blocks as B
 from .errors import ConfigError
-from .model import Model, ModelSpec, check_resolution, total_stride
+from .model import Model, ModelSpec, check_resolution
 
 # --------------------------------------------------------------- report
 
@@ -37,6 +37,7 @@ class LayerRow:
     params_with_bias: int
     params_no_bias: int
     macs: int
+    stage: int | None = None  # stage index; None for the stem, downsamples and head
 
 
 @dataclass
@@ -186,16 +187,22 @@ def _attn_rows(rows, prefix, entry, hw):
 # ---------------------------------------------------------------- walks
 
 
-def complexity_report(model: Model, input_res=(224, 224)) -> ComplexityReport:
-    """Per-layer params and MACs for a built model at a given input size."""
-    if isinstance(input_res, int):
-        input_res = (input_res, input_res)
-    check_resolution(model, *input_res)
+def _walk(model: Model, input_res: tuple | None) -> tuple:
+    """(rows, closed-form rows): the one walk over the model's layers, in order.
+
+    With input_res None it counts parameters only, and every MAC count is 0.
+    """
     rows: list[LayerRow] = []
     closed: list[ClosedFormRow] = []
-    hw = (model.stem.spec.out_size(input_res[0]), model.stem.spec.out_size(input_res[1]))
+    sized = input_res is not None
+
+    def out_hw(spec, hw):
+        return (spec.out_size(hw[0]), spec.out_size(hw[1])) if sized else (0, 0)
+
+    hw = out_hw(model.stem.spec, input_res)
     _conv_rows(rows, "stem", model.stem, hw)
     for si, stage in enumerate(model.stages):
+        start = len(rows)
         for bi, entry in enumerate(stage):
             prefix = f"stage{si}.block{bi}."
             if entry.kind == "mod":
@@ -204,33 +211,46 @@ def complexity_report(model: Model, input_res=(224, 224)) -> ComplexityReport:
                 _mbconv_rows(rows, prefix, entry, hw)
             else:
                 _attn_rows(rows, prefix, entry, hw)
+        for r in rows[start:]:
+            r.stage = si
         if si < len(model.downs):
             d = model.downs[si]
-            hw = (d.spec.out_size(hw[0]), d.spec.out_size(hw[1]))
+            hw = out_hw(d.spec, hw)
             _conv_rows(rows, f"down{si}", d, hw)
     c_last = model.head_norm_g.data.size
     classes = model.head_w.data.shape[0]
     _add(rows, "head.norm", "norm", 0, 2 * c_last, 0)
     _add(
         rows, "head.fc", "linear",
-        classes * c_last, 0 if model.head_b is None else classes, classes * c_last,
+        classes * c_last, 0 if model.head_b is None else classes,
+        classes * c_last if sized else 0,
     )
+    return rows, closed
+
+
+def _notes(model: Model) -> dict:
     notes = {}
     spec = model.spec
     if isinstance(spec, ModelSpec):
         if any(st.attn_blocks for st in spec.stages):
             notes["attn_mlp_ratio (calibrated)"] = spec.attn_mlp_ratio
         notes["heads"] = spec.heads
-    return ComplexityReport(rows=rows, closed_form=closed, input_res=input_res, notes=notes)
+    return notes
+
+
+def complexity_report(model: Model, input_res=(224, 224)) -> ComplexityReport:
+    """Per-layer params and MACs for a built model at a given input size."""
+    if isinstance(input_res, int):
+        input_res = (input_res, input_res)
+    check_resolution(model, *input_res)
+    rows, closed = _walk(model, input_res)
+    return ComplexityReport(rows, closed, input_res, _notes(model))
 
 
 def count_params(model: Model) -> ComplexityReport:
-    """Parameter-only report (macs column zeroed, no input size applied)."""
-    rep = complexity_report(model, input_res=total_stride(model))
-    for r in rep.rows:
-        r.macs = 0
-    rep.input_res = None
-    return rep
+    """Parameter-only report: every MAC count is 0 and no input size applies."""
+    rows, closed = _walk(model, None)
+    return ComplexityReport(rows, closed, None, _notes(model))
 
 
 def count_macs(model: Model, input_res=(224, 224)) -> int:
@@ -239,11 +259,10 @@ def count_macs(model: Model, input_res=(224, 224)) -> int:
 
 def stage_param_totals(model: Model) -> list:
     """With-bias parameter total per stage (stem/downsample/head excluded)."""
-    rep = complexity_report(model, input_res=total_stride(model))
     totals = [0] * len(model.stages)
-    for r in rep.rows:
-        if r.name.startswith("stage"):
-            totals[int(r.name[5 : r.name.index(".")])] += r.params_with_bias
+    for r in _walk(model, None)[0]:
+        if r.stage is not None:
+            totals[r.stage] += r.params_with_bias
     return totals
 
 

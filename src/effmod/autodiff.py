@@ -5,8 +5,9 @@ tape in reverse topological order and accumulates cotangents, so fan-out adds
 gradients as it must. Only leaves (Vars without a vjp: parameters and inputs
 the caller wrapped) keep a .grad; an intermediate node passes its cotangent on
 and keeps nothing. A plain ndarray passed where an op accepts one (conv2d's
-input) is a constant: it is not on the tape and no gradient is computed for
-it. The op set is exactly what the blocks need, nothing more.
+input, mul's second operand) is a constant: it is not on the tape and no
+gradient is computed for it. The op set is exactly what the blocks need,
+nothing more.
 
 Gradient certification is two-sided: every analytic rule here is checked
 against central finite differences (grad_check), and the test suite runs that
@@ -162,7 +163,10 @@ def sub(a: Var, b: Var) -> Var:
     )
 
 
-def mul(a: Var, b: Var) -> Var:
+def mul(a: Var, b: Var | np.ndarray) -> Var:
+    """Elementwise product; an ndarray b is a constant, so only a gets a gradient."""
+    if not isinstance(b, Var):
+        return _node(a.data * b, "mul", (a,), lambda g: (_unbroadcast(g * b, a.data.shape),))
     out = a.data * b.data
     return _node(
         out,
@@ -316,7 +320,7 @@ def matmul(a: Var, b: Var) -> Var:
     return _node(out, "matmul", (a, b), vjp)
 
 
-def fuse_modulate(ctx: Var, v: Var, mode: str = "repeat", combine: str = "mul") -> Var:
+def fuse_modulate(ctx: Var, v: Var, mode: str = "reshape", combine: str = "mul") -> Var:
     out = K.fuse_modulate(ctx.data, v.data, mode=mode, combine=combine)
 
     def vjp(g):

@@ -159,7 +159,9 @@ def efficient_mod_ctx(x: Var, p: EfficientModParams) -> Var:
     return ad.pointwise(h, p.g_w, p.g_b)
 
 
-def efficient_mod(x: Var, p: EfficientModParams, mode: str = "repeat", combine: str = "mul") -> Var:
+def efficient_mod(
+    x: Var, p: EfficientModParams, mode: str = "reshape", combine: str = "mul"
+) -> Var:
     ctx = efficient_mod_ctx(x, p)
     v = ad.pointwise(x, p.v_w, p.v_b)
     fused = ad.fuse_modulate(ctx, v, mode=mode, combine=combine)
@@ -517,7 +519,7 @@ def residual_apply(
             raise PreconditionError("stochastic depth in training mode needs an rng")
         p = wrap.drop_path_prob
         keep = (rng.random(x.data.shape[0]) >= p).astype(x.data.dtype) / (1.0 - p)
-        scaled = ad.mul(scaled, Var(keep.reshape(-1, 1, 1, 1)))
+        scaled = ad.mul(scaled, keep.reshape(-1, 1, 1, 1))
     return ad.add(x, scaled)
 
 

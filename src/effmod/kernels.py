@@ -8,9 +8,15 @@ test suite; keep the implementations boring and the contracts explicit.
 Convolution has one route per kind, and every route visits only live taps:
 kernel offsets whose reads all fall in the zero padding are skipped (a 7x7
 kernel with pad 3 has 9 live taps at a 2x2 input, 1 at 1x1).
-- Depthwise (groups = channels): forward and VJP run on a zero-padded
-  channels-last [h, w, n, c] copy, so each tap is one long contiguous
-  multiply-add; the weight gradient is one einsum per tap.
+- Depthwise (groups = channels): the forward reads the unpadded NCHW input in
+  place, one batched GEMM per live kernel row. That row's taps form a banded
+  [c, w_in, ow] matrix (entry (x, ox) holds the weight of the kernel column
+  that takes output column ox from input column x), and the output rows the
+  kernel row reaches accumulate input rows @ band. No padded copy is made and
+  nothing is transposed. The VJP runs on a zero-padded channels-last
+  [h, w, n, c] copy, so each tap is one long contiguous multiply-add, and the
+  weight gradient is one einsum per tap: a banded VJP measured slower at the
+  micro training step's batch-32 shapes.
 - Dense (groups = 1: stems, downsamples, patchify): the forward is one matmul
   per image over the im2col of a sliding_window_view of the padded input. The
   VJP stays a tap loop of small GEMMs on an [h, w, n, c] copy: a one-GEMM VJP
@@ -161,19 +167,23 @@ def _pad_hwnc(x: np.ndarray, p: int) -> np.ndarray:
 
 def _depthwise(x: np.ndarray, w: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     n, c, h, wd = x.shape
-    xp = _pad_hwnc(x, spec.pad)
-    out = np.zeros((oh, ow, n, c), dtype=x.dtype)
-    # One tap's weights repeated along an output row, so each multiply-add is
-    # one long contiguous run instead of a c-long broadcast per pixel.
-    wrow = np.empty((ow, n, c), dtype=x.dtype)
+    s, d, p = spec.stride, spec.dilation, spec.pad
+    out = np.zeros((n, c, oh, ow), dtype=x.dtype)
     cols = _live_taps(spec, wd, ow)
-    # Each tap updates the whole (contiguous) output; restricting it to the
-    # live outputs would save MACs at the borders but makes the add strided.
-    for i, _, _ in _live_taps(spec, h, oh):
-        for j, _, _ in cols:
-            wrow[...] = w[:, 0, i, j]
-            out += xp[_span(i, 0, oh, spec), _span(j, 0, ow, spec)] * wrow
-    return np.ascontiguousarray(out.transpose(2, 3, 0, 1))
+    if not cols:
+        return out
+    # Kernel column kj takes output column dst from input column src (dead
+    # columns have no entry). Distinct kernel columns never share a (src, dst)
+    # entry, so refilling the band for the next kernel row leaves no stale weight.
+    kj = np.concatenate([np.full(hi - lo, j) for j, lo, hi in cols])
+    dst = np.concatenate([np.arange(lo, hi) for _, lo, hi in cols])
+    src = dst * s + kj * d - p
+    band = np.zeros((c, wd, ow), dtype=x.dtype)
+    for i, lo, hi in _live_taps(spec, h, oh):
+        band[:, src, dst] = w[:, 0, i, kj]
+        rows = slice(lo * s + i * d - p, (hi - 1) * s + i * d - p + 1, s)
+        out[:, :, lo:hi] += x[:, :, rows] @ band
+    return out
 
 
 def _dense(x: np.ndarray, w: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
@@ -307,23 +317,27 @@ def conv2d_vjp(
 
 
 def pointwise(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Channel-mixing linear map, w [c_out, c_in]; equals conv2d with a 1x1 kernel."""
+    """Channel-mixing linear map, w [c_out, c_in]; equals conv2d with a 1x1 kernel.
+
+    One GEMM per image on the NCHW data in place: w @ x viewed as [n, c_in, h*w].
+    """
     check_nchw(x, "x")
     if w.ndim != 2 or w.shape[1] != x.shape[1]:
         raise PreconditionError(
             f"w: expected [c_out, {x.shape[1]}], got {w.shape}"
         )
-    out = np.tensordot(x, w, axes=([1], [1]))  # (n,h,w,c_out)
-    out = np.ascontiguousarray(np.moveaxis(out, -1, 1))
+    if b is not None and b.shape != (w.shape[0],):
+        raise PreconditionError(f"b: expected shape ({w.shape[0]},), got {b.shape}")
+    n, c, h, wd = x.shape
+    out = np.matmul(w, x.reshape(n, c, h * wd)).reshape(n, -1, h, wd)
     if b is not None:
-        if b.shape != (w.shape[0],):
-            raise PreconditionError(f"b: expected shape ({w.shape[0]},), got {b.shape}")
-        out = out + b[None, :, None, None]
+        out += b[:, None, None]
     return _checked(out, "pointwise")
 
 
 def pointwise_vjp(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray):
-    dx = np.ascontiguousarray(np.moveaxis(np.tensordot(grad_out, w, axes=([1], [0])), -1, 1))
+    n, c_out, h, wd = grad_out.shape
+    dx = np.matmul(w.T, grad_out.reshape(n, c_out, h * wd)).reshape(x.shape)
     dw = np.tensordot(grad_out, x, axes=([0, 2, 3], [0, 2, 3]))
     db = grad_out.sum(axis=(0, 2, 3))
     return dx, dw, db
@@ -435,14 +449,15 @@ def batched_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def fuse_modulate(
-    ctx: np.ndarray, v: np.ndarray, mode: str = "repeat", combine: str = "mul"
+    ctx: np.ndarray, v: np.ndarray, mode: str = "reshape", combine: str = "mul"
 ) -> np.ndarray:
     """Fuse a c-channel context map into an r*c-channel value map.
 
     Output channel i is v[i] <op> ctx[i mod c]. mode picks the execution route:
-    "repeat" materializes the tiled context, "reshape" multiplies through an
-    [n, r, c, h, w] view without materializing. Both routes are bit-identical;
-    the ablation test depends on that. combine="sum" is the additive-variant
+    "reshape" (the default) multiplies through an [n, r, c, h, w] view without
+    materializing, "repeat" materializes the tiled context and is kept only for
+    `effmod bench fusion`. Both routes are bit-identical; the ablation test
+    depends on that. combine="sum" is the additive-variant
     hook used by the fusion ablation (default "mul" is the modulation product).
     """
     check_nchw(ctx, "ctx")

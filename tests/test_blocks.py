@@ -385,6 +385,40 @@ def test_residual_survivor_scaling():
     assert dropped + surviving == x.shape[0]
 
 
+def test_drop_path_mask_is_a_constant_with_the_same_parameter_grads():
+    c, prob = 3, 0.5
+    p = B.init_efficient_mod(RNG, c, expansion=2, kernel=3, dtype=np.float64)
+    wrap = B.init_residual_wrap(c, layer_scale_init=0.1, drop_path_prob=prob, dtype=np.float64)
+    params = [v for v in vars(p).values() if isinstance(v, ad.Var)]
+    params += [wrap.norm_gamma, wrap.norm_beta, wrap.layer_scale]
+    x = ad.Var(RNG.normal(size=(6, c, 4, 4)))
+
+    def grads(out):
+        for v in [x] + params:
+            v.grad = None
+        ad.backward(ad.sum_all(out))
+        return [v.grad.tobytes() for v in [x] + params]
+
+    out = B.residual_apply(x, _effmod_inner(p), wrap, training=True, rng=np.random.default_rng(3))
+    leaves, stack, seen = [], [out], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+            if node._vjp is None:
+                leaves.append(node)
+    assert {id(v) for v in leaves} == {id(v) for v in [x] + params}
+
+    # The same step with the mask as a leaf on the tape.
+    keep = (np.random.default_rng(3).random(6) >= prob).astype(np.float64) / (1.0 - prob)
+    h = ad.layer_norm(x, wrap.norm_gamma, wrap.norm_beta, axis=1)
+    scaled = ad.mul(B.efficient_mod(h, p), ad.reshape(wrap.layer_scale, (1, c, 1, 1)))
+    ref = ad.add(x, ad.mul(scaled, ad.Var(keep.reshape(-1, 1, 1, 1))))
+    assert out.data.tobytes() == ref.data.tobytes()
+    assert grads(out) == grads(ref)
+
+
 def test_residual_train_mode_needs_rng():
     wrap = B.init_residual_wrap(3, drop_path_prob=0.5, dtype=np.float64)
     p = B.init_efficient_mod(RNG, 3, expansion=1, kernel=3, dtype=np.float64)

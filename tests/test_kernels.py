@@ -149,22 +149,46 @@ def test_conv_zero_input():
         dict(n=1, c_in=3, c_out=5, h=9, w=8, k=7, stride=4, dilation=1, groups=1, bias=True),
         dict(n=2, c_in=4, c_out=6, h=6, w=7, k=3, stride=2, dilation=1, groups=2, bias=True),
         dict(n=1, c_in=2, c_out=2, h=9, w=9, k=7, stride=1, dilation=3, groups=2, bias=True),
+        dict(n=2, c_in=3, c_out=3, h=9, w=8, k=3, stride=2, dilation=1, groups=3, bias=True),
+        dict(n=1, c_in=4, c_out=4, h=11, w=10, k=5, stride=4, dilation=1, groups=4, bias=False),
+        dict(n=2, c_in=3, c_out=3, h=7, w=6, k=3, stride=1, dilation=1, groups=3, bias=True,
+             padding=0),
+        dict(n=1, c_in=3, c_out=3, h=5, w=4, k=3, stride=2, dilation=1, groups=3, bias=True,
+             padding=4),
+        dict(n=2, c_in=4, c_out=4, h=8, w=9, k=3, stride=1, dilation=2, groups=4, bias=False),
+        dict(n=2, c_in=5, c_out=5, h=1, w=1, k=7, stride=1, dilation=1, groups=5, bias=True),
+        dict(n=2, c_in=5, c_out=5, h=2, w=2, k=7, stride=1, dilation=1, groups=5, bias=True),
+        dict(n=3, c_in=4, c_out=4, h=5, w=9, k=7, stride=1, dilation=1, groups=4, bias=True),
+        dict(n=1, c_in=6, c_out=6, h=10, w=7, k=7, stride=1, dilation=1, groups=6, bias=True,
+             dtype=np.float32),
+        dict(n=1, c_in=2, c_out=2, h=1, w=1, k=1, stride=4, dilation=1, groups=2, bias=True,
+             padding=2),
     ],
-    ids=["dense", "depthwise5", "depthwise-dil3", "stride4", "grouped", "dw7-dil3"],
+    ids=[
+        "dense", "depthwise5", "depthwise-dil3", "stride4", "grouped", "dw7-dil3",
+        "dw-stride2", "dw-stride4", "dw-pad0", "dw-pad-wide", "dw-dil2",
+        "dw7-side1", "dw7-side2", "dw7-n3-rect", "dw7-f32", "dw-all-padding",
+    ],
 )
 def test_conv_matches_loop_oracle(case):
     spec = ConvSpec(
-        case["k"], stride=case["stride"], dilation=case["dilation"], groups=case["groups"]
+        case["k"], stride=case["stride"], dilation=case["dilation"], groups=case["groups"],
+        padding=case.get("padding"),
     )
-    x = RNG.normal(size=(case["n"], case["c_in"], case["h"], case["w"]))
-    w = RNG.normal(size=(case["c_out"], case["c_in"] // case["groups"], case["k"], case["k"]))
-    b = RNG.normal(size=case["c_out"]) if case["bias"] else None
+    dtype = case.get("dtype", np.float64)
+    x = RNG.normal(size=(case["n"], case["c_in"], case["h"], case["w"])).astype(dtype)
+    w = RNG.normal(
+        size=(case["c_out"], case["c_in"] // case["groups"], case["k"], case["k"])
+    ).astype(dtype)
+    b = RNG.normal(size=case["c_out"]).astype(dtype) if case["bias"] else None
     got = conv2d(x, w, b, spec)
     want = conv2d_oracle(
         x, w, b, stride=case["stride"], dilation=case["dilation"],
         groups=case["groups"], pad=spec.pad,
     )
-    assert rel_err(got, want) <= 1e-10
+    assert got.dtype == dtype
+    # f32 rounds each of the k*k products and their sum at ~6e-8 relative
+    assert rel_err(got, want) <= (1e-10 if dtype == np.float64 else 1e-5)
 
 
 def test_conv_same_padding_preserves_shape():
@@ -303,12 +327,23 @@ def test_conv_vjp_sweep_matches_central_differences():
 
 
 def test_pointwise_equals_1x1_conv():
-    x = RNG.normal(size=(2, 5, 4, 4))
     w = RNG.normal(size=(7, 5))
     b = RNG.normal(size=7)
-    got = pointwise(x, w, b)
-    want = conv2d(x, w.reshape(7, 5, 1, 1), b, ConvSpec(1))
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    wide = RNG.normal(size=(3, 10, 6, 9))
+    cases = [
+        (RNG.normal(size=(2, 5, 4, 4)), b),
+        (RNG.normal(size=(3, 5, 3, 6)), None),  # n > 1, h != w, no bias
+        (wide[:, ::2, :, 1::2], b),  # a non-contiguous view
+    ]
+    for x, bias in cases:
+        got = pointwise(x, w, bias)
+        want = conv2d(x, w.reshape(7, 5, 1, 1), bias, ConvSpec(1))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    x32, w32, b32 = (a.astype(np.float32) for a in (cases[0][0], w, b))
+    got = pointwise(x32, w32, b32)
+    assert got.dtype == np.float32
+    want = conv2d(x32, w32.reshape(7, 5, 1, 1), b32, ConvSpec(1))
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
 
 def test_pointwise_rejects_bad_weight():
