@@ -7,10 +7,11 @@ variation above 20% flags the result as unstable. Benchmarked callables must
 be bit-deterministic: every iteration's output is hashed and compared against
 the first, and a mismatch aborts the run.
 
-Thread budget: defaults to 4 (EFFMOD_THREADS overrides). When threadpoolctl is
-importable the budget is enforced for real by limiting the BLAS pools around
-the timed region; otherwise it is recorded in the result only. Each result
-says which (threads_enforced), in its summary and its CSV row.
+Thread budget: defaults to the CPUs the process may run on (EFFMOD_THREADS
+overrides). When threadpoolctl is importable the budget is enforced for real by
+limiting the BLAS pools around the timed region; otherwise it is recorded in
+the result only. Each result says which (threads_enforced), in its summary and
+its CSV row.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .blocks import efficient_mod, init_efficient_mod
 from .errors import ConfigError, NumericalError
 from .model import ISO_PAIRS, build_iso_pair, model_forward
 
-DEFAULT_THREADS = 4
 DEFAULT_WARMUP = 50
 DEFAULT_ITERS = 4000
 
@@ -56,7 +56,7 @@ def thread_budget(threads: int | None = None) -> int:
         if n < 1:
             raise ConfigError(f"EFFMOD_THREADS must be positive, got {n}")
         return n
-    return DEFAULT_THREADS
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 @contextmanager

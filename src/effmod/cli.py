@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("pair-iso-196-11", 224, bench.PAIR_WARMUP, bench.PAIR_ITERS),
     ):
         ep = experiments.add_parser(name)
-        ep.add_argument("--threads", type=int, default=None, help="default: EFFMOD_THREADS or 4")
+        ep.add_argument("--threads", type=int, default=None, help="EFFMOD_THREADS or usable CPUs")
         ep.add_argument("--iters", type=int, default=iters)
         ep.add_argument("--warmup", type=int, default=warmup)
         if name == "fusion":

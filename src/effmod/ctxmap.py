@@ -29,7 +29,7 @@ class ContextMap:
 
 def context_map(model: Model, image: np.ndarray, stage: int, block: int) -> ContextMap:
     """Capture one block's context output for a single [3, h, w] or [1, 3, h, w] image."""
-    img = np.asarray(image, dtype=np.float32)
+    img = np.asarray(image, dtype=model.dtype)
     if img.ndim == 3:
         img = img[None]
     if img.ndim != 4 or img.shape[0] != 1 or img.shape[1] != 3:

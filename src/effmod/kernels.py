@@ -8,15 +8,27 @@ test suite; keep the implementations boring and the contracts explicit.
 Convolution has one route per kind, and every route visits only live taps:
 kernel offsets whose reads all fall in the zero padding are skipped (a 7x7
 kernel with pad 3 has 9 live taps at a 2x2 input, 1 at 1x1).
-- Depthwise (groups = channels): the forward reads the unpadded NCHW input in
-  place, one batched GEMM per live kernel row. That row's taps form a banded
-  [c, w_in, ow] matrix (entry (x, ox) holds the weight of the kernel column
-  that takes output column ox from input column x), and the output rows the
-  kernel row reaches accumulate input rows @ band. No padded copy is made and
-  nothing is transposed. The VJP runs on a zero-padded channels-last
-  [h, w, n, c] copy, so each tap is one long contiguous multiply-add, and the
-  weight gradient is one einsum per tap: a banded VJP measured slower at the
-  micro training step's batch-32 shapes.
+- Depthwise (groups = channels): each channel is a doubly-block-Toeplitz
+  matrix T [h*w, oh*ow] whose entry (src, dst) holds the weight of the one tap
+  that takes input pixel src to output pixel dst (Sedghi, Gupta & Long, ICLR
+  2019). _toeplitz_index lists the entries (tap, src, dst), sorted by tap, over
+  the whole map or one axis. Two GEMM routes read it, each for forward and VJP,
+  and neither makes a padded copy:
+  - whole map: out = x[c, n, hw] @ T, dx = g @ T^T, and dw sums x^T @ g at
+    each tap's entries with one np.add.reduceat;
+  - band: per live kernel row, the row's taps fill a [c, w_in, ow] band from
+    the one-axis index; output rows += input rows @ band, dx rows += g rows @
+    band^T, and dw gathers the rows' x^T @ g the same way.
+  The whole map spends h*w MACs per output where the conv needs k*k, and
+  filling T costs about 8 images of its GEMM, so _whole_map picks it when
+  h*w*(n + 8) <= 2*n*k*k. Smallest batch at which it beat the band, forward
+  plus VJP, k7 on 2 cores (the predicate's choice last):
+      map          2x2  4x4  7x7  8x8  10x10  14x14
+      c16 f64        1    1    2   16  32-64     64
+      c128 f32       1    1    8   16  16-32     64
+      _whole_map     1    2    8   16  never  never
+  The micro training step (batch 32, maps 8x8 and below) runs whole-map; batch
+  1 at 7x7 and up runs the band (whole-map: c256 7x7 f32 forward 1.6 vs 0.4 ms).
 - Dense (groups = 1: stems, downsamples, patchify): the forward is one matmul
   per image over the im2col of a sliding_window_view of the padded input. The
   VJP stays a tap loop of small GEMMs on an [h, w, n, c] copy: a one-GEMM VJP
@@ -27,6 +39,7 @@ kernel with pad 3 has 9 live taps at a 2x2 input, 1 at 1x1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,12 +147,6 @@ def _conv_check(x: np.ndarray, w: np.ndarray, b, spec: ConvSpec):
     return oh, ow
 
 
-def _span(i: int, lo: int, hi: int, spec: ConvSpec) -> slice:
-    # Padded-input positions that kernel offset i reads for outputs lo..hi-1 along one axis.
-    s, d = spec.stride, spec.dilation
-    return slice(i * d + s * lo, i * d + s * (hi - 1) + 1, s)
-
-
 def _live_taps(spec: ConvSpec, size: int, out: int) -> list:
     """(i, lo, hi) for each kernel offset i along one axis that reads the input.
 
@@ -157,32 +164,68 @@ def _live_taps(spec: ConvSpec, size: int, out: int) -> list:
     return taps
 
 
-def _pad_hwnc(x: np.ndarray, p: int) -> np.ndarray:
-    """Zero-padded channels-last copy [h+2p, w+2p, n, c] of an NCHW array."""
-    n, c, h, w = x.shape
-    xp = np.zeros((h + 2 * p, w + 2 * p, n, c), dtype=x.dtype)
-    xp[p : p + h, p : p + w] = x.transpose(2, 3, 0, 1)
-    return xp
+@functools.lru_cache(maxsize=128)
+def _toeplitz_index(spec: ConvSpec, *sizes: int) -> tuple:
+    """(tap, src, dst, starts) over one axis or the whole map: see the module docstring.
+
+    Positions are flat row-major over the axes given. The arrays are shared, so read-only.
+    """
+    s, d, p = spec.stride, spec.dilation, spec.pad
+    tap = src = dst = np.zeros(1, dtype=np.intp)
+    for size in sizes:
+        out = spec.out_size(size)
+        i, lo, hi = np.array(_live_taps(spec, size, out), dtype=np.intp).reshape(-1, 3).T
+        t = np.repeat(i, hi - lo)
+        o = np.arange(t.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
+        tap = (tap[:, None] * spec.kernel + t).ravel()
+        src = (src[:, None] * size + o * s + t * d - p).ravel()
+        dst = (dst[:, None] * out + o).ravel()
+    order = np.argsort(tap, kind="stable")
+    index = tap[order], src[order], dst[order], np.flatnonzero(np.diff(tap[order], prepend=-1))
+    for a in index:
+        a.flags.writeable = False
+    return index
+
+
+def _whole_map(n: int, h: int, w: int, k: int) -> bool:
+    """The depthwise route: whole-map Toeplitz (True) or band; see the module docstring."""
+    return h * w * (n + 8) <= 2 * n * k * k
+
+
+def _toeplitz(w: np.ndarray, spec: ConvSpec, h: int, wd: int, dtype) -> np.ndarray:
+    """Per-channel [c, h*w, oh*ow] matrix T: the conv is x[c, n, h*w] @ T."""
+    tap, src, dst, _ = _toeplitz_index(spec, h, wd)
+    t = np.zeros((w.shape[0], h * wd, spec.out_size(h) * spec.out_size(wd)), dtype=dtype)
+    t[:, src, dst] = w.reshape(w.shape[0], -1)[:, tap]
+    return t
+
+
+def _cnm(a: np.ndarray) -> np.ndarray:
+    """[c, n, h*w] view of a C-ordered NCHW array."""
+    return a.reshape(a.shape[0], a.shape[1], -1).transpose(1, 0, 2)
+
+
+def _bands(x: np.ndarray, w: np.ndarray, spec: ConvSpec, oh: int, ow: int):
+    """(i, output rows, input rows they read, band) for each live kernel row i.
+
+    Distinct kernel columns never share a band entry, so a refill leaves no stale weight.
+    """
+    s, d, p = spec.stride, spec.dilation, spec.pad
+    kj, src, dst, _ = _toeplitz_index(spec, x.shape[3])
+    band = np.zeros((x.shape[1], x.shape[3], ow), dtype=x.dtype)
+    for i, lo, hi in _live_taps(spec, x.shape[2], oh):
+        band[:, src, dst] = w[:, 0, i, kj]
+        yield i, slice(lo, hi), slice(lo * s + i * d - p, (hi - 1) * s + i * d - p + 1, s), band
 
 
 def _depthwise(x: np.ndarray, w: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     n, c, h, wd = x.shape
-    s, d, p = spec.stride, spec.dilation, spec.pad
     out = np.zeros((n, c, oh, ow), dtype=x.dtype)
-    cols = _live_taps(spec, wd, ow)
-    if not cols:
-        return out
-    # Kernel column kj takes output column dst from input column src (dead
-    # columns have no entry). Distinct kernel columns never share a (src, dst)
-    # entry, so refilling the band for the next kernel row leaves no stale weight.
-    kj = np.concatenate([np.full(hi - lo, j) for j, lo, hi in cols])
-    dst = np.concatenate([np.arange(lo, hi) for _, lo, hi in cols])
-    src = dst * s + kj * d - p
-    band = np.zeros((c, wd, ow), dtype=x.dtype)
-    for i, lo, hi in _live_taps(spec, h, oh):
-        band[:, src, dst] = w[:, 0, i, kj]
-        rows = slice(lo * s + i * d - p, (hi - 1) * s + i * d - p + 1, s)
-        out[:, :, lo:hi] += x[:, :, rows] @ band
+    if _whole_map(n, h, wd, spec.kernel):
+        np.matmul(_cnm(x), _toeplitz(w, spec, h, wd, x.dtype), out=_cnm(out))
+    else:
+        for _, orows, rows, band in _bands(x, w, spec, oh, ow):
+            out[:, :, orows] += x[:, :, rows] @ band
     return out
 
 
@@ -236,24 +279,24 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -
 def _depthwise_vjp(x: np.ndarray, w: np.ndarray, spec: ConvSpec, go: np.ndarray, need_input: bool):
     n, c, h, wd = x.shape
     oh, ow = go.shape[2:]
-    p = spec.pad
-    xp = _pad_hwnc(x, p)
-    dxp = np.zeros_like(xp) if need_input else None
-    got = np.ascontiguousarray(go.transpose(2, 3, 0, 1))
-    dw = np.zeros_like(w)
-    wrow = np.empty((ow, n, c), dtype=x.dtype)
-    cols = _live_taps(spec, wd, ow)
-    # dx is a strided scatter whatever the update covers, so each tap touches
-    # only the outputs whose reads land in the input.
-    for i, ilo, ihi in _live_taps(spec, h, oh):
-        for j, jlo, jhi in cols:
-            win = (_span(i, ilo, ihi, spec), _span(j, jlo, jhi, spec))
-            g = got[ilo:ihi, jlo:jhi]
-            if need_input:
-                wrow[...] = w[:, 0, i, j]
-                dxp[win] += g * wrow[: jhi - jlo]
-            dw[:, 0, i, j] = np.einsum("hwnc,hwnc->c", g, xp[win])
-    dx = dxp[p : p + h, p : p + wd].transpose(2, 3, 0, 1) if need_input else None
+    # C-ordered, so the reshaped views below write through
+    dx = np.zeros(x.shape, dtype=x.dtype) if need_input else None
+    dw = np.zeros(w.shape, dtype=w.dtype)
+    if _whole_map(n, h, wd, spec.kernel):
+        tap, src, dst, starts = _toeplitz_index(spec, h, wd)
+        if need_input:
+            np.matmul(_cnm(go), _toeplitz(w, spec, h, wd, x.dtype).transpose(0, 2, 1), out=_cnm(dx))
+        xg = _cnm(x).transpose(0, 2, 1) @ _cnm(go)
+        dw.reshape(c, -1)[:, tap[starts]] = np.add.reduceat(xg[:, src, dst], starts, axis=1)
+        return dx, dw
+    kj, src, dst, starts = _toeplitz_index(spec, wd)
+    for i, orows, rows, band in _bands(x, w, spec, oh, ow):
+        g = go[:, :, orows]
+        if need_input:
+            dx[:, :, rows] += g @ band.transpose(0, 2, 1)
+        xr = x[:, :, rows].transpose(1, 0, 2, 3).reshape(c, -1, wd)
+        xg = xr.transpose(0, 2, 1) @ g.transpose(1, 0, 2, 3).reshape(c, -1, ow)
+        dw[:, 0, i, kj[starts]] = np.add.reduceat(xg[:, src, dst], starts, axis=1)
     return dx, dw
 
 
@@ -262,15 +305,16 @@ def _dense_vjp(x: np.ndarray, w: np.ndarray, spec: ConvSpec, go: np.ndarray, nee
     n, c_in, h, wd = x.shape
     c_out = w.shape[0]
     oh, ow = go.shape[2:]
-    p = spec.pad
-    xp = _pad_hwnc(x, p)
+    s, d, p = spec.stride, spec.dilation, spec.pad
+    xp = np.zeros((h + 2 * p, wd + 2 * p, n, c_in), dtype=x.dtype)  # padded, channels-last
+    xp[p : p + h, p : p + wd] = x.transpose(2, 3, 0, 1)
     dxp = np.zeros_like(xp) if need_input else None
     g2 = np.ascontiguousarray(go.transpose(2, 3, 0, 1)).reshape(-1, c_out)
     dw = np.zeros_like(w)
     cols = _live_taps(spec, wd, ow)
     for i, _, _ in _live_taps(spec, h, oh):
         for j, _, _ in cols:
-            win = (_span(i, 0, oh, spec), _span(j, 0, ow, spec))
+            win = np.s_[i * d : i * d + s * (oh - 1) + 1 : s, j * d : j * d + s * (ow - 1) + 1 : s]
             if need_input:
                 dxp[win] += (g2 @ w[:, :, i, j]).reshape(oh, ow, n, c_in)
             dw[:, :, i, j] = g2.T @ xp[win].reshape(-1, c_in)

@@ -290,6 +290,10 @@ class Model:
     head_b: Var | None
     combine: str = "mul"  # modulation fuse op; "sum" is the ablation variant
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.stem.w.data.dtype
+
     def named_parameters(self):
         """Stable (name, Var) walk; order defines the serialization layout."""
         yield "stem.w", self.stem.w
@@ -429,6 +433,8 @@ def check_resolution(model: Model, h: int, w: int) -> None:
 def _check_input(model: Model, x: np.ndarray):
     if x.ndim != 4 or x.shape[1] != 3:
         raise PreconditionError(f"model input must be [n, 3, h, w], got {x.shape}")
+    if x.dtype != model.dtype:
+        raise PreconditionError(f"model input is {x.dtype}, the model's parameters {model.dtype}")
     check_resolution(model, x.shape[2], x.shape[3])
 
 

@@ -155,7 +155,7 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
     if total_steps <= 0:
         return base_lr
     frac = min(step / total_steps, 1.0)
-    return base_lr * 0.5 * (1.0 + np.cos(np.pi * frac))
+    return float(base_lr * 0.5 * (1.0 + np.cos(np.pi * frac)))  # a numpy scalar would promote f32
 
 
 # ----------------------------------------------------------------- train
@@ -164,7 +164,7 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
 def _accuracy(model, images, labels, batch_size=64) -> float:
     correct = 0
     for i in range(0, len(labels), batch_size):
-        xb = images[i : i + batch_size].astype(np.float64)
+        xb = images[i : i + batch_size].astype(model.dtype)
         with no_grad():
             logits = M.model_forward(model, xb).data
         correct += int((logits.argmax(axis=1) == labels[i : i + batch_size]).sum())
@@ -211,7 +211,7 @@ def train(
         correct = 0
         for bi in range(steps_per_epoch):
             sel = order[bi * batch_size : (bi + 1) * batch_size]
-            xb = tr_x[sel].astype(np.float64)
+            xb = tr_x[sel].astype(model.dtype)
             yb = tr_y[sel]
             logits = M.model_forward(model, xb, training=True, seed=seed, step=step)
             loss = ad.cross_entropy(logits, yb)

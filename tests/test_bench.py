@@ -90,8 +90,11 @@ def test_thread_budget_explicit_wins(monkeypatch):
 
 
 def test_thread_budget_env(monkeypatch):
+    """Unset, the budget is the CPUs the process may run on: a 3-CPU mask gives 3."""
     monkeypatch.delenv("EFFMOD_THREADS", raising=False)
-    assert bn.thread_budget() == bn.DEFAULT_THREADS
+    monkeypatch.setattr(bn.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert bn.thread_budget() == 3
+    assert bn.bench(lambda: 42, warmup=0, iters=2).threads == 3
     monkeypatch.setenv("EFFMOD_THREADS", "7")
     assert bn.thread_budget() == 7
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effmod import kernels
 from effmod.errors import ConfigError, NumericalError, PreconditionError
 from effmod.kernels import (
     ConvSpec,
@@ -140,47 +141,74 @@ def test_conv_zero_input():
     assert not out.any()
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        dict(n=2, c_in=3, c_out=4, h=7, w=6, k=3, stride=1, dilation=1, groups=1, bias=True),
-        dict(n=1, c_in=4, c_out=4, h=8, w=8, k=5, stride=1, dilation=1, groups=4, bias=True),
-        dict(n=2, c_in=6, c_out=6, h=9, w=9, k=3, stride=1, dilation=3, groups=6, bias=False),
-        dict(n=1, c_in=3, c_out=5, h=9, w=8, k=7, stride=4, dilation=1, groups=1, bias=True),
-        dict(n=2, c_in=4, c_out=6, h=6, w=7, k=3, stride=2, dilation=1, groups=2, bias=True),
-        dict(n=1, c_in=2, c_out=2, h=9, w=9, k=7, stride=1, dilation=3, groups=2, bias=True),
-        dict(n=2, c_in=3, c_out=3, h=9, w=8, k=3, stride=2, dilation=1, groups=3, bias=True),
-        dict(n=1, c_in=4, c_out=4, h=11, w=10, k=5, stride=4, dilation=1, groups=4, bias=False),
-        dict(n=2, c_in=3, c_out=3, h=7, w=6, k=3, stride=1, dilation=1, groups=3, bias=True,
-             padding=0),
-        dict(n=1, c_in=3, c_out=3, h=5, w=4, k=3, stride=2, dilation=1, groups=3, bias=True,
-             padding=4),
-        dict(n=2, c_in=4, c_out=4, h=8, w=9, k=3, stride=1, dilation=2, groups=4, bias=False),
-        dict(n=2, c_in=5, c_out=5, h=1, w=1, k=7, stride=1, dilation=1, groups=5, bias=True),
-        dict(n=2, c_in=5, c_out=5, h=2, w=2, k=7, stride=1, dilation=1, groups=5, bias=True),
-        dict(n=3, c_in=4, c_out=4, h=5, w=9, k=7, stride=1, dilation=1, groups=4, bias=True),
-        dict(n=1, c_in=6, c_out=6, h=10, w=7, k=7, stride=1, dilation=1, groups=6, bias=True,
-             dtype=np.float32),
-        dict(n=1, c_in=2, c_out=2, h=1, w=1, k=1, stride=4, dilation=1, groups=2, bias=True,
-             padding=2),
-    ],
-    ids=[
-        "dense", "depthwise5", "depthwise-dil3", "stride4", "grouped", "dw7-dil3",
-        "dw-stride2", "dw-stride4", "dw-pad0", "dw-pad-wide", "dw-dil2",
-        "dw7-side1", "dw7-side2", "dw7-n3-rect", "dw7-f32", "dw-all-padding",
-    ],
-)
-def test_conv_matches_loop_oracle(case):
+CONV_ORACLE_CASES = [
+    dict(n=2, c_in=3, c_out=4, h=7, w=6, k=3, stride=1, dilation=1, groups=1, bias=True),
+    dict(n=1, c_in=4, c_out=4, h=8, w=8, k=5, stride=1, dilation=1, groups=4, bias=True),
+    dict(n=2, c_in=6, c_out=6, h=9, w=9, k=3, stride=1, dilation=3, groups=6, bias=False),
+    dict(n=1, c_in=3, c_out=5, h=9, w=8, k=7, stride=4, dilation=1, groups=1, bias=True),
+    dict(n=2, c_in=4, c_out=6, h=6, w=7, k=3, stride=2, dilation=1, groups=2, bias=True),
+    dict(n=1, c_in=2, c_out=2, h=9, w=9, k=7, stride=1, dilation=3, groups=2, bias=True),
+    dict(n=2, c_in=3, c_out=3, h=9, w=8, k=3, stride=2, dilation=1, groups=3, bias=True),
+    dict(n=1, c_in=4, c_out=4, h=11, w=10, k=5, stride=4, dilation=1, groups=4, bias=False),
+    dict(n=2, c_in=3, c_out=3, h=7, w=6, k=3, stride=1, dilation=1, groups=3, bias=True,
+         padding=0),
+    dict(n=1, c_in=3, c_out=3, h=5, w=4, k=3, stride=2, dilation=1, groups=3, bias=True,
+         padding=4),
+    dict(n=2, c_in=4, c_out=4, h=8, w=9, k=3, stride=1, dilation=2, groups=4, bias=False),
+    dict(n=2, c_in=5, c_out=5, h=1, w=1, k=7, stride=1, dilation=1, groups=5, bias=True),
+    dict(n=2, c_in=5, c_out=5, h=2, w=2, k=7, stride=1, dilation=1, groups=5, bias=True),
+    dict(n=3, c_in=4, c_out=4, h=5, w=9, k=7, stride=1, dilation=1, groups=4, bias=True),
+    dict(n=1, c_in=6, c_out=6, h=10, w=7, k=7, stride=1, dilation=1, groups=6, bias=True,
+         dtype=np.float32),
+    dict(n=1, c_in=2, c_out=2, h=1, w=1, k=1, stride=4, dilation=1, groups=2, bias=True,
+         padding=2),
+    # the micro training step's first depthwise shape: the whole-map route
+    dict(n=32, c_in=8, c_out=8, h=8, w=8, k=7, stride=1, dilation=1, groups=8, bias=True),
+    dict(n=8, c_in=3, c_out=3, h=4, w=6, k=7, stride=1, dilation=1, groups=3, bias=True,
+         dtype=np.float32),
+    # batch 1 at a map wide enough for the band route
+    dict(n=1, c_in=4, c_out=4, h=14, w=16, k=7, stride=1, dilation=1, groups=4, bias=True),
+]
+CONV_ORACLE_IDS = [
+    "dense", "depthwise5", "depthwise-dil3", "stride4", "grouped", "dw7-dil3",
+    "dw-stride2", "dw-stride4", "dw-pad0", "dw-pad-wide", "dw-dil2",
+    "dw7-side1", "dw7-side2", "dw7-n3-rect", "dw7-f32", "dw-all-padding",
+    "dw7-micro-n32", "dw7-n8-f32", "dw7-n1-wide",
+]
+
+
+def _conv_case(case, rng=RNG):
+    """(x, w, b, spec) for one CONV_ORACLE_CASES entry."""
     spec = ConvSpec(
         case["k"], stride=case["stride"], dilation=case["dilation"], groups=case["groups"],
         padding=case.get("padding"),
     )
     dtype = case.get("dtype", np.float64)
-    x = RNG.normal(size=(case["n"], case["c_in"], case["h"], case["w"])).astype(dtype)
-    w = RNG.normal(
+    x = rng.normal(size=(case["n"], case["c_in"], case["h"], case["w"])).astype(dtype)
+    w = rng.normal(
         size=(case["c_out"], case["c_in"] // case["groups"], case["k"], case["k"])
     ).astype(dtype)
-    b = RNG.normal(size=case["c_out"]).astype(dtype) if case["bias"] else None
+    b = rng.normal(size=case["c_out"]).astype(dtype) if case["bias"] else None
+    return x, w, b, spec
+
+
+def _record_routes(monkeypatch) -> list:
+    """Record each answer of the depthwise route predicate (True: whole map, False: band)."""
+    answers = []
+    pick = kernels._whole_map
+
+    def spy(*args):
+        answers.append(pick(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(kernels, "_whole_map", spy)
+    return answers
+
+
+@pytest.mark.parametrize("case", CONV_ORACLE_CASES, ids=CONV_ORACLE_IDS)
+def test_conv_matches_loop_oracle(case):
+    x, w, b, spec = _conv_case(case)
+    dtype = x.dtype
     got = conv2d(x, w, b, spec)
     want = conv2d_oracle(
         x, w, b, stride=case["stride"], dilation=case["dilation"],
@@ -189,6 +217,14 @@ def test_conv_matches_loop_oracle(case):
     assert got.dtype == dtype
     # f32 rounds each of the k*k products and their sum at ~6e-8 relative
     assert rel_err(got, want) <= (1e-10 if dtype == np.float64 else 1e-5)
+
+
+def test_conv_oracle_cases_run_both_depthwise_routes(monkeypatch):
+    """Whatever the route threshold, the oracle cases reach both depthwise routes."""
+    answers = _record_routes(monkeypatch)
+    for case in CONV_ORACLE_CASES:
+        conv2d(*_conv_case(case, np.random.default_rng(0)))
+    assert set(answers) == {True, False}
 
 
 def test_conv_same_padding_preserves_shape():
@@ -259,7 +295,8 @@ def _conv_vjp_sweep_cases(count):
     """Valid (x, w, b, spec) draws over the dense, depthwise and grouped routes.
 
     Sides 1-6 against kernels up to 7 with dilation up to 3, stride up to 4
-    and explicit pads, so many kernel offsets read only padding.
+    and explicit pads, so many kernel offsets read only padding. Depthwise
+    batches go up to 8, so those cases fall on both sides of the route choice.
     """
     rng = np.random.default_rng(31)
     cases = []
@@ -282,7 +319,7 @@ def _conv_vjp_sweep_cases(count):
         h, w = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         if spec.out_size(h) < 1 or spec.out_size(w) < 1:
             continue
-        n = int(rng.integers(1, 3))
+        n = int(rng.integers(1, 9 if route == "depthwise" else 3))
         cases.append((
             rng.normal(size=(n, c_in, h, w)),
             rng.normal(size=(c_out, c_in // groups, k, k)),
@@ -292,7 +329,14 @@ def _conv_vjp_sweep_cases(count):
     return cases
 
 
-def test_conv_vjp_sweep_matches_central_differences():
+def _has_dead_tap(spec, size):
+    """Whether some kernel offset reads only padding along an axis of this size."""
+    s, d, p = spec.stride, spec.dilation, spec.pad
+    outs = range(spec.out_size(size))
+    return any(all(not 0 <= o * s + i * d - p < size for o in outs) for i in range(spec.kernel))
+
+
+def test_conv_vjp_sweep_matches_central_differences(monkeypatch):
     """conv2d_vjp against central differences of conv2d, along random directions.
 
     The loss <conv2d(x, w, b), go> is linear in each argument, so the central
@@ -302,10 +346,18 @@ def test_conv_vjp_sweep_matches_central_differences():
     rng = np.random.default_rng(32)
     eps = 1e-3
     seen = set()
+    answers = _record_routes(monkeypatch)
+    depthwise = {True: set(), False: set()}  # features seen per route (True: whole map)
     for x, w, b, spec in _conv_vjp_sweep_cases(150):
         seen.add((spec.kernel, spec.stride, spec.dilation, spec.groups > 1, spec.padding is None))
         go = rng.normal(size=conv2d(x, w, b, spec).shape)
         grads = conv2d_vjp(x, w, spec, go, need_bias=True)
+        if spec.groups == x.shape[1] == w.shape[0]:
+            h, wd = x.shape[2:]
+            depthwise[answers[-1]] |= {
+                f"stride{spec.stride}", f"dilation{spec.dilation}", "h!=w" if h != wd else "",
+                "dead tap" if _has_dead_tap(spec, h) or _has_dead_tap(spec, wd) else "",
+            }
         dx, dw, db = conv2d_vjp(x, w, spec, go, need_bias=True, need_input=False)
         assert dx is None
         assert dw.tobytes() == grads[1].tobytes() and db.tobytes() == grads[2].tobytes()
@@ -321,6 +373,9 @@ def test_conv_vjp_sweep_matches_central_differences():
     assert {k for k, *_ in seen} == {1, 3, 5, 7}
     assert {s for _, s, *_ in seen} == {1, 2, 3, 4}
     assert {d for _, _, d, *_ in seen} == {1, 2, 3}
+    for route, features in depthwise.items():
+        want = {"stride2", "stride4", "dilation2", "dilation3", "h!=w", "dead tap"}
+        assert want <= features, (route, want - features)
 
 
 # ------------------------------------------------------------ pointwise

@@ -304,6 +304,31 @@ def test_context_map_micro_stage2_grid():
     assert cm.grid.dtype == np.uint8
 
 
+def test_model_rejects_an_image_of_another_dtype():
+    """No silent promotion: an f32 model given an f64 image raises, and the reverse too."""
+    x = RNG.normal(size=(1, 3, 32, 32))
+    for dtype, other in ((np.float32, np.float64), (np.float64, np.float32)):
+        m = M.build_model(M.build_preset("micro"), seed=0, dtype=dtype)
+        assert m.dtype == dtype
+        with pytest.raises(PreconditionError, match=np.dtype(other).name):
+            M.model_forward(m, x.astype(other))
+        with pytest.raises(PreconditionError, match=np.dtype(other).name):
+            M.model_forward(m, ad.Var(x.astype(other)))
+        assert M.model_forward(m, x.astype(dtype)).data.dtype == dtype
+
+
+def test_context_map_casts_the_image_to_the_model_dtype():
+    img = RNG.random(size=(3, 64, 64)).astype(np.float32)
+    maps = [
+        context_map(M.build_model(M.build_preset("micro"), seed=0, dtype=dt), img, 2, 0)
+        for dt in (np.float32, np.float64)
+    ]
+    assert maps[0].grid.shape == maps[1].grid.shape == (4, 4)
+    for lo_hi in ("raw_min", "raw_max"):
+        f32, f64 = getattr(maps[0], lo_hi), getattr(maps[1], lo_hi)
+        assert abs(f32 - f64) <= 1e-4 * max(abs(maps[1].raw_min), abs(maps[1].raw_max))
+
+
 def test_context_map_must_point_at_modulation():
     xxs = M.build_model(M.build_preset("xxs"), seed=0)
     img = RNG.normal(size=(1, 3, 32, 32)).astype(np.float32)

@@ -53,6 +53,17 @@ def test_split_deterministic_and_disjoint():
     assert len(tr_idx | ev_idx) == 80
 
 
+def test_training_and_eval_cast_images_to_the_model_dtype():
+    """The f32 dataset is cast to the model's dtype, so an f32 model trains and evaluates in f32."""
+    ds = T.gen_dataset(0, n=64)
+    m = M.build_model(M.build_preset("micro"), seed=0, dtype=np.float32)
+    hist = T.train(m, ds, epochs=1, seed=0)
+    assert np.isfinite(hist.epochs[0].train_loss)
+    assert all(v.data.dtype == np.float32 for _, v in m.named_parameters())
+    (_, _), (ev_x, ev_y) = T.split_dataset(ds, eval_frac=0.2, seed=0)
+    assert T._accuracy(m, ev_x, ev_y) == hist.final_eval_acc
+
+
 def test_linear_baseline_clears_noiseless_task():
     ds = T.gen_dataset(3, n=256, noise=0.0)
     assert T.linear_baseline(ds) > 0.70
