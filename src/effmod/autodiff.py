@@ -245,17 +245,9 @@ def conv2d(x: Var | np.ndarray, w: Var, b: Var | None, spec: K.ConvSpec) -> Var:
 
 def pointwise(x: Var, w: Var, b: Var | None = None) -> Var:
     out = K.pointwise(x.data, w.data, None if b is None else b.data)
-    if b is None:
-        def vjp(g):
-            dx, dw, _ = K.pointwise_vjp(x.data, w.data, g)
-            return (dx, dw)
-
-        return _node(out, "pointwise", (x, w), vjp)
-
-    def vjp_b(g):
-        return K.pointwise_vjp(x.data, w.data, g)
-
-    return _node(out, "pointwise", (x, w, b), vjp_b)
+    if b is None:  # each closure holds only x and w: the tape keeps every one
+        return _node(out, "pointwise", (x, w), lambda g: K.pointwise_vjp(x.data, w.data, g)[:2])
+    return _node(out, "pointwise", (x, w, b), lambda g: K.pointwise_vjp(x.data, w.data, g))
 
 
 def linear(x: Var, w: Var, b: Var | None = None) -> Var:
@@ -269,12 +261,9 @@ def linear(x: Var, w: Var, b: Var | None = None) -> Var:
         out = out + b.data
 
     def vjp(g):
-        dx = g @ w.data
-        dw = np.tensordot(g, x.data, axes=(range(g.ndim - 1), range(g.ndim - 1)))
-        if b is None:
-            return (dx, dw)
-        db = g.sum(axis=tuple(range(g.ndim - 1)))
-        return (dx, dw, db)
+        lead = tuple(range(g.ndim - 1))
+        dx, dw = g @ w.data, np.tensordot(g, x.data, axes=(lead, lead))
+        return (dx, dw) if b is None else (dx, dw, g.sum(axis=lead))
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(out, "linear", parents, vjp)
@@ -282,7 +271,13 @@ def linear(x: Var, w: Var, b: Var | None = None) -> Var:
 
 def gelu(x: Var) -> Var:
     out = K.gelu(x.data)
-    return _node(out, "gelu", (x,), lambda g: (g * K.gelu_grad(x.data),))
+
+    def vjp(g):  # g * gelu'(x), in place when g has x's dtype
+        d = K.gelu_grad(x.data).astype(np.result_type(x.data, g), copy=False)
+        d *= g
+        return (d,)
+
+    return _node(out, "gelu", (x,), vjp)
 
 
 def sigmoid(x: Var) -> Var:

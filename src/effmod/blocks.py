@@ -529,6 +529,12 @@ def residual_apply(
 GC_STD = 0.5  # gradcheck inits at O(1) scale so FD noise stays far below tol
 
 
+def _gc_block(p, x: np.ndarray, block):
+    """Gradcheck arrays (x, then p's parameters by path) and the block as a function of them."""
+    arrays = {"x": x, **{name: v.data for name, v in named_params(p).items()}}
+    return arrays, lambda lv: block(lv["x"], bind_params(p, lv))
+
+
 def _gc_efficient_mod(case: int, rng):
     c, c_out, r, k, n, h, w = [
         (4, 4, 2, 3, 1, 6, 6),
@@ -536,42 +542,32 @@ def _gc_efficient_mod(case: int, rng):
         (5, 4, 1, 3, 1, 4, 7),
     ][case]
     p = init_efficient_mod(rng, c, c_out=c_out, expansion=r, kernel=k, std=GC_STD, dtype=np.float64)
-    arrays = {"x": rng.normal(0, 1, (n, c, h, w))}
-    arrays.update({name: v.data for name, v in named_params(p).items()})
-    return arrays, lambda lv: efficient_mod(lv["x"], bind_params(p, lv))
+    return _gc_block(p, rng.normal(0, 1, (n, c, h, w)), efficient_mod)
 
 
 def _gc_van(case: int, rng):
     c, n, h, w = [(3, 1, 6, 6), (4, 2, 5, 5), (2, 1, 8, 4)][case]
     p = init_van(rng, c, std=GC_STD, dtype=np.float64)
-    arrays = {"x": rng.normal(0, 1, (n, c, h, w))}
-    arrays.update({name: v.data for name, v in named_params(p).items()})
-    return arrays, lambda lv: van_block(lv["x"], bind_params(p, lv))
+    return _gc_block(p, rng.normal(0, 1, (n, c, h, w)), van_block)
 
 
 def _gc_focal(case: int, rng):
     # two levels everywhere; channel/spatial shapes vary
     c, n, h, w = [(4, 1, 6, 6), (3, 2, 5, 5), (2, 1, 7, 4)][case]
     p = init_focal(rng, c, kernels=(3, 5), std=GC_STD, dtype=np.float64)
-    arrays = {"x": rng.normal(0, 1, (n, c, h, w))}
-    arrays.update({name: v.data for name, v in named_params(p).items()})
-    return arrays, lambda lv: focal_ctx(lv["x"], bind_params(p, lv))
+    return _gc_block(p, rng.normal(0, 1, (n, c, h, w)), focal_ctx)
 
 
 def _gc_mbconv(case: int, rng):
     c, r, k, n, h, w = [(4, 2, 3, 1, 6, 6), (3, 4, 3, 2, 5, 5), (2, 6, 5, 1, 7, 4)][case]
     p = init_mbconv(rng, c, expansion=r, kernel=k, std=GC_STD, dtype=np.float64)
-    arrays = {"x": rng.normal(0, 1, (n, c, h, w))}
-    arrays.update({name: v.data for name, v in named_params(p).items()})
-    return arrays, lambda lv: mbconv_block(lv["x"], bind_params(p, lv))
+    return _gc_block(p, rng.normal(0, 1, (n, c, h, w)), mbconv_block)
 
 
 def _gc_se(case: int, rng):
     c, red, n, h, w = [(4, 2, 1, 5, 5), (8, 4, 2, 4, 4), (6, 3, 1, 3, 7)][case]
     p = init_se(rng, c, reduction=red, std=GC_STD, dtype=np.float64)
-    arrays = {"x": rng.normal(0, 1, (n, c, h, w))}
-    arrays.update({name: v.data for name, v in named_params(p).items()})
-    return arrays, lambda lv: se_block(lv["x"], bind_params(p, lv))
+    return _gc_block(p, rng.normal(0, 1, (n, c, h, w)), se_block)
 
 
 def _gc_attention(case: int, rng):
@@ -581,9 +577,7 @@ def _gc_attention(case: int, rng):
     # identically zero and central differences see only round-off there.
     # The bias rule itself is certified at op level in the test suite.
     p = init_attention(rng, c, heads=heads, mlp_ratio=mlp, bias=False, std=GC_STD, dtype=np.float64)
-    arrays = {"x": rng.normal(0, 1, (n, t, c))}
-    arrays.update({name: v.data for name, v in named_params(p).items()})
-    return arrays, lambda lv: attention_block(lv["x"], bind_params(p, lv))
+    return _gc_block(p, rng.normal(0, 1, (n, t, c)), attention_block)
 
 
 def _gc_patch_embed(case: int, rng):

@@ -35,6 +35,12 @@ kernel with pad 3 has 9 live taps at a 2x2 input, 1 at 1x1).
   holds the whole patch matrix and its cotangent during backward, and took
   the micro training step (batch 32, f64) from 13.0 to 17.7 MB peak.
 - Other group counts run the dense route once per group.
+
+Elementwise kernels work in place on the arrays they allocate. scipy's erf costs
+~14 ns an element in f32 as in f64, so float32 gelu and gelu_grad use Abramowitz
+& Stegun 7.1.26 on numpy ufuncs in at most two x-sized arrays, 3x faster; against
+f64 math.erf their max |error| is 4.7e-7 and 3.4e-7 (scipy f32: 4.5e-7, 1.4e-7).
+float64 stays on scipy, at f64 rounding, as the 1e-13 oracles need.
 """
 
 from __future__ import annotations
@@ -389,18 +395,45 @@ def pointwise_vjp(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray):
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
+# Abramowitz & Stegun 7.1.26: erf(a) = 1 - (a1 t + ... + a5 t^5) exp(-a^2), t = 1 / (1 + p a)
+_AS_P, _AS_A = 0.3275911, (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)
+
+
+def _one_plus_erf(x: np.ndarray):
+    """(1 + erf(x / sqrt(2)), exp(-x*x/2) if float32 else None): see the module docstring."""
+    if x.dtype != np.float32 or x.ndim == 0:  # 0-d results are scalars, with no out=
+        return 1.0 + erf(x * _INV_SQRT2), None
+    t = np.abs(x)
+    t *= _AS_P * _INV_SQRT2
+    t += 1.0
+    np.reciprocal(t, out=t)
+    s = t * _AS_A[0]
+    for a in _AS_A[1:]:  # Horner from a5: s = a1 t + ... + a5 t^5
+        s += a
+        s *= t
+    np.exp(np.multiply(np.square(x, out=t), -0.5, out=t), out=t)
+    s *= t  # erfc(|x| / sqrt(2))
+    np.copysign(np.subtract(1.0, s, out=s), x, out=s)
+    s += 1.0
+    return s, t
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2))). Odd-symmetric up to the linear term."""
-    return _checked(0.5 * x * (1.0 + erf(x * _INV_SQRT2)), "gelu")
+    s, e = _one_plus_erf(x)
+    s *= np.multiply(x, 0.5, out=e)
+    return _checked(s, "gelu")
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
     """d/dx gelu(x) = Phi(x) + x * phi(x) with Phi/phi the normal cdf/pdf."""
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-    return cdf + x * pdf
+    cdf, e = _one_plus_erf(x)
+    cdf *= 0.5
+    e = np.exp(-0.5 * x * x) if e is None else e
+    e *= _INV_SQRT2PI
+    e *= x
+    cdf += e
+    return cdf
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -421,7 +454,7 @@ def _layer_norm_stats(x: np.ndarray, eps: float, axis: int):
     xc = x - mu
     var = np.mean(xc * xc, axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    return xc * inv, inv
+    return np.multiply(xc, inv, out=xc), inv
 
 
 def _channel_shape(x: np.ndarray, axis: int) -> list:
@@ -443,13 +476,15 @@ def layer_norm(
     mean 0 and variance sigma^2/(sigma^2+eps), i.e. 1 up to the eps regularizer.
     """
     c = x.shape[axis]
-    if gamma.shape != (c,) or beta.shape != (c,):
+    if gamma.shape != (c,) or beta.shape != (c,) or not gamma.dtype == beta.dtype == x.dtype:
         raise PreconditionError(
-            f"gamma/beta: expected shape ({c},) for axis {axis}, got {gamma.shape}/{beta.shape}"
+            f"gamma/beta: expected shape ({c},) for axis {axis} and dtype {x.dtype}, got "
+            f"{gamma.shape}/{beta.shape} and {gamma.dtype}/{beta.dtype}"
         )
-    xhat, _ = _layer_norm_stats(x, eps, axis)
+    out, _ = _layer_norm_stats(x, eps, axis)
     shape = _channel_shape(x, axis)
-    out = gamma.reshape(shape) * xhat + beta.reshape(shape)
+    out *= gamma.reshape(shape)
+    out += beta.reshape(shape)
     return _checked(out, "layer_norm")
 
 
@@ -460,21 +495,23 @@ def layer_norm_vjp(
     axis = axis % x.ndim  # the parameter reductions exclude it by index
     xhat, inv = _layer_norm_stats(x, eps, axis)
     red = tuple(i for i in range(x.ndim) if i != axis)
-    dgamma = (grad_out * xhat).sum(axis=red)
+    dgamma = (t := grad_out * xhat).sum(axis=red)  # t: scratch, reused below
     dbeta = grad_out.sum(axis=red)
-    gx = grad_out * gamma.reshape(_channel_shape(x, axis))
-    m = gx.mean(axis=axis, keepdims=True)
-    mx = (gx * xhat).mean(axis=axis, keepdims=True)
-    dx = inv * (gx - m - xhat * mx)
+    dx = grad_out * gamma.reshape(_channel_shape(x, axis))
+    m = dx.mean(axis=axis, keepdims=True)
+    mx = np.multiply(dx, xhat, out=t).mean(axis=axis, keepdims=True)
+    dx -= m
+    dx -= np.multiply(xhat, mx, out=t)
+    dx *= inv
     return dx, dgamma, dbeta
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Shift-stable softmax along one axis; rows sum to 1."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-    return _checked(out, "softmax")
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return _checked(e, "softmax")
 
 
 def batched_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -541,9 +578,8 @@ def fuse_modulate_vjp(
     r = v.shape[1] // c
     go5 = grad_out.reshape(n, r, c, h, w)
     if combine == "mul":
-        dv = grad_out * np.tile(ctx, (1, r, 1, 1)) if mode == "repeat" else (
-            (grad_out.reshape(n, r, c, h, w) * ctx[:, None]).reshape(v.shape)
-        )
+        dv = (grad_out * np.tile(ctx, (1, r, 1, 1)) if mode == "repeat"
+              else (go5 * ctx[:, None]).reshape(v.shape))
         dctx = (go5 * v.reshape(n, r, c, h, w)).sum(axis=1)
     else:
         dv = grad_out.copy()

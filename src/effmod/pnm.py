@@ -46,8 +46,10 @@ def read_pnm(path: str) -> np.ndarray:
         w, h, maxval = (int(t) for t in tokens)
     except ValueError:
         raise ConfigError(f"{path}: malformed PNM header {tokens}")
-    if not 1 <= maxval <= 255:
-        raise ConfigError(f"{path}: only 8-bit PNM supported, maxval {maxval}")
+    if w < 1 or h < 1 or not 1 <= maxval <= 255:
+        raise ConfigError(
+            f"{path}: need width and height >= 1 and an 8-bit maxval, got {w}x{h}, maxval {maxval}"
+        )
     channels = 1 if magic == "P5" else 3
     need = w * h * channels
     raster = data[2 + off : 2 + off + need]

@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from effmod import cli
+from effmod.errors import ConfigError
 from effmod import model as M
 from effmod.blocks import GC_CASES
 from effmod.pnm import read_pnm, write_pgm
@@ -222,6 +225,15 @@ def test_ctxmap_end_to_end(tmp_path, capsys):
     assert grid.dtype == np.uint8
 
 
+def test_ctxmap_rejects_an_image_without_pixels(tmp_path, capsys):
+    img_path = tmp_path / "neg.pgm"
+    img_path.write_bytes(b"P5 -1 -1 255\n" + bytes(4))
+    code, _, err = run(["ctxmap", "micro", str(img_path), "--stage", "0"], capsys)
+    assert code == 3
+    assert err.startswith("error: config:")
+    assert err.count("\n") == 1
+
+
 def test_ctxmap_rejects_non_mod_block(tmp_path, capsys):
     img_path = tmp_path / "in.ppm"
     _write_ppm(img_path, 32, 32)
@@ -249,3 +261,43 @@ def test_pnm_reads_comments_and_scaling(tmp_path):
     back = read_pnm(str(path))
     assert back.shape == (2, 2)
     assert back[1, 1] == 255  # maxval 63 rescaled to full range
+
+
+@pytest.mark.parametrize("header", [b"P5 -1 -1 255\n", b"P5 0 4 255\n", b"P6 4 0 255\n"])
+def test_pnm_rejects_a_width_or_height_below_one(tmp_path, header):
+    path = tmp_path / "empty.pnm"
+    path.write_bytes(header + bytes(12))
+    with pytest.raises(ConfigError, match="width and height"):
+        read_pnm(str(path))
+
+
+# any bytes, well-formed headers with small (also negative) numbers, and header-ish text
+_PNM_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.builds(
+        lambda magic, w, h, maxval, raster: b"%s %d %d %d\n" % (magic, w, h, maxval) + raster,
+        st.sampled_from([b"P5", b"P6"]),
+        st.integers(-2, 4),
+        st.integers(-2, 4),
+        st.integers(-1, 256),
+        st.binary(max_size=64),
+    ),
+    st.tuples(
+        st.sampled_from([b"P5", b"P6", b"P5\n", b"P6 "]),
+        st.text("0123456789 -+_#\nx", max_size=24),
+        st.binary(max_size=64),
+    ).map(lambda t: t[0] + t[1].encode() + t[2]),
+)
+
+
+@given(_PNM_BYTES)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_pnm_reads_or_raises_config_error(tmp_path, data):
+    path = tmp_path / "fuzz.pnm"
+    path.write_bytes(data)
+    try:
+        arr = read_pnm(str(path))
+    except ConfigError:
+        return
+    assert arr.dtype == np.uint8
+    assert arr.ndim in (2, 3) and min(arr.shape) >= 1

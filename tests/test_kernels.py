@@ -428,6 +428,63 @@ def test_gelu_matches_scalar_oracle():
     np.testing.assert_allclose(gelu(x), want, rtol=1e-13, atol=1e-15)
 
 
+def _f32_gelu_inputs():
+    grid = np.linspace(-12.0, 12.0, 24001)
+    return np.concatenate([RNG.normal(size=20000) * 3, grid]).astype(np.float32)
+
+
+def test_gelu_f32_matches_f64_oracle():
+    # |err| <= 5e-7 * max(1, |x|) against math.erf in f64; the scipy f32 erf meets it too
+    x = _f32_gelu_inputs()
+    x64 = x.astype(np.float64)
+    cdf = 0.5 * (1.0 + np.vectorize(math.erf)(x64 / math.sqrt(2)))
+    want = x64 * cdf
+    want_grad = cdf + x64 * np.exp(-0.5 * x64 * x64) / math.sqrt(2 * math.pi)
+    bound = 5e-7 * np.maximum(1.0, np.abs(x64))
+    for got, ref in ((gelu(x), want), (gelu_grad(x), want_grad)):
+        assert got.dtype == np.float32
+        assert (np.abs(got - ref) <= bound).all(), np.abs(got - ref).max()
+
+
+def test_gelu_f32_keeps_inf_and_nan():
+    x = np.array([np.inf, np.nan, 0.0], dtype=np.float32)
+    out = gelu(x)
+    assert out[0] == np.inf and np.isnan(out[1]) and out[2] == 0.0
+    grad = gelu_grad(x[1:])
+    assert np.isnan(grad[0]) and grad[1] == 0.5
+
+
+def test_f64_elementwise_kernels_equal_the_plain_expressions_bit_for_bit():
+    from scipy.special import erf
+
+    x = RNG.normal(size=(2, 6, 5, 4)) * 3
+    gamma, beta, go = RNG.normal(size=6), RNG.normal(size=6), RNG.normal(size=x.shape)
+    c = gamma.reshape(1, 6, 1, 1)
+    cdf = 0.5 * (1.0 + erf(x * 0.7071067811865476))
+    mu = x.mean(axis=1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt(np.mean(xc * xc, axis=1, keepdims=True) + 1e-6)
+    xhat = xc * inv
+    gx = go * c
+    m, mx = gx.mean(axis=1, keepdims=True), (gx * xhat).mean(axis=1, keepdims=True)
+    shifted = x - x.max(axis=1, keepdims=True)
+    pairs = [
+        (gelu(x), 0.5 * x * (1.0 + erf(x * 0.7071067811865476))),
+        (gelu_grad(x), cdf + x * (0.3989422804014327 * np.exp(-0.5 * x * x))),
+        (layer_norm(x, gamma, beta), c * xhat + beta.reshape(1, 6, 1, 1)),
+        (softmax(x, axis=1), np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)),
+    ]
+    dx, dgamma, dbeta = layer_norm_vjp(x, gamma, go, 1e-6, 1)
+    pairs += [
+        (dx, inv * (gx - m - xhat * mx)),
+        (dgamma, (go * xhat).sum(axis=(0, 2, 3))),
+        (dbeta, go.sum(axis=(0, 2, 3))),
+    ]
+    for got, want in pairs:
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
+
 def test_gelu_grad_matches_central_difference():
     x = RNG.normal(size=64)
     eps = 1e-6
@@ -514,6 +571,11 @@ def test_layer_norm_validates():
         layer_norm(RNG.normal(size=(1, 3, 2, 2)), np.ones(4), np.zeros(4))
     with pytest.raises(PreconditionError):
         layer_norm(RNG.normal(size=(1, 3, 2, 2)), np.ones(3), np.zeros(3), eps=0.0)
+    x32 = RNG.normal(size=(1, 3, 2, 2)).astype(np.float32)
+    with pytest.raises(PreconditionError, match="dtype"):
+        layer_norm(x32, np.ones(3), np.zeros(3, dtype=np.float32))
+    with pytest.raises(PreconditionError, match="dtype"):
+        layer_norm(x32, np.ones(3, dtype=np.float32), np.zeros(3))
 
 
 # -------------------------------------------------------------- softmax
