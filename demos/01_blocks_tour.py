@@ -19,14 +19,10 @@ with ad.no_grad():
     focal = B.focal_ctx(x, B.init_focal(rng, 16, kernels=(3, 5), dtype=np.float64))
     mb = B.mbconv_block(x, B.init_mbconv(rng, 16, expansion=6, kernel=3, dtype=np.float64))
     se = B.se_block(x, B.init_se(rng, 16, reduction=4, dtype=np.float64))
+    att = B.attention_block(x, B.init_attention(rng, 16, heads=4, dtype=np.float64))
 for name, out in [("efficient_mod", mod), ("van", van), ("focal ctx", focal),
-                  ("mbconv", mb), ("squeeze-excite", se)]:
+                  ("mbconv", mb), ("squeeze-excite", se), ("attention", att)]:
     print(f"  {name:<14} -> {out.data.shape}")
-
-tokens = ad.Var(rng.normal(size=(1, 9, 16)))
-with ad.no_grad():
-    att = B.attention_block(tokens, B.init_attention(rng, 16, heads=4, dtype=np.float64))
-print(f"  {'attention':<14} -> {att.data.shape}  (token layout [n, t, c])")
 
 print()
 print("== degenerate modulation: r=1, identity projections, unit 1x1 depthwise ==")

@@ -33,7 +33,7 @@ arrays = {
     "g": rng.normal(size=(6,)),
     "b": rng.normal(size=(6,)),
 }
-rep = ad.grad_check(lambda v: ad.layer_norm(v["x"], v["g"], v["b"], axis=1), arrays)
+rep = ad.grad_check(lambda v: ad.layer_norm(v["x"], v["g"], v["b"]), arrays)
 print(rep.to_text())
 
 print()

@@ -94,16 +94,16 @@ def backward(out: Var, seed: np.ndarray | None = None) -> None:
     Leaves are the Vars without a vjp; intermediate nodes keep no .grad.
     Constants (ndarrays an op took in place of a Var) are not on the tape and
     get no gradient. seed defaults to ones (the usual choice for a scalar
-    loss). Grads add onto whatever is already in .grad, so zero them between
-    steps.
+    loss); a given seed must match the output's shape and dtype. Grads add
+    onto whatever is already in .grad, so zero them between steps.
     """
     if seed is None:
         seed = np.ones_like(out.data)
     else:
         seed = np.asarray(seed)
-        if seed.shape != out.data.shape:
+        if seed.shape != out.data.shape or seed.dtype != out.data.dtype:
             raise PreconditionError(
-                f"seed gradient shape {seed.shape} != output shape {out.data.shape}"
+                f"seed gradient {seed.shape} {seed.dtype} != output {out.shape} {out.dtype}"
             )
 
     # Iterative topo sort; tapes for deep models overflow the recursion limit.
@@ -251,7 +251,7 @@ def pointwise(x: Var, w: Var, b: Var | None = None) -> Var:
 
 
 def linear(x: Var, w: Var, b: Var | None = None) -> Var:
-    """Last-axis linear map for token/vector layouts; w is [out, in]."""
+    """Last-axis linear map, w [out, in]: the head's map of pooled [n, c] features."""
     if x.data.shape[-1] != w.data.shape[1]:
         raise PreconditionError(
             f"linear: input feature dim {x.data.shape[-1]} != weight in-dim {w.data.shape[1]}"
@@ -285,11 +285,12 @@ def sigmoid(x: Var) -> Var:
     return _node(s, "sigmoid", (x,), lambda g: (g * s * (1.0 - s),))
 
 
-def layer_norm(x: Var, gamma: Var, beta: Var, eps: float = 1e-6, axis: int = 1) -> Var:
-    out = K.layer_norm(x.data, gamma.data, beta.data, eps=eps, axis=axis)
+def layer_norm(x: Var, gamma: Var, beta: Var, eps: float = 1e-6) -> Var:
+    """Normalize over axis 1: the channels of an NCHW map or of pooled [n, c] features."""
+    out = K.layer_norm(x.data, gamma.data, beta.data, eps=eps, axis=1)
 
     def vjp(g):
-        return K.layer_norm_vjp(x.data, gamma.data, g, eps, axis)
+        return K.layer_norm_vjp(x.data, gamma.data, g, eps, 1)
 
     return _node(out, "layer_norm", (x, gamma, beta), vjp)
 

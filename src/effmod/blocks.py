@@ -379,11 +379,11 @@ def se_block(x: Var, p: SEParams) -> Var:
 
 @dataclass
 class AttentionParams:
-    """Pre-norm transformer block on token layout [n, t, c].
+    """Pre-norm transformer block on [n, c, h, w]; each of the h*w positions is a token.
 
-    x + proj(MHSA(LN(x))) followed by x + MLP(LN(x)); scores scaled by
-    1/sqrt(c/heads). No positional term anywhere, so the block is
-    permutation-equivariant over tokens.
+    x + proj(MHSA(LN(x))) followed by x + MLP(LN(x)), with channel LN and
+    pointwise qkv/proj/MLP maps; scores scaled by 1/sqrt(c/heads). No
+    positional term anywhere, so the block is permutation-equivariant over positions.
     """
 
     ln1_g: Var
@@ -434,30 +434,25 @@ def init_attention(
 
 
 def attention_block(x: Var, p: AttentionParams) -> Var:
-    if x.data.ndim != 3:
-        raise PreconditionError(f"attention input must be [n, t, c], got {x.data.shape}")
-    n, t, c = x.data.shape
+    if x.data.ndim != 4:
+        raise PreconditionError(f"attention input must be [n, c, h, w], got {x.data.shape}")
+    n, c, hh, ww = x.data.shape
     if c != p.channels:
         raise PreconditionError(f"attention input channels {c} != params channels {p.channels}")
     H = p.heads
-    d = c // H
+    d, t = c // H, hh * ww
 
-    h = ad.layer_norm(x, p.ln1_g, p.ln1_b, axis=2)
-    qkv = ad.linear(h, p.qkv_w, p.qkv_b)  # [n,t,3c]
-    q = ad.narrow(qkv, 2, 0, c)
-    k = ad.narrow(qkv, 2, c, c)
-    v = ad.narrow(qkv, 2, 2 * c, c)
-    # [n,t,c] -> [n,H,t,d]
-    to_heads = lambda z: ad.transpose(ad.reshape(z, (n, t, H, d)), (0, 2, 1, 3))
-    q, k, v = to_heads(q), to_heads(k), to_heads(v)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(d))
-    att = ad.softmax(scores, axis=-1)
-    y = ad.matmul(att, v)  # [n,H,t,d]
-    y = ad.reshape(ad.transpose(y, (0, 2, 1, 3)), (n, t, c))
-    x = ad.add(x, ad.linear(y, p.proj_w, p.proj_b))
+    h = ad.pointwise(ad.layer_norm(x, p.ln1_g, p.ln1_b), p.qkv_w, p.qkv_b)
+    qkv = ad.reshape(h, (n, 3, H, d, t))  # channels are [q | k | v], each head-major
+    q, k, v = (ad.reshape(ad.narrow(qkv, 1, i, 1), (n, H, d, t)) for i in range(3))
+    # scores[key, query]: softmax runs down each column, and v @ att lands in [n, H, d, t]
+    scores = ad.scale(ad.matmul(ad.transpose(k, (0, 1, 3, 2)), q), 1.0 / np.sqrt(d))
+    att = ad.softmax(scores, axis=-2)
+    y = ad.reshape(ad.matmul(v, att), (n, c, hh, ww))
+    x = ad.add(x, ad.pointwise(y, p.proj_w, p.proj_b))
 
-    h2 = ad.layer_norm(x, p.ln2_g, p.ln2_b, axis=2)
-    m = ad.linear(ad.gelu(ad.linear(h2, p.mlp1_w, p.mlp1_b)), p.mlp2_w, p.mlp2_b)
+    h2 = ad.layer_norm(x, p.ln2_g, p.ln2_b)
+    m = ad.pointwise(ad.gelu(ad.pointwise(h2, p.mlp1_w, p.mlp1_b)), p.mlp2_w, p.mlp2_b)
     return ad.add(x, m)
 
 
@@ -506,7 +501,7 @@ def residual_apply(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Var:
-    h = ad.layer_norm(x, wrap.norm_gamma, wrap.norm_beta, axis=1)
+    h = ad.layer_norm(x, wrap.norm_gamma, wrap.norm_beta)
     branch = inner(h)
     if branch.data.shape != x.data.shape:
         raise PreconditionError(
@@ -571,13 +566,14 @@ def _gc_se(case: int, rng):
 
 
 def _gc_attention(case: int, rng):
-    c, heads, t, mlp, n = [(8, 1, 5, 2.0, 1), (8, 2, 6, 2.0, 2), (12, 4, 3, 1.0, 1)][case]
+    cases = [(8, 1, 1, 5, 2.0, 1), (8, 2, 2, 3, 2.0, 2), (12, 4, 3, 1, 1.0, 1)]
+    c, heads, h, w, mlp, n = cases[case]
     # bias=False: the key-projection bias is a flat direction of softmax
-    # attention (scores shift uniformly per row), so its true gradient is
+    # attention (scores shift uniformly per query), so its true gradient is
     # identically zero and central differences see only round-off there.
     # The bias rule itself is certified at op level in the test suite.
     p = init_attention(rng, c, heads=heads, mlp_ratio=mlp, bias=False, std=GC_STD, dtype=np.float64)
-    return _gc_block(p, rng.normal(0, 1, (n, t, c)), attention_block)
+    return _gc_block(p, rng.normal(0, 1, (n, c, h, w)), attention_block)
 
 
 def _gc_patch_embed(case: int, rng):

@@ -51,7 +51,7 @@ def context_map(model: Model, image: np.ndarray, stage: int, block: int) -> Cont
     wrap = entries[block].wrap
     with ad.no_grad():
         h = forward_features(prefix, img)
-        normed = ad.layer_norm(h, wrap.norm_gamma, wrap.norm_beta, axis=1)
+        normed = ad.layer_norm(h, wrap.norm_gamma, wrap.norm_beta)
         ctx = efficient_mod_ctx(normed, entries[block].params).data
     raw = ctx[0].mean(axis=0)  # channel mean -> [h, w]
     lo, hi = float(raw.min()), float(raw.max())

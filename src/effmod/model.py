@@ -452,16 +452,13 @@ def forward_features(model: Model, x, training: bool = False, seed: int = 0, ste
     h = ad.conv2d(x if isinstance(x, Var) else data, stem.w, stem.b, stem.spec)
     layer_idx = 0
     for si, stage in enumerate(model.stages):
-        tokens = None  # lazily built [n,t,c] view for the attention tail
         for entry in stage:
-            if entry.kind in ("mod", "mbconv"):
-                if tokens is not None:
-                    raise ConfigError(
-                        f"stage {si}: modulation blocks must precede attention blocks"
-                    )
+            if entry.kind == "attn":
+                h = B.attention_block(h, entry.params)
+            else:
                 rng = (
                     np.random.default_rng((seed, layer_idx, step))
-                    if training and entry.wrap is not None and entry.wrap.drop_path_prob > 0
+                    if training and entry.wrap.drop_path_prob > 0
                     else None
                 )
                 if entry.kind == "mod":
@@ -469,17 +466,7 @@ def forward_features(model: Model, x, training: bool = False, seed: int = 0, ste
                 else:
                     inner = lambda z, p=entry.params: B.mbconv_block(z, p)
                 h = B.residual_apply(h, inner, entry.wrap, training=training, rng=rng)
-                layer_idx += 1
-            else:  # attention on token layout
-                if tokens is None:
-                    n, c, hh, ww = h.data.shape
-                    tokens = ad.transpose(ad.reshape(h, (n, c, hh * ww)), (0, 2, 1))
-                    spatial = (n, c, hh, ww)
-                tokens = B.attention_block(tokens, entry.params)
-                layer_idx += 1
-        if tokens is not None:
-            n, c, hh, ww = spatial
-            h = ad.reshape(ad.transpose(tokens, (0, 2, 1)), (n, c, hh, ww))
+            layer_idx += 1
         if si < len(model.downs):
             d = model.downs[si]
             h = ad.conv2d(h, d.w, d.b, d.spec)
@@ -491,7 +478,7 @@ def model_forward(model: Model, x, training: bool = False, seed: int = 0, step: 
     h = ad.global_avg_pool(forward_features(model, x, training, seed, step))
     n, c = h.data.shape[0], h.data.shape[1]
     h = ad.reshape(h, (n, c))
-    h = ad.layer_norm(h, model.head_norm_g, model.head_norm_b, axis=1)
+    h = ad.layer_norm(h, model.head_norm_g, model.head_norm_b)
     return ad.linear(h, model.head_w, model.head_b)
 
 

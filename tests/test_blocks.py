@@ -265,35 +265,74 @@ def test_se_reduction_must_divide():
 # ------------------------------------------------------------ attention
 
 
+def _attention_oracle(x, p):
+    """The block from raw kernels in token layout [n, t, c]: h @ w.T, softmax over keys last.
+
+    Parameter files written before the block ran on NCHW maps hold these very
+    weights, so matching this oracle keeps their logits.
+    """
+    n, c, hh, ww = x.shape
+    H, d, t = p.heads, c // p.heads, hh * ww
+    tok = x.reshape(n, c, t).transpose(0, 2, 1)
+    h = K.layer_norm(tok, p.ln1_g.data, p.ln1_b.data, axis=2)
+    qkv = h @ p.qkv_w.data.T + p.qkv_b.data
+    heads = lambda z: z.reshape(n, t, H, d).transpose(0, 2, 1, 3)
+    q, k, v = heads(qkv[..., :c]), heads(qkv[..., c : 2 * c]), heads(qkv[..., 2 * c :])
+    att = K.softmax(q @ k.transpose(0, 1, 3, 2) / np.sqrt(d), axis=-1)
+    y = (att @ v).transpose(0, 2, 1, 3).reshape(n, t, c)
+    x1 = tok + y @ p.proj_w.data.T + p.proj_b.data
+    h2 = K.layer_norm(x1, p.ln2_g.data, p.ln2_b.data, axis=2)
+    m = K.gelu(h2 @ p.mlp1_w.data.T + p.mlp1_b.data) @ p.mlp2_w.data.T + p.mlp2_b.data
+    return (x1 + m).transpose(0, 2, 1).reshape(n, c, hh, ww)
+
+
+def _randomize(p):
+    """Nonzero biases and norm affines, so the oracle sees every parameter at work."""
+    for v in B.named_params(p).values():
+        v.data = v.data + RNG.normal(0, 0.1, v.data.shape)
+    return p
+
+
+def test_attention_matches_token_layout_oracle():
+    for c, heads, n, hh, ww in [(8, 2, 2, 3, 4), (16, 4, 1, 1, 5), (12, 3, 1, 2, 2)]:
+        p = _randomize(B.init_attention(RNG, c, heads=heads, mlp_ratio=2.0, dtype=np.float64))
+        x = RNG.normal(size=(n, c, hh, ww))
+        np.testing.assert_allclose(
+            _run(B.attention_block, x, p), _attention_oracle(x, p), rtol=1e-12, atol=1e-13
+        )
+
+
 def test_attention_single_token_weights_are_one():
     """t=1: softmax over one score is exactly 1, so att@v == v."""
     c = 8
     p = B.init_attention(RNG, c, heads=2, dtype=np.float64)
-    x = RNG.normal(size=(2, 1, c))
+    x = RNG.normal(size=(2, c, 1, 1))
     got = _run(B.attention_block, x, p)
-    h = K.layer_norm(x, p.ln1_g.data, p.ln1_b.data, axis=2)
-    qkv = h @ p.qkv_w.data.T + p.qkv_b.data
-    v = qkv[:, :, 2 * c :]
-    x1 = x + v @ p.proj_w.data.T + p.proj_b.data
-    h2 = K.layer_norm(x1, p.ln2_g.data, p.ln2_b.data, axis=2)
-    m = K.gelu(h2 @ p.mlp1_w.data.T + p.mlp1_b.data) @ p.mlp2_w.data.T + p.mlp2_b.data
+    h = K.layer_norm(x, p.ln1_g.data, p.ln1_b.data)
+    qkv = K.pointwise(h, p.qkv_w.data, p.qkv_b.data)
+    x1 = x + K.pointwise(qkv[:, 2 * c :], p.proj_w.data, p.proj_b.data)
+    h2 = K.layer_norm(x1, p.ln2_g.data, p.ln2_b.data)
+    m = K.pointwise(K.gelu(K.pointwise(h2, p.mlp1_w.data, p.mlp1_b.data)),
+                    p.mlp2_w.data, p.mlp2_b.data)
     np.testing.assert_allclose(got, x1 + m, rtol=1e-12, atol=1e-13)
 
 
 def test_attention_permutation_equivariance():
+    """Permuting the h*w positions permutes the output the same way."""
     p = B.init_attention(RNG, 16, heads=4, dtype=np.float64)
-    x = RNG.normal(size=(2, 7, 16))
-    perm = RNG.permutation(7)
+    x = RNG.normal(size=(2, 16, 3, 5))
+    perm = RNG.permutation(15)
+    permute = lambda z: z.reshape(2, 16, 15)[:, :, perm].reshape(2, 16, 3, 5)
     out = _run(B.attention_block, x, p)
-    out_perm = _run(B.attention_block, x[:, perm], p)
-    np.testing.assert_allclose(out_perm, out[:, perm], rtol=1e-12, atol=1e-12)
+    out_perm = _run(B.attention_block, permute(x), p)
+    np.testing.assert_allclose(out_perm, permute(out), rtol=1e-12, atol=1e-12)
 
 
 def test_attention_zero_input_zero_gamma_gives_zeros():
     p = B.init_attention(RNG, 8, heads=2, dtype=np.float64)
     p.ln1_g.data = np.zeros_like(p.ln1_g.data)
     p.ln2_g.data = np.zeros_like(p.ln2_g.data)
-    out = _run(B.attention_block, np.zeros((1, 4, 8)), p)
+    out = _run(B.attention_block, np.zeros((1, 8, 2, 2)), p)
     assert not out.any()
 
 
@@ -302,14 +341,15 @@ def test_attention_head_divisibility():
         B.init_attention(RNG, 10, heads=4)
     p = B.init_attention(RNG, 8, heads=2, dtype=np.float64)
     with pytest.raises(PreconditionError):
-        _run(B.attention_block, RNG.normal(size=(1, 3, 12)), p)
+        _run(B.attention_block, RNG.normal(size=(1, 12, 2, 2)), p)
     with pytest.raises(PreconditionError):
-        _run(B.attention_block, RNG.normal(size=(1, 8, 2, 2)), p)
+        _run(B.attention_block, RNG.normal(size=(1, 4, 8)), p)
 
 
 def test_attention_shape_preserved():
     p = B.init_attention(RNG, 24, heads=8, mlp_ratio=2.0, dtype=np.float64)
-    assert _run(B.attention_block, RNG.normal(size=(2, 9, 24)), p).shape == (2, 9, 24)
+    x = RNG.normal(size=(2, 24, 3, 3))
+    assert _run(B.attention_block, x, p).shape == (2, 24, 3, 3)
 
 
 # ------------------------------------------------------------- residual
@@ -352,7 +392,7 @@ def test_residual_branch_magnitude_bounded_by_layer_scale():
     x = RNG.normal(size=(2, c, 6, 6))
     out = _run(B.residual_apply, x, _effmod_inner(p), wrap)
     with ad.no_grad():
-        normed = ad.layer_norm(ad.Var(x), wrap.norm_gamma, wrap.norm_beta, axis=1)
+        normed = ad.layer_norm(ad.Var(x), wrap.norm_gamma, wrap.norm_beta)
         inner = B.efficient_mod(normed, p).data
     # small atol: recovering a ~1e-11 branch from an O(1) sum costs one ulp
     assert np.abs(out - x).max() <= 1e-4 * np.abs(inner).max() + 1e-15
@@ -412,7 +452,7 @@ def test_drop_path_mask_is_a_constant_with_the_same_parameter_grads():
 
     # The same step with the mask as a leaf on the tape.
     keep = (np.random.default_rng(3).random(6) >= prob).astype(np.float64) / (1.0 - prob)
-    h = ad.layer_norm(x, wrap.norm_gamma, wrap.norm_beta, axis=1)
+    h = ad.layer_norm(x, wrap.norm_gamma, wrap.norm_beta)
     scaled = ad.mul(B.efficient_mod(h, p), ad.reshape(wrap.layer_scale, (1, c, 1, 1)))
     ref = ad.add(x, ad.mul(scaled, ad.Var(keep.reshape(-1, 1, 1, 1))))
     assert out.data.tobytes() == ref.data.tobytes()

@@ -2,12 +2,17 @@
 
 Installing its tracers looks every wrapped name up, so a rename or deletion
 in kernels, autodiff, blocks, model or trainer that would break
-perfbench/run.py fails here first.
+perfbench/run.py fails here first. The benchmark's traced runs also fail
+unless the forward MACs its span counters see equal analyzer.count_macs and
+the span self times add up; the second test runs both checks on small inputs.
 """
 
 import pathlib
 
-from effmod import autodiff, model
+import numpy as np
+import pytest
+
+from effmod import analyzer, autodiff, model
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -22,3 +27,25 @@ def test_benchmark_tracers_install_and_restore(monkeypatch):
     with spans.TapeProbe().installed():
         assert autodiff.backward is not backward
     assert model.model_forward is forward and autodiff.backward is backward
+
+
+@pytest.mark.parametrize(
+    "preset, res, batch, dtype, backward",
+    [("xxs", 64, 1, np.float32, False), ("micro", 32, 2, np.float64, True)],
+)
+def test_traced_macs_match_the_analyzer(monkeypatch, preset, res, batch, dtype, backward):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    m = model.build_model(model.build_preset(preset), seed=1, dtype=dtype)
+    x = np.random.default_rng(1).standard_normal((batch, 3, res, res)).astype(dtype)
+    tracer = spans.Tracer()
+    with tracer.installed(), tracer.root():
+        if backward:
+            autodiff.backward(autodiff.sum_all(model.model_forward(m, x)))
+        else:
+            with autodiff.no_grad():
+                model.model_forward(m, x)
+    assert tracer.images == batch
+    assert tracer.fwd_macs == analyzer.count_macs(m, (res, res)) * batch
+    assert tracer.analyze()["errors"] == []
