@@ -7,7 +7,10 @@ the caller wrapped) keep a .grad; an intermediate node passes its cotangent on
 and keeps nothing. A plain ndarray passed where an op accepts one (conv2d's
 input, mul's second operand) is a constant: it is not on the tape and no
 gradient is computed for it. The op set is exactly what the blocks need,
-nothing more.
+nothing more. backward() frees the graph as it consumes it, as PyTorch does by
+default: each node drops its parents and vjp closure, and the activations that
+closure saved, once its cotangent has reached its parents. Grads add across
+separate forward passes; a second backward through a freed graph raises.
 
 Gradient certification is two-sided: every analytic rule here is checked
 against central finite differences (grad_check), and the test suite runs that
@@ -95,7 +98,9 @@ def backward(out: Var, seed: np.ndarray | None = None) -> None:
     Constants (ndarrays an op took in place of a Var) are not on the tape and
     get no gradient. seed defaults to ones (the usual choice for a scalar
     loss); a given seed must match the output's shape and dtype. Grads add
-    onto whatever is already in .grad, so zero them between steps.
+    onto whatever is already in .grad, so zero them between steps. The graph
+    is freed as it is consumed (a node's .data stays readable); a second
+    backward through it raises PreconditionError before any .grad changes.
     """
     if seed is None:
         seed = np.ones_like(out.data)
@@ -117,6 +122,8 @@ def backward(out: Var, seed: np.ndarray | None = None) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._vjp is None and node.op != "leaf":
+            raise PreconditionError(f"{node.op} node freed by an earlier backward; rerun the forward")
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
@@ -124,14 +131,18 @@ def backward(out: Var, seed: np.ndarray | None = None) -> None:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(out): seed}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         g = grads.pop(id(node), None)
+        # Free the node before its vjp runs: the closure and what it saved go at the next pop.
+        parents, vjp = node.parents, node._vjp
+        node.parents, node._vjp = (), None
         if g is None:
             continue
-        if node._vjp is None:
+        if vjp is None:
             node.grad = g.copy() if node.grad is None else node.grad + g
             continue
-        for parent, pg in zip(node.parents, node._vjp(g)):
+        for parent, pg in zip(parents, vjp(g)):
             if pg is None:
                 continue
             if id(parent) in grads:

@@ -242,7 +242,10 @@ def _dense(x: np.ndarray, w: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np
     # Kernel offsets from the first live tap to the last; empty when none is live.
     i0, i1 = (rows[0][0], rows[-1][0] + 1) if rows else (0, 0)
     j0, j1 = (cols[0][0], cols[-1][0] + 1) if cols else (0, 0)
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    xp = x
+    if p:  # zeros plus an interior copy: np.pad costs ~50 us a call even on 2x2 maps
+        xp = np.zeros((n, c_in, h + 2 * p, wd + 2 * p), dtype=x.dtype)
+        xp[:, :, p : p + h, p : p + wd] = x
     span = d * (spec.kernel - 1) + 1
     win = sliding_window_view(xp, (span, span), axis=(2, 3))[
         :, :, ::s, ::s, i0 * d : i1 * d : d, j0 * d : j1 * d : d
