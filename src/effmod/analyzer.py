@@ -1,31 +1,38 @@
 """Complexity accounting: parameters, multiply-accumulates, closed forms.
 
 Conventions (also in README):
-- params_no_bias counts multiplicative kernels only (conv/pointwise/linear/
-  gate weights). params_with_bias adds biases, norm affines and layer scales.
-  Budget comparisons against published totals use the with-bias number;
-  closed-form identities use the no-bias number.
-- 1 MAC = 1 multiply-accumulate; a conv layer at output h x w costs
-  h*w * c_out * (c_in/groups) * k^2. Attention adds the two score/value
-  matmuls (2 * t^2 * c per block). Norms, softmax, GELU and biases are not
-  counted. Reported GMACs = MACs / 1e9.
+- One row per layer of model.named_parameters(): a parameter's layer is its
+  name without the trailing _w/_b/_g/_gamma/_beta tag or bare .w/.b.
+- params_no_bias counts the parameters with 2 or more dims (conv, depthwise
+  and pointwise weights). params_with_bias adds the 1-D ones: biases, norm
+  affines and layer scales. Budget comparisons against published totals use
+  the with-bias number; closed-form identities use the no-bias number.
+- 1 MAC = 1 multiply-accumulate. Every weight is used once per output
+  position of its layer, so a layer costs out_area * weight count: the stem
+  and stage S run at stage 0's and stage S's resolution, downN at stage N+1's,
+  the head at 1x1. The one exception is attention's parameter-free `scores`
+  row, 2 * t^2 * c for the score and value matmuls over t positions. Norms,
+  softmax, GELU and biases are not counted. Reported GMACs = MACs / 1e9.
+- Row kinds: conv, dwconv and pointwise from the weight's shape, affine for
+  rows of 1-D parameters only, matmul for attention's scores.
 
 The modulation block has the closed form params = 2(r+1)c^2 + k^2 c and
-macs = h*w*params when channel-preserving; the analyzer checks every counted
-block against it exactly, and for conv-only networks total MACs factor as
-sum(out_area * layer_params) per layer (the resolution-times-params rule).
+macs = h*w*params; the report checks every modulation block against it
+exactly (verify_closed_form).
 """
 
 from __future__ import annotations
 
 import io
+import itertools
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import blocks as B
 from .errors import ConfigError
-from .model import Model, ModelSpec, check_resolution
+from .model import Model, ModelSpec, check_resolution, stage_resolutions
 
 # --------------------------------------------------------------- report
 
@@ -113,118 +120,65 @@ class ComplexityReport:
         return "\n".join(lines)
 
 
-# ---------------------------------------------------------- row builders
+# ----------------------------------------------------------------- walk
+
+# A parameter's layer is its name without the trailing weight/bias/affine tag.
+_LAYER_TAG = re.compile(r"_(w|b|g|gamma|beta)$|\.(w|b)$")
+# A walk group: one block ("stage2.block0") or one top-level layer ("stem", "down1", "head").
+_GROUP = re.compile(r"stage\d+\.block\d+|[^.]+")
+_SCOPE = re.compile(r"([a-z]+)(\d*)")
 
 
-def _wb(w_elems: int, b_elems: int) -> tuple:
-    return w_elems + b_elems, w_elems
-
-
-def _add(rows, name, kind, w_elems, b_elems, macs):
-    wb, nb = _wb(w_elems, b_elems)
-    rows.append(LayerRow(name, kind, wb, nb, int(macs)))
-
-
-def _conv_rows(rows, name, layer, out_hw):
-    c_out, cig, k, _ = layer.w.data.shape
-    b = 0 if layer.b is None else c_out
-    area = out_hw[0] * out_hw[1]
-    _add(rows, name, "conv", c_out * cig * k * k, b, area * c_out * cig * k * k)
-
-
-def _mod_rows(rows, closed, prefix, entry, hw):
-    p = entry.params
-    c, c_out, k, r = p.channels, p.out_channels, p.kernel, p.expansion
-    rc = p.v_w.data.shape[0]
-    area = hw[0] * hw[1]
-    nb = lambda v: 0 if v is None else v.data.size
-    if entry.wrap is not None:
-        _add(rows, prefix + "wrap.norm", "norm", 0, 2 * c, 0)
-    _add(rows, prefix + "f", "pointwise", c * c, nb(p.f_b), area * c * c)
-    _add(rows, prefix + "dw", "dwconv", k * k * c, nb(p.dw_b), area * k * k * c)
-    _add(rows, prefix + "g", "pointwise", c * c, nb(p.g_b), area * c * c)
-    _add(rows, prefix + "v", "pointwise", rc * c, nb(p.v_b), area * rc * c)
-    _add(rows, prefix + "p", "pointwise", c_out * rc, nb(p.p_b), area * c_out * rc)
-    if entry.wrap is not None:
-        _add(rows, prefix + "wrap.scale", "scale", 0, c, 0)
-    counted = c * c + k * k * c + c * c + rc * c + c_out * rc
-    if c_out == c:
-        formula, _ = closed_form_block_complexity(c, r, k, 1, 1)
-        closed.append(ClosedFormRow(prefix.rstrip("."), counted, formula))
-
-
-def _mbconv_rows(rows, prefix, entry, hw):
-    p = entry.params
-    c = p.channels
-    rc = p.expand_w.data.shape[0]
-    k = p.kernel
-    area = hw[0] * hw[1]
-    nb = lambda v: 0 if v is None else v.data.size
-    if entry.wrap is not None:
-        _add(rows, prefix + "wrap.norm", "norm", 0, 2 * c, 0)
-    _add(rows, prefix + "expand", "pointwise", rc * c, nb(p.expand_b), area * rc * c)
-    _add(rows, prefix + "dw", "dwconv", k * k * rc, nb(p.dw_b), area * k * k * rc)
-    _add(rows, prefix + "squeeze", "pointwise", c * rc, nb(p.squeeze_b), area * c * rc)
-    if entry.wrap is not None:
-        _add(rows, prefix + "wrap.scale", "scale", 0, c, 0)
-
-
-def _attn_rows(rows, prefix, entry, hw):
-    p = entry.params
-    c = p.channels
-    hidden = p.mlp1_w.data.shape[0]
-    t = hw[0] * hw[1]
-    nb = lambda v: 0 if v is None else v.data.size
-    _add(rows, prefix + "ln1", "norm", 0, 2 * c, 0)
-    _add(rows, prefix + "qkv", "linear", 3 * c * c, nb(p.qkv_b), t * 3 * c * c)
-    _add(rows, prefix + "scores", "matmul", 0, 0, 2 * t * t * c)
-    _add(rows, prefix + "proj", "linear", c * c, nb(p.proj_b), t * c * c)
-    _add(rows, prefix + "ln2", "norm", 0, 2 * c, 0)
-    _add(rows, prefix + "mlp1", "linear", hidden * c, nb(p.mlp1_b), t * hidden * c)
-    _add(rows, prefix + "mlp2", "linear", c * hidden, nb(p.mlp2_b), t * c * hidden)
-
-
-# ---------------------------------------------------------------- walks
+def _kind(shape: tuple) -> str:
+    if len(shape) == 2:
+        return "pointwise"
+    return "dwconv" if shape[1] == 1 else "conv"
 
 
 def _walk(model: Model, input_res: tuple | None) -> tuple:
-    """(rows, closed-form rows): the one walk over the model's layers, in order.
+    """(rows, closed-form rows): one row per layer of model.named_parameters().
 
+    Every weight with 2 or more dims is used once per output position, so it
+    costs out_area * size MACs; 1-D parameters add to the with-bias column only.
     With input_res None it counts parameters only, and every MAC count is 0.
     """
+    areas = None if input_res is None else [h * w for h, w in stage_resolutions(model, input_res)]
+    entries = {
+        f"stage{si}.block{bi}": entry
+        for si, stage in enumerate(model.stages)
+        for bi, entry in enumerate(stage)
+    }
     rows: list[LayerRow] = []
     closed: list[ClosedFormRow] = []
-    sized = input_res is not None
-
-    def out_hw(spec, hw):
-        return (spec.out_size(hw[0]), spec.out_size(hw[1])) if sized else (0, 0)
-
-    hw = out_hw(model.stem.spec, input_res)
-    _conv_rows(rows, "stem", model.stem, hw)
-    for si, stage in enumerate(model.stages):
-        start = len(rows)
-        for bi, entry in enumerate(stage):
-            prefix = f"stage{si}.block{bi}."
-            if entry.kind == "mod":
-                _mod_rows(rows, closed, prefix, entry, hw)
-            elif entry.kind == "mbconv":
-                _mbconv_rows(rows, prefix, entry, hw)
-            else:
-                _attn_rows(rows, prefix, entry, hw)
-        for r in rows[start:]:
-            r.stage = si
-        if si < len(model.downs):
-            d = model.downs[si]
-            hw = out_hw(d.spec, hw)
-            _conv_rows(rows, f"down{si}", d, hw)
-    c_last = model.head_norm_g.data.size
-    classes = model.head_w.data.shape[0]
-    _add(rows, "head.norm", "norm", 0, 2 * c_last, 0)
-    _add(
-        rows, "head.fc", "linear",
-        classes * c_last, 0 if model.head_b is None else classes,
-        classes * c_last if sized else 0,
-    )
+    walk = itertools.groupby(model.named_parameters(), lambda item: _GROUP.match(item[0])[0])
+    for group, params in walk:
+        scope, index = _SCOPE.match(group).groups()
+        stage = int(index) if scope == "stage" else None
+        # stem and stage S run at stage 0's and S's resolution, downN at stage N+1's
+        if areas is None:
+            area = 0
+        elif scope == "head":
+            area = 1
+        else:
+            area = areas[0 if scope == "stem" else int(index) + (scope == "down")]
+        layers: dict[str, LayerRow] = {}
+        for name, v in params:
+            layer = _LAYER_TAG.sub("", name)
+            row = layers.setdefault(layer, LayerRow(layer, "affine", 0, 0, 0, stage))
+            row.params_with_bias += v.data.size
+            if v.data.ndim >= 2:
+                row.kind = _kind(v.data.shape)
+                row.params_no_bias += v.data.size
+                row.macs += area * v.data.size
+        rows += layers.values()
+        entry = entries.get(group)
+        if entry is None:
+            continue
+        if entry.kind == "attn":
+            c = entry.params.channels
+            rows.append(LayerRow(f"{group}.scores", "matmul", 0, 0, 2 * area * area * c, stage))
+        elif entry.kind == "mod":
+            closed.append(ClosedFormRow(group, *verify_closed_form(entry.params)))
     return rows, closed
 
 
@@ -255,15 +209,6 @@ def count_params(model: Model) -> ComplexityReport:
 
 def count_macs(model: Model, input_res=(224, 224)) -> int:
     return complexity_report(model, input_res=input_res).total_macs
-
-
-def stage_param_totals(model: Model) -> list:
-    """With-bias parameter total per stage (stem/downsample/head excluded)."""
-    totals = [0] * len(model.stages)
-    for r in _walk(model, None)[0]:
-        if r.stage is not None:
-            totals[r.stage] += r.params_with_bias
-    return totals
 
 
 def closed_form_block_complexity(c: int, r: int, k: int, h: int, w: int) -> tuple:

@@ -29,7 +29,7 @@ def _load_spec(target: str) -> M.ModelSpec:
         try:
             with open(target) as f:
                 text = f.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read spec file {target}: {e}")
         return M.spec_from_json(text)
     raise ConfigError(

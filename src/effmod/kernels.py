@@ -38,9 +38,11 @@ kernel with pad 3 has 9 live taps at a 2x2 input, 1 at 1x1).
 
 Elementwise kernels work in place on the arrays they allocate. scipy's erf costs
 ~14 ns an element in f32 as in f64, so float32 gelu and gelu_grad use Abramowitz
-& Stegun 7.1.26 on numpy ufuncs in at most two x-sized arrays, 3x faster; against
-f64 math.erf their max |error| is 4.7e-7 and 3.4e-7 (scipy f32: 4.5e-7, 1.4e-7).
-float64 stays on scipy, at f64 rounding, as the 1e-13 oracles need.
+& Stegun 7.1.26 on numpy ufuncs in two x-sized arrays (gelu_grad adds x clamped
+at +-40), 3x faster; against f64 math.erf their max |error| is 4.7e-7 and 3.4e-7
+(scipy f32: 4.5e-7, 1.4e-7). float64 stays on scipy, at f64 rounding, as the
+1e-13 oracles need. Both clamp x at +-40 where a product would meet inf * 0, so
+gelu(-inf) = 0 and gelu_grad(+-inf) = 1, 0; every finite result is unchanged.
 """
 
 from __future__ import annotations
@@ -398,6 +400,7 @@ def pointwise_vjp(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray):
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
+_GELU_CLAMP = 40.0
 # Abramowitz & Stegun 7.1.26: erf(a) = 1 - (a1 t + ... + a5 t^5) exp(-a^2), t = 1 / (1 + p a)
 _AS_P, _AS_A = 0.3275911, (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)
 
@@ -424,7 +427,10 @@ def _one_plus_erf(x: np.ndarray):
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2))). Odd-symmetric up to the linear term."""
     s, e = _one_plus_erf(x)
-    s *= np.multiply(x, 0.5, out=e)
+    # 1 + erf is exactly 0 below -40 in both dtypes: the clamp changes only -inf (0, not 0 * -inf)
+    e = np.maximum(x, -_GELU_CLAMP, out=e)
+    e *= 0.5
+    s *= e
     return _checked(s, "gelu")
 
 
@@ -432,9 +438,16 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     """d/dx gelu(x) = Phi(x) + x * phi(x) with Phi/phi the normal cdf/pdf."""
     cdf, e = _one_plus_erf(x)
     cdf *= 0.5
-    e = np.exp(-0.5 * x * x) if e is None else e
+    # phi is exactly 0 beyond +-40 in both dtypes: the clamp changes only x * phi at +-inf
+    # out= keeps xc and e arrays when x is 0-d
+    xc = np.maximum(x, -_GELU_CLAMP, out=np.empty_like(x))
+    np.minimum(xc, _GELU_CLAMP, out=xc)
+    if e is None:
+        e = np.multiply(xc, -0.5, out=np.empty_like(x))
+        e *= xc
+        np.exp(e, out=e)
     e *= _INV_SQRT2PI
-    e *= x
+    e *= xc
     cdf += e
     return cdf
 

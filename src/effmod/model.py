@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,10 +207,11 @@ def _as_int(v, what: str) -> int:
 
 
 def _as_float(v, what: str) -> float:
-    # json.loads accepts NaN and Infinity; a NaN layer scale would run to NaN logits.
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ConfigError(f"{what} must be a finite number, got {v!r}")
-    return float(v)
+    # json.loads accepts NaN, Infinity and integers past the float range; a NaN
+    # layer scale would run to NaN logits.
+    if not isinstance(v, bool) and isinstance(v, (int, float)) and abs(v) <= sys.float_info.max:
+        return float(v)
+    raise ConfigError(f"{what} must be a finite number, got {reprlib.repr(v)}")
 
 
 def spec_from_json(text: str) -> ModelSpec:
@@ -217,6 +220,9 @@ def spec_from_json(text: str) -> ModelSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed model spec JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    except (RecursionError, ValueError) as e:
+        # nesting past the recursion limit, or an integer past Python's 4300-digit limit
+        raise ConfigError(f"model spec JSON rejected: {e}")
     _object(doc, "model spec", _TOP_KEYS)
     for key in ("stem", "stages", "head"):
         if key not in doc:

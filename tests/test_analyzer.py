@@ -76,7 +76,8 @@ def test_pointwise_macs_identity():
     spec = M.IsotropicSpec("efficient_mod", 8, 1, 1, dw_kernel=3, patch=4, head=4)
     m = M.build_isotropic(spec, seed=0)
     rep = A.complexity_report(m, input_res=(8, 8))  # 2x2 tokens after patchify
-    pw = [r for r in rep.rows if "f_w" in r.name or ".v" in r.name or ".p" in r.name]
+    pw = [r for r in rep.rows if r.kind == "pointwise" and r.stage is not None]
+    assert [r.name.split(".")[-1] for r in pw] == ["f", "g", "v", "p"]
     for row in pw:
         assert row.macs == 2 * 2 * row.params_no_bias
 
@@ -87,17 +88,19 @@ def test_conv_guideline_macs_equal_area_times_params():
         m = M.build_model(M.build_preset(name), seed=0)
         rep = A.complexity_report(m, input_res=(64, 64))
         res = M.stage_resolutions(m, 64)
-        areas = {}
-        areas["stem"] = res[0][0] * res[0][1]
+        areas = {"stem": res[0][0] * res[0][1], "head": 1}
         for si in range(4):
             areas[f"stage{si}"] = res[si][0] * res[si][1]
         for si in range(3):
             areas[f"down{si}"] = res[si + 1][0] * res[si + 1][1]
-        for row in rep.rows:
-            if row.kind not in ("conv", "pointwise", "dwconv"):
-                continue  # norms/scales cost no MACs, head fc has no area
+        weighted = [r for r in rep.rows if r.kind in ("conv", "pointwise", "dwconv")]
+        assert {r.kind for r in weighted} == {"conv", "pointwise", "dwconv"}
+        for row in weighted:
             scope = row.name.split(".")[0]
             assert row.macs == areas[scope] * row.params_no_bias, row.name
+        for row in rep.rows:
+            if row not in weighted:
+                assert row.kind == "affine" and row.macs == row.params_no_bias == 0, row.name
 
 
 def test_attention_rows_include_score_macs():
@@ -113,19 +116,23 @@ def test_attention_rows_include_score_macs():
         c = m.spec.stages[si].dim
         assert r.params_with_bias == 0
         assert r.macs == 2 * t * t * c
-    # the surrounding linears obey tokens * weight-count
-    for r in rep.rows:
-        if r.kind == "linear" and r.name != "head.fc":
-            si = int(r.name[5])
-            t = res[si][0] * res[si][1]
+    # the block's four maps are pointwise rows that obey tokens * weight-count
+    for s in score_rows:
+        block = s.name.rsplit(".", 1)[0] + "."
+        maps = [r for r in rep.rows if r.name.startswith(block) and r.kind == "pointwise"]
+        assert [r.name[len(block):] for r in maps] == ["qkv", "proj", "mlp1", "mlp2"]
+        for r in maps:
+            t = res[r.stage][0] * res[r.stage][1]
             assert r.macs == t * r.params_no_bias, r.name
 
 
 def test_stage_totals_nondecreasing_all_presets():
     for name in M.PRESETS:
         m = M.build_model(M.build_preset(name), seed=0)
-        totals = A.stage_param_totals(m)
-        assert len(totals) == 4
+        totals = [0] * 4
+        for r in A.count_params(m).rows:
+            if r.stage is not None:
+                totals[r.stage] += r.params_with_bias
         assert all(b >= a for a, b in zip(totals, totals[1:])), (name, totals)
 
 
@@ -136,6 +143,7 @@ def test_report_csv_shape():
     assert lines[-1].startswith("TOTAL,")
     total = int(lines[-1].split(",")[2])
     assert total == rep.total_params_with_bias
+    assert len(lines) == len(rep.rows) + 2
     for line in lines[1:]:
         assert len(line.split(",")) == 5
 

@@ -48,6 +48,22 @@ def test_malformed_spec_file_is_config_error(tmp_path, capsys):
     assert "line" in err
 
 
+def test_spec_files_past_python_limits_are_config_errors(tmp_path, capsys):
+    doc = json.loads(M.spec_to_json(M.build_preset("micro")))
+    for name, data in (
+        ("deep", b"[" * 100_000),
+        ("long_int", b'{"head": ' + b"1" * 5000 + b"}"),
+        ("big_float", json.dumps(dict(doc, drop_path_rate=10**400)).encode()),
+        ("not_utf8", b'{"head": "\xff"}'),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        code, out, err = run(["analyze", str(path)], capsys)
+        assert code == 3, name
+        assert out == ""
+        assert err.startswith("error: config:") and err.count("\n") == 1, err
+
+
 def test_missing_image_is_config_error(tmp_path, capsys):
     code, _, err = run(
         ["ctxmap", "micro", str(tmp_path / "nope.ppm"), "--stage", "0"], capsys

@@ -1,0 +1,22 @@
+"""Demo scripts run end to end."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_complexity_accounting_demo_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "03_complexity_accounting.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    closed = [line for line in done.stdout.splitlines() if "formula" in line and "exact=" in line]
+    assert len(closed) == 3
+    assert all(line.rstrip().endswith("exact=True") for line in closed), closed
+    assert "max |counted - formula| = 0" in done.stdout

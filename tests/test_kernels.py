@@ -447,11 +447,17 @@ def test_gelu_f32_matches_f64_oracle():
 
 
 def test_gelu_f32_keeps_inf_and_nan():
-    x = np.array([np.inf, np.nan, 0.0], dtype=np.float32)
-    out = gelu(x)
-    assert out[0] == np.inf and np.isnan(out[1]) and out[2] == 0.0
-    grad = gelu_grad(x[1:])
-    assert np.isnan(grad[0]) and grad[1] == 0.5
+    # both dtypes: gelu is inf at +inf and 0 at -inf, gelu_grad 1 and 0; nan stays nan
+    for dtype in (np.float32, np.float64):
+        x = np.array([np.inf, -np.inf, np.nan, 0.0, -50.0, 50.0], dtype=dtype)
+        out = gelu(x)
+        assert out.dtype == dtype
+        assert out[0] == np.inf and out[1] == 0.0 and np.isnan(out[2]), out
+        assert out[3] == 0.0 and out[4] == 0.0 and out[5] == 50.0, out
+        grad = gelu_grad(x)
+        assert grad.dtype == dtype
+        assert grad[0] == 1.0 and grad[1] == 0.0 and np.isnan(grad[2]), grad
+        assert grad[3] == 0.5 and grad[4] == 0.0 and grad[5] == 1.0, grad
 
 
 def test_f64_elementwise_kernels_equal_the_plain_expressions_bit_for_bit():

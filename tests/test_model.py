@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from effmod import autodiff as ad
 from effmod import model as M
@@ -163,6 +165,71 @@ def test_json_wrong_stage_count():
         M.spec_from_json(json.dumps(doc))
     with pytest.raises(ConfigError):
         M.spec_from_json("[1, 2]")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000,  # nested past the recursion limit
+        '{"head": ' + "1" * 5000 + "}",  # an integer past Python's 4300-digit string limit
+        # an integer past the float range in a float field
+        M.spec_to_json(dataclasses.replace(M.build_preset("micro"), drop_path_rate=10**400)),
+    ],
+    ids=["deep_nesting", "long_integer", "integer_float_field"],
+)
+def test_json_beyond_python_limits_is_config_error(text):
+    with pytest.raises(ConfigError):
+        M.spec_from_json(text)
+
+
+def _parses_or_config_error(text: str) -> None:
+    try:
+        spec = M.spec_from_json(text)
+    except ConfigError:
+        return
+    assert isinstance(spec, M.ModelSpec)
+    assert spec.validate() is spec
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([10**400, -(10**400), 2**63, 0.5, 7]),
+    lambda kids: st.lists(kids, max_size=5)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=5),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=_JSON)
+def test_json_any_value_parses_or_raises_config_error(doc):
+    _parses_or_config_error(json.dumps(doc))
+
+
+def _json_paths(doc, prefix=()):
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(M.PRESETS)), data=st.data())
+def test_json_mutated_spec_parses_or_raises_config_error(name, data):
+    doc = json.loads(M.spec_to_json(M.build_preset(name)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_json_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_JSON)
+    _parses_or_config_error(json.dumps(doc))
 
 
 # ---------------------------------------------------------------- build
@@ -501,3 +568,45 @@ def test_param_load_rejects_dtype_mismatch(tmp_path):
     path, _ = _saved_micro(tmp_path, dtype=np.float32)
     with pytest.raises(ConfigError, match="dtype"):
         M.load_params(M.build_model(M.build_preset("micro"), dtype=np.float64), str(path))
+
+
+@pytest.fixture(scope="module")
+def micro_file(tmp_path_factory):
+    m = M.build_model(M.build_preset("micro"), seed=0)
+    path = tmp_path_factory.mktemp("fuzz") / "m.efmod"
+    M.save_params(m, str(path))
+    blob = path.read_bytes()
+    # each entry's header: u16 name length, name, dtype code, ndim, dims
+    headers = [blob.index(name.encode()) - 2 for name, _ in m.named_parameters()]
+    return m, blob, headers
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_param_file_mutations_load_identically_or_raise_config_error(micro_file, tmp_path, data):
+    m, blob, headers = micro_file
+    mutated = bytearray(blob)
+    for _ in range(data.draw(st.integers(0, 4))):
+        at = data.draw(
+            st.sampled_from(headers).flatmap(lambda h: st.integers(h, h + 48))
+            | st.integers(8, 15)  # version, array count
+            | st.integers(0, len(blob) - 1)
+        )
+        mutated[min(at, len(blob) - 1)] = data.draw(st.integers(0, 255))
+    cut = data.draw(st.none() | st.integers(0, len(blob)))
+    mutated = bytes(mutated[:cut])
+    path = tmp_path / "mutated.efmod"
+    path.write_bytes(mutated)
+    before = [v.data.tobytes() for _, v in m.named_parameters()]
+    try:
+        M.load_params(m, str(path))
+    except ConfigError:
+        assert [v.data.tobytes() for _, v in m.named_parameters()] == before
+        return
+    again = tmp_path / "again.efmod"
+    M.save_params(m, str(again))
+    assert again.read_bytes() == mutated  # the model now holds exactly what the file held
+    path.write_bytes(blob)
+    M.load_params(m, str(path))
