@@ -32,7 +32,7 @@ import numpy as np
 
 from . import blocks as B
 from .errors import ConfigError
-from .model import Model, ModelSpec, check_resolution, stage_resolutions
+from .model import HEADS, Model, ModelSpec, check_resolution, stage_resolutions
 
 # --------------------------------------------------------------- report
 
@@ -188,7 +188,7 @@ def _notes(model: Model) -> dict:
     if isinstance(spec, ModelSpec):
         if any(st.attn_blocks for st in spec.stages):
             notes["attn_mlp_ratio (calibrated)"] = spec.attn_mlp_ratio
-        notes["heads"] = spec.heads
+        notes["heads"] = HEADS
     return notes
 
 

@@ -65,12 +65,6 @@ class Var:
     def __repr__(self):
         return f"Var(op={self.op}, shape={self.data.shape}, dtype={self.data.dtype})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
 
 def _node(data, op, parents, vjp):
     if not _grad_enabled:

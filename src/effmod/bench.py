@@ -28,7 +28,7 @@ from . import analyzer
 from .autodiff import no_grad
 from .blocks import efficient_mod, init_efficient_mod
 from .errors import ConfigError, NumericalError
-from .model import ISO_PAIRS, build_iso_pair, model_forward
+from .model import ISO_PAIRS, build_iso_pair, check_resolution, model_forward
 
 DEFAULT_WARMUP = 50
 DEFAULT_ITERS = 4000
@@ -208,6 +208,8 @@ def bench_fusion_modes(
     Hard-fails unless the two routes produce bit-identical outputs first; the
     experiment is meaningless if they diverge.
     """
+    if min(c, res) < 1:
+        raise ConfigError(f"need channels and res >= 1, got {c} and {res}")
     rng = np.random.default_rng(seed)
     params = init_efficient_mod(rng, c, expansion=expansion, kernel=7, dtype=np.float32)
     x = rng.standard_normal((1, c, res, res), dtype=np.float32)
@@ -284,6 +286,7 @@ def bench_pair_mbconv(
             f"pair {pair}: parameter totals differ by {gap * 100:.2f}% (> 2%): "
             f"{p_em:,} vs {p_mb:,}"
         )
+    check_resolution(em, input_res, input_res)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1, 3, input_res, input_res), dtype=np.float32)
     results = {}

@@ -629,6 +629,8 @@ def block_grad_check(
         raise ConfigError(f"unknown block kind {kind!r}; choose from {BLOCK_KINDS}")
     if not 0 <= case < GC_CASES:
         raise ConfigError(f"case must be in 0..{GC_CASES - 1}, got {case}")
+    if not 0 < tol < np.inf:  # a NaN or negative tolerance fails every case
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
     rng = np.random.default_rng((seed, BLOCK_KINDS.index(kind), case))
     arrays, f = _GC_BUILDERS[kind](case, rng)
     return ad.grad_check(f, arrays, tol=tol)

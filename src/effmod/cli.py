@@ -50,8 +50,7 @@ def _write(path: str | None, text: str, what: str):
 
 def cmd_presets(args) -> int:
     print("preset    dims                 blocks(mod/attn)   params       gmacs@224  notes")
-    for name in ("xxs", "xs", "s", "s_conv", "micro"):
-        spec = M.build_preset(name)
+    for name, spec in M.PRESETS.items():
         model = M.build_model(spec, seed=0)
         rep = analyzer.complexity_report(model, input_res=(224, 224))
         dims = "/".join(str(st.dim) for st in spec.stages)
@@ -185,38 +184,45 @@ def cmd_degree_probe(args) -> int:
 # ------------------------------------------------------------------ main
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:  # numpy's generators take only non-negative seeds
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="effmod",
         description="workbench for efficient modulation blocks: analyze, certify, bench, train",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_seed, default=0, help="non-negative (default 0)")
 
     sp = sub.add_parser("presets", help="list shipped model configurations")
     sp.set_defaults(fn=cmd_presets)
 
-    sp = sub.add_parser("analyze", help="per-layer parameter/MAC report")
+    sp = sub.add_parser("analyze", help="per-layer parameter/MAC report", parents=[seeded])
     sp.add_argument("model", help="preset name or .json model spec")
     sp.add_argument("--res", type=int, default=224, help="input resolution (default 224)")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--csv", help="write per-layer rows to this path")
     sp.set_defaults(fn=cmd_analyze)
 
-    sp = sub.add_parser("gradcheck", help="finite-difference certification of block gradients")
+    sp = sub.add_parser(
+        "gradcheck", help="finite-difference certification of block gradients", parents=[seeded]
+    )
     sp.add_argument("block", choices=BLOCK_KINDS + ("all",))
     sp.add_argument("--tol", type=float, default=1e-5)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--cases", type=int, default=GC_CASES, help="shape cases per kind")
     sp.set_defaults(fn=cmd_gradcheck)
 
     sp = sub.add_parser("bench", help="latency experiments")
     experiments = sp.add_subparsers(dest="experiment", required=True)
-    for name, res, warmup, iters in (
-        ("fusion", 14, bench.DEFAULT_WARMUP, bench.DEFAULT_ITERS),
-        ("pair-iso-256-13", 224, bench.PAIR_WARMUP, bench.PAIR_ITERS),
-        ("pair-iso-196-11", 224, bench.PAIR_WARMUP, bench.PAIR_ITERS),
-    ):
-        ep = experiments.add_parser(name)
+    fusion = ("fusion", 14, bench.DEFAULT_WARMUP, bench.DEFAULT_ITERS)
+    pairs = [(f"pair-{pair}", 224, bench.PAIR_WARMUP, bench.PAIR_ITERS) for pair in M.ISO_PAIRS]
+    for name, res, warmup, iters in [fusion, *pairs]:
+        ep = experiments.add_parser(name, parents=[seeded])
         ep.add_argument("--threads", type=int, default=None, help="EFFMOD_THREADS or usable CPUs")
         ep.add_argument("--iters", type=int, default=iters)
         ep.add_argument("--warmup", type=int, default=warmup)
@@ -225,41 +231,38 @@ def build_parser() -> argparse.ArgumentParser:
             ep.add_argument("--expansion", type=int, default=6, help="value expansion")
         what = "feature size" if name == "fusion" else "input size"
         ep.add_argument("--res", type=int, default=res, help=f"{what} (default {res})")
-        ep.add_argument("--seed", type=int, default=0)
         ep.add_argument("--csv", help="write results to this path")
         ep.set_defaults(fn=cmd_bench)
 
-    sp = sub.add_parser("train", help="train the micro preset on synthetic bars")
+    sp = sub.add_parser("train", help="train the micro preset on synthetic bars", parents=[seeded])
     sp.add_argument("--epochs", type=int, default=30)
     sp.add_argument("--lr", type=float, default=3e-3)
     sp.add_argument("--wd", type=float, default=0.05)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--n", type=int, default=512, help="dataset size")
     sp.add_argument("--noise", type=float, default=0.05)
     sp.add_argument("--csv", help="write history to this path")
     sp.add_argument("--save", help="write final parameters (flat binary) to this path")
     sp.set_defaults(fn=cmd_train)
 
-    sp = sub.add_parser("ablate-fusion", help="paired mul-vs-sum fusion training runs")
+    sp = sub.add_parser(
+        "ablate-fusion", help="paired mul-vs-sum fusion training runs", parents=[seeded]
+    )
     sp.add_argument("--epochs", type=int, default=30)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--csv", help="write paired history to this path")
     sp.set_defaults(fn=cmd_ablate_fusion)
 
-    sp = sub.add_parser("ctxmap", help="context-branch map of one block as PGM")
+    sp = sub.add_parser("ctxmap", help="context-branch map of one block as PGM", parents=[seeded])
     sp.add_argument("model", help="preset name or .json model spec")
     sp.add_argument(
         "image", help="P5/P6 image, spatial dims divisible by the model's total stride"
     )
     sp.add_argument("--stage", type=int, default=2)
     sp.add_argument("--block", type=int, default=0)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="output PGM path")
     sp.set_defaults(fn=cmd_ctxmap)
 
-    sp = sub.add_parser("degree-probe", help="polynomial-degree doubling check")
+    sp = sub.add_parser("degree-probe", help="polynomial-degree doubling check", parents=[seeded])
     sp.add_argument("--layers", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_degree_probe)
 
     return p

@@ -9,18 +9,21 @@ token count is small.
 Isotropic: patchify conv (k14 s14) -> depth identical blocks at one width ->
 same head. Used for the parameter-matched modulation-vs-MBConv pairs.
 
-ModelSpec round-trips through JSON with strict unknown-key rejection; the
-`attn_mlp_ratio` key is optional (default 4.0) and exists because the MLP
-width is the one free knob used to calibrate preset budgets.
+ModelSpec round-trips through JSON whose keys, required or defaulted, are the
+spec dataclasses' fields. The MLP ratio is a field because it is the one knob
+that calibrates preset budgets. Attention has HEADS = 8 heads everywhere, and
+`validate` rejects a spec above MAX_WEIGHTS = 10^8 weights before any build.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import reprlib
 import struct
 import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +35,8 @@ from .errors import ConfigError, PreconditionError
 from .kernels import ConvSpec
 
 DOWN_KERNEL, DOWN_STRIDE, DOWN_PAD = 3, 2, 1
+HEADS = 8  # attention heads in every hierarchical model
+MAX_WEIGHTS = 10**8  # 400 MB of f32 weights; the largest preset, s, has 12.9 M
 
 
 @dataclass(frozen=True)
@@ -45,19 +50,18 @@ class StageSpec:
     dim: int
     mod_blocks: int
     attn_blocks: int = 0
-    expansion_pattern: tuple = (1, 6)
+    expansion_pattern: tuple[int, ...] = (1, 6)
     dw_kernel: int = 7
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     stem: StemSpec
-    stages: tuple  # exactly 4 StageSpec
+    stages: tuple[StageSpec, ...]  # exactly 4
     head: int
     drop_path_rate: float = 0.0
     layer_scale_init: float = 1e-4
     attn_mlp_ratio: float = 4.0
-    heads: int = 8  # fixed default; not serialized
 
     def validate(self) -> "ModelSpec":
         # The stem pads kernel // 2 per side, which maps h to h / stride only for odd kernels.
@@ -76,10 +80,8 @@ class ModelSpec:
                 raise ConfigError(
                     f"stage {i}: attention blocks only allowed in stages 3 and 4"
                 )
-            if st.attn_blocks > 0 and st.dim % self.heads != 0:
-                raise ConfigError(
-                    f"stage {i}: dim {st.dim} not divisible by heads={self.heads}"
-                )
+            if st.attn_blocks > 0 and st.dim % HEADS != 0:
+                raise ConfigError(f"stage {i}: dim {st.dim} not divisible by heads={HEADS}")
             if not st.expansion_pattern or any(
                 (not isinstance(r, int)) or r < 1 for r in st.expansion_pattern
             ):
@@ -94,7 +96,30 @@ class ModelSpec:
             raise ConfigError(f"head class count must be positive, got {self.head}")
         if self.attn_mlp_ratio <= 0:
             raise ConfigError(f"attn_mlp_ratio must be positive, got {self.attn_mlp_ratio}")
+        weights = self.weight_count()
+        if weights > MAX_WEIGHTS:
+            raise ConfigError(
+                f"spec builds at least 10^{math.log10(weights):.1f} weights, "
+                f"above the cap of {MAX_WEIGHTS:,}"
+            )
         return self
+
+    def weight_count(self) -> int:
+        """Weights the spec builds (no biases, norms or layer scales), summed from the
+        closed forms in Python ints so nothing overflows or allocates. Exact up to
+        MAX_WEIGHTS; above it, a lower bound."""
+        dims = [st.dim for st in self.stages]
+        n = 3 * self.stem.kernel**2 * dims[0] + dims[-1] * self.head
+        n += sum(DOWN_KERNEL**2 * a * b for a, b in zip(dims, dims[1:]))
+        for c, st in zip(dims, self.stages):
+            cycles, rest = divmod(st.mod_blocks, len(st.expansion_pattern))
+            expansions = cycles * sum(st.expansion_pattern) + sum(st.expansion_pattern[:rest])
+            n += 2 * (expansions + st.mod_blocks) * c * c + st.mod_blocks * st.dw_kernel**2 * c
+            if st.attn_blocks:
+                # bound c * ratio before round(), which overflows on inf
+                hidden = c * self.attn_mlp_ratio if c <= MAX_WEIGHTS else math.inf
+                n += st.attn_blocks * (4 * c * c + 2 * round(min(hidden, MAX_WEIGHTS + 1)) * c)
+        return n
 
 
 @dataclass(frozen=True)
@@ -165,39 +190,9 @@ def build_preset(name: str) -> ModelSpec:
 
 # ------------------------------------------------------------------ JSON
 
-_TOP_KEYS = {"stem", "stages", "head", "drop_path_rate", "layer_scale_init", "attn_mlp_ratio"}
-_STEM_KEYS = {"kernel", "stride"}
-_STAGE_KEYS = {"dim", "mod_blocks", "attn_blocks", "expansion_pattern", "dw_kernel"}
-
 
 def spec_to_json(spec: ModelSpec) -> str:
-    doc = {
-        "stem": {"kernel": spec.stem.kernel, "stride": spec.stem.stride},
-        "stages": [
-            {
-                "dim": st.dim,
-                "mod_blocks": st.mod_blocks,
-                "attn_blocks": st.attn_blocks,
-                "expansion_pattern": list(st.expansion_pattern),
-                "dw_kernel": st.dw_kernel,
-            }
-            for st in spec.stages
-        ],
-        "head": spec.head,
-        "drop_path_rate": spec.drop_path_rate,
-        "layer_scale_init": spec.layer_scale_init,
-        "attn_mlp_ratio": spec.attn_mlp_ratio,
-    }
-    return json.dumps(doc, indent=2)
-
-
-def _object(doc, where: str, allowed: set) -> dict:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {type(doc).__name__}")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
-    return doc
+    return json.dumps(dataclasses.asdict(spec), indent=2)
 
 
 def _as_int(v, what: str) -> int:
@@ -214,6 +209,39 @@ def _as_float(v, what: str) -> float:
     raise ConfigError(f"{what} must be a finite number, got {reprlib.repr(v)}")
 
 
+def _parse(hint, v, what: str):
+    """One JSON value by its spec field's annotation: int, float, a spec, or tuple[item, ...]."""
+    if hint is int:
+        return _as_int(v, what)
+    if hint is float:
+        return _as_float(v, what)
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, v, what, what + ".")
+    if not isinstance(v, list):
+        raise ConfigError(f"{what} must be an array, got {reprlib.repr(v)}")
+    item = typing.get_args(hint)[0]
+    return tuple(_parse(item, x, f"{what}[{i}]") for i, x in enumerate(v))
+
+
+def _build(cls, doc, where: str, prefix: str):
+    """A spec dataclass from a JSON object of its fields; absent fields take their
+    defaults, and a field without one is required. Errors name the JSON path."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(doc) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, f in fields.items():
+        if name in doc:
+            kwargs[name] = _parse(hints[name], doc[name], prefix + name)
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"{where} missing required key {name!r}")
+    return cls(**kwargs)
+
+
 def spec_from_json(text: str) -> ModelSpec:
     """Parse and validate a model spec; every malformed document raises ConfigError."""
     try:
@@ -223,46 +251,7 @@ def spec_from_json(text: str) -> ModelSpec:
     except (RecursionError, ValueError) as e:
         # nesting past the recursion limit, or an integer past Python's 4300-digit limit
         raise ConfigError(f"model spec JSON rejected: {e}")
-    _object(doc, "model spec", _TOP_KEYS)
-    for key in ("stem", "stages", "head"):
-        if key not in doc:
-            raise ConfigError(f"model spec missing required key {key!r}")
-    stem = _object(doc["stem"], "stem", _STEM_KEYS)
-    stages = doc["stages"]
-    if not isinstance(stages, list) or len(stages) != 4:
-        raise ConfigError("model spec 'stages' must be an array of exactly 4 stages")
-    built = []
-    for i, st in enumerate(stages):
-        where = f"stage {i}"
-        _object(st, where, _STAGE_KEYS)
-        if "dim" not in st or "mod_blocks" not in st:
-            raise ConfigError(f"{where} missing required dim/mod_blocks")
-        pattern = st.get("expansion_pattern", [1, 6])
-        if not isinstance(pattern, list):
-            raise ConfigError(f"{where}: 'expansion_pattern' must be an array, got {pattern!r}")
-        built.append(
-            StageSpec(
-                dim=_as_int(st["dim"], f"{where} dim"),
-                mod_blocks=_as_int(st["mod_blocks"], f"{where} mod_blocks"),
-                attn_blocks=_as_int(st.get("attn_blocks", 0), f"{where} attn_blocks"),
-                expansion_pattern=tuple(
-                    _as_int(r, f"{where} expansion_pattern entry") for r in pattern
-                ),
-                dw_kernel=_as_int(st.get("dw_kernel", 7), f"{where} dw_kernel"),
-            )
-        )
-    spec = ModelSpec(
-        stem=StemSpec(
-            _as_int(stem.get("kernel", 7), "stem kernel"),
-            _as_int(stem.get("stride", 4), "stem stride"),
-        ),
-        stages=tuple(built),
-        head=_as_int(doc["head"], "head"),
-        drop_path_rate=_as_float(doc.get("drop_path_rate", 0.0), "drop_path_rate"),
-        layer_scale_init=_as_float(doc.get("layer_scale_init", 1e-4), "layer_scale_init"),
-        attn_mlp_ratio=_as_float(doc.get("attn_mlp_ratio", 4.0), "attn_mlp_ratio"),
-    )
-    return spec.validate()
+    return _build(ModelSpec, doc, "model spec", "").validate()
 
 
 # ---------------------------------------------------------------- model
@@ -390,7 +379,7 @@ def build_model(
             ("mod", {"expansion": pattern[bi % len(pattern)], "kernel": st.dw_kernel})
             for bi in range(st.mod_blocks)
         ]
-        attn = ("attn", {"heads": spec.heads, "mlp_ratio": spec.attn_mlp_ratio})
+        attn = ("attn", {"heads": HEADS, "mlp_ratio": spec.attn_mlp_ratio})
         blocks += [attn] * st.attn_blocks
         plan.append((st.dim, blocks))
     stem = (spec.stem.kernel, spec.stem.stride, spec.stem.kernel // 2)

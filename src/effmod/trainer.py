@@ -53,6 +53,8 @@ def gen_dataset(
     """Balanced oriented-bar images; class k is a bar at angle k*180/classes deg."""
     if n < classes or n % classes != 0:
         raise ConfigError(f"n={n} must be a positive multiple of classes={classes}")
+    if not 0 <= noise < np.inf:  # a NaN noise would skip the noise silently
+        raise ConfigError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:IMG_SIZE, 0:IMG_SIZE].astype(np.float64)
     cx = cy = (IMG_SIZE - 1) / 2.0
@@ -190,6 +192,9 @@ def train(
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
+    for name, v in (("lr", lr), ("weight_decay", weight_decay)):
+        if not 0 <= v < np.inf:
+            raise ConfigError(f"{name} must be finite and >= 0, got {v}")
     (tr_x, tr_y), (ev_x, ev_y) = split_dataset(dataset, eval_frac=eval_frac, seed=seed)
     opt = AdamW(model.named_parameters(), lr=lr, weight_decay=weight_decay)
     n_train = len(tr_y)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from effmod import cli
 from effmod.errors import ConfigError
 from effmod import model as M
-from effmod.blocks import GC_CASES
+from effmod.blocks import BLOCK_KINDS, GC_CASES
 from effmod.pnm import read_pnm, write_pgm
 
 
@@ -95,6 +95,50 @@ def test_gradcheck_cases_out_of_range_runs_nothing(capsys):
         assert code == 3
         assert "PASS" not in out and "FAIL" not in out
         assert err.startswith("error: config:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "micro"], ["gradcheck", "efficient_mod"], ["bench", "fusion"]]
+    + [["bench", f"pair-{pair}"] for pair in M.ISO_PAIRS]
+    + [["train"], ["ablate-fusion"], ["ctxmap", "micro", "in.ppm"], ["degree-probe"]],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_negative_seed_is_usage_error(argv, capsys):
+    code, out, err = run(argv + ["--seed", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert "seed must be >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1"), ("--wd", "nan"), ("--wd", "-0.1"),
+     ("--noise", "nan"), ("--noise", "-1")],
+)
+def test_train_rejects_non_finite_or_negative_rates(flag, value, capsys):
+    code, out, err = run(["train", "--epochs", "1", "--n", "8", flag, value], capsys)
+    assert code == 3
+    assert "loss" not in out
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert {"--lr": "lr", "--wd": "weight_decay", "--noise": "noise"}[flag] in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_gradcheck_rejects_a_tolerance_that_is_not_positive_and_finite(tol, capsys):
+    code, out, err = run(["gradcheck", "efficient_mod", "--cases", "1", "--tol", tol], capsys)
+    assert code == 3
+    assert "PASS" not in out and "FAIL" not in out
+    assert err.startswith("error: config: tol") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fusion", "--res", "-1"], ["fusion", "--channels", "-8"], ["pair-iso-196-11", "--res", "-14"]],
+)
+def test_bench_rejects_sizes_below_one(argv, capsys):
+    code, _, err = run(["bench"] + argv + ["--iters", "1", "--warmup", "0"], capsys)
+    assert code == 3
+    assert err.startswith("error: config:") and err.count("\n") == 1
 
 
 # -------------------------------------------------------------- reports
@@ -317,3 +361,95 @@ def test_read_pnm_reads_or_raises_config_error(tmp_path, data):
         return
     assert arr.dtype == np.uint8
     assert arr.ndim in (2, 3) and min(arr.shape) >= 1
+
+
+# ------------------------------------------------------------ CLI fuzz
+
+
+def _flag(*ok):
+    """A flag's value: half the time a cheap in-range one, else -1, 0, nan, inf or text."""
+    return st.sampled_from([str(v) for v in ok]) | st.sampled_from(["-1", "0", "nan", "inf", "x"])
+
+
+_SEED = st.sampled_from(["-1", "0", "7", str(2**64), "x"])
+_OUT = st.sampled_from(["out.txt", "absent/out.txt"])
+_SPEC = st.sampled_from(
+    ["micro", "nosuch", "spec.json", "broken.json", "dim.json", "dw_kernel.json", "mlp.json",
+     "absent.json"]
+)
+
+# (leading words, flags always given, optional flags). Every subcommand drawn takes --seed;
+# the always-given flags bound the work, and presets is left out: it builds every preset.
+_GRAMMAR = [
+    ([st.just("analyze"), _SPEC], {"--res": _flag(32, 33, 64)}, {"--csv": _OUT}),
+    (
+        [st.just("gradcheck"), st.sampled_from(BLOCK_KINDS)],
+        {"--cases": _flag(1, 4)},
+        {"--tol": _flag(1e-5, 1e-300, "-inf")},
+    ),
+    (
+        [st.just("bench"), st.just("fusion")],
+        {"--channels": _flag(8), "--res": _flag(4), "--iters": _flag(1, 3), "--warmup": _flag(1)},
+        {"--expansion": _flag(2), "--threads": _flag(1, 2), "--csv": _OUT},
+    ),
+    (
+        [st.just("bench"), st.sampled_from([f"pair-{pair}" for pair in M.ISO_PAIRS])],
+        {"--res": _flag(14, 13), "--iters": _flag(1), "--warmup": _flag(1)},
+        {"--threads": _flag(1)},
+    ),
+    (
+        [st.just("train")],
+        {"--epochs": _flag(1), "--n": _flag(3, 8, 16)},
+        {"--lr": _flag(3e-3, "-inf"), "--wd": _flag(0.05), "--noise": _flag(0.05),
+         "--csv": _OUT, "--save": _OUT},
+    ),
+    ([st.just("ablate-fusion")], {"--epochs": _flag(1)}, {}),
+    (
+        [st.just("ctxmap"), _SPEC, st.sampled_from(["img.ppm", "odd.ppm", "absent.ppm"])],
+        {},
+        {"--stage": _flag(1, 3, 4), "--block": _flag(1), "--out": _OUT},
+    ),
+    ([st.just("degree-probe")], {"--layers": _flag(5, 10**9)}, {}),
+]
+
+
+@st.composite
+def _argv(draw):
+    words, always, optional = draw(st.sampled_from(_GRAMMAR))
+    flags = {"--seed": _SEED, **always, **optional}
+    extra = draw(st.permutations(sorted(optional)))[: draw(st.integers(0, len(optional)))]
+    argv = [draw(w) for w in words]
+    for flag in draw(st.permutations(["--seed", *always, *extra])):
+        argv += [flag, draw(flags[flag])]
+    return argv
+
+
+def _write_cli_inputs():
+    """Spec files and images in the working directory, for the names _GRAMMAR draws."""
+    micro = json.loads(M.spec_to_json(M.build_preset("micro")))
+    micro["stages"][3]["attn_blocks"] = 1  # so the MLP ratio sizes a block
+    docs = {"spec.json": micro, "mlp.json": dict(micro, attn_mlp_ratio=1e307)}
+    for key, value in (("dim", 10**400), ("dw_kernel", 100_001)):
+        stages = [dict(micro["stages"][0], **{key: value})] + micro["stages"][1:]
+        docs[f"{key}.json"] = dict(micro, stages=stages)
+    for name, doc in docs.items():
+        with open(name, "w") as f:
+            json.dump(doc, f)
+    with open("broken.json", "w") as f:
+        f.write('{"stem": {')
+    _write_ppm("img.ppm", 32, 32)
+    _write_ppm("odd.ppm", 33, 32)
+
+
+@given(argv=_argv())
+@settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_cli_ends_in_an_exit_code_and_one_error_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if not (tmp_path / "spec.json").exists():
+        _write_cli_inputs()
+    code, _, err = run(argv, capsys)
+    assert code in (0, 2, 3, 4), argv
+    if code in (3, 4):
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

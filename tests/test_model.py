@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from effmod import autodiff as ad
 from effmod import model as M
+from effmod.analyzer import count_params
 from effmod.ctxmap import context_map
 from effmod.errors import ConfigError, PreconditionError
 
@@ -230,6 +232,59 @@ def test_json_mutated_spec_parses_or_raises_config_error(name, data):
         else:
             parent[path[-1]] = data.draw(_JSON)
     _parses_or_config_error(json.dumps(doc))
+
+
+def test_json_absent_keys_take_the_dataclass_defaults():
+    doc = {"stem": {}, "stages": [{"dim": 8, "mod_blocks": 1}] * 4, "head": 4}
+    spec = M.spec_from_json(json.dumps(doc))
+    assert spec == M.ModelSpec(M.StemSpec(), (M.StageSpec(8, 1),) * 4, head=4)
+    assert set(json.loads(M.spec_to_json(spec))) == {f.name for f in dataclasses.fields(spec)}
+
+
+def test_json_errors_name_the_path():
+    doc = json.loads(M.spec_to_json(M.build_preset("micro")))
+    doc["stages"][1]["expansion_pattern"] = [4, "x"]
+    with pytest.raises(ConfigError, match=r"stages\[1\]\.expansion_pattern\[1\]"):
+        M.spec_from_json(json.dumps(doc))
+
+
+# ------------------------------------------------------------- size cap
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(("stages", 0, "dim"), 10**400), (("stages", 0, "dw_kernel"), 100_001),
+     (("attn_mlp_ratio",), 1e307)],
+    ids=["dim", "dw_kernel", "attn_mlp_ratio"],
+)
+def test_spec_above_the_weight_cap_is_config_error_without_allocating(path, value):
+    doc = json.loads(M.spec_to_json(M.build_preset("micro")))
+    doc["stages"][3]["attn_blocks"] = 1  # so the MLP ratio sizes a block
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    text = json.dumps(doc)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="cap"):
+            M.spec_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("name", sorted(M.PRESETS) + ["odd-pattern-attn"])
+def test_weight_count_is_the_analyzers_count(name):
+    if name in M.PRESETS:
+        spec = M.build_preset(name)
+    else:  # a pattern that does not divide the block count, and a rounded MLP width
+        micro = M.build_preset("micro")
+        stage = M.StageSpec(32, 5, attn_blocks=2, expansion_pattern=(1, 2, 3), dw_kernel=5)
+        spec = dataclasses.replace(micro, stages=micro.stages[:3] + (stage,), attn_mlp_ratio=1.3)
+    model = M.build_model(spec)
+    assert spec.weight_count() == count_params(model).total_params_no_bias
 
 
 # ---------------------------------------------------------------- build

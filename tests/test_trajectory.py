@@ -42,4 +42,4 @@ def test_every_trajectory_entry_has_the_required_fields():
 def test_trajectory_is_seeded_from_the_earlier_perf_changes():
     entries = json.loads(TRAJECTORY.read_text())["entries"]
     transcribed = {e["commit"] for e in entries if e["transcribed"]}
-    assert {"85d4557", "6d9a7f9", "0264654"} <= transcribed
+    assert {"85d4557", "6d9a7f9", "0264654", "f6e0866"} <= transcribed
