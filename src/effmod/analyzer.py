@@ -32,7 +32,7 @@ import numpy as np
 
 from . import blocks as B
 from .errors import ConfigError
-from .model import HEADS, Model, ModelSpec, check_resolution, stage_resolutions
+from .model import HEADS, Model, ModelSpec, check_resolution, stage_resolutions, total_stride
 
 # --------------------------------------------------------------- report
 
@@ -196,7 +196,7 @@ def complexity_report(model: Model, input_res=(224, 224)) -> ComplexityReport:
     """Per-layer params and MACs for a built model at a given input size."""
     if isinstance(input_res, int):
         input_res = (input_res, input_res)
-    check_resolution(model, *input_res)
+    check_resolution(total_stride(model), *input_res)
     rows, closed = _walk(model, input_res)
     return ComplexityReport(rows, closed, input_res, _notes(model))
 

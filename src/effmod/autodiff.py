@@ -11,6 +11,9 @@ nothing more. backward() frees the graph as it consumes it, as PyTorch does by
 default: each node drops its parents and vjp closure, and the activations that
 closure saved, once its cotangent has reached its parents. Grads add across
 separate forward passes; a second backward through a freed graph raises.
+Under no_grad, fuse_modulate may write its product into the value map it
+consumes (out=v); only the block that made that map passes out, since an op
+result can be a view of a leaf (reshape) and a leaf belongs to the caller.
 
 Gradient certification is two-sided: every analytic rule here is checked
 against central finite differences (grad_check), and the test suite runs that
@@ -321,8 +324,13 @@ def matmul(a: Var, b: Var) -> Var:
     return _node(out, "matmul", (a, b), vjp)
 
 
-def fuse_modulate(ctx: Var, v: Var, mode: str = "reshape", combine: str = "mul") -> Var:
-    out = K.fuse_modulate(ctx.data, v.data, mode=mode, combine=combine)
+def fuse_modulate(
+    ctx: Var, v: Var, mode: str = "reshape", combine: str = "mul", out: Var | None = None
+) -> Var:
+    """K.fuse_modulate on Vars. out is honoured only under no_grad (the tape saves v for
+    ctx's gradient); pass out=v only for a v whose buffer the caller made and owns."""
+    buf = None if _grad_enabled or out is None else out.data
+    out = K.fuse_modulate(ctx.data, v.data, mode=mode, combine=combine, out=buf)
 
     def vjp(g):
         return K.fuse_modulate_vjp(ctx.data, v.data, mode, combine, g)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -28,7 +29,7 @@ from . import analyzer
 from .autodiff import no_grad
 from .blocks import efficient_mod, init_efficient_mod
 from .errors import ConfigError, NumericalError
-from .model import ISO_PAIRS, build_iso_pair, check_resolution, model_forward
+from .model import ISO_PAIRS, ISO_SPECS, build_iso_pair, check_resolution, model_forward
 
 DEFAULT_WARMUP = 50
 DEFAULT_ITERS = 4000
@@ -59,6 +60,12 @@ def thread_budget(threads: int | None = None) -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
+def _checked_budget(warmup: int, iters: int, threads: int | None) -> int:
+    if warmup < 0 or iters < 1:
+        raise ConfigError(f"need warmup >= 0 and iters >= 1, got {warmup}/{iters}")
+    return thread_budget(threads)
+
+
 @contextmanager
 def _limit_threads(n: int):
     if _HAVE_TPC:
@@ -81,6 +88,7 @@ class BenchResult:
     threads_enforced: bool = False  # True only when threadpoolctl limited the BLAS pools
     shape: tuple | None = None
     output_hash: str = ""
+    peak_alloc_mb: float = 0.0  # tracemalloc peak of one untimed call, after the warmup
     samples_ms: list = field(default_factory=list, repr=False)
 
     @property
@@ -97,7 +105,8 @@ class BenchResult:
             f"{self.label}: mean {self.mean_ms:.4f} ms, std {self.std_ms:.4f}, "
             f"p50 {self.p50_ms:.4f}, p90 {self.p90_ms:.4f} "
             f"({self.iters} iters, {self.warmup} warmup, {self.threads} threads "
-            f"{'enforced' if self.threads_enforced else 'requested, not enforced'}){flag}"
+            f"{'enforced' if self.threads_enforced else 'requested, not enforced'}), "
+            f"peak alloc {self.peak_alloc_mb:.3f} MB{flag}"
         )
 
 
@@ -112,7 +121,8 @@ def _hash_output(out) -> str:
 
 
 def stats_from_samples(
-    samples_ms, label="", warmup=0, threads=0, shape=None, output_hash="", threads_enforced=False
+    samples_ms, label="", warmup=0, threads=0, shape=None, output_hash="", threads_enforced=False,
+    peak_alloc_mb=0.0,
 ):
     """Order-independent summary of a sample vector (exposed for testing)."""
     arr = np.asarray(samples_ms, dtype=np.float64)
@@ -130,6 +140,7 @@ def stats_from_samples(
         threads_enforced=threads_enforced,
         shape=shape,
         output_hash=output_hash,
+        peak_alloc_mb=peak_alloc_mb,
         samples_ms=[float(s) for s in arr],
     )
 
@@ -143,16 +154,17 @@ def bench(
     shape: tuple | None = None,
 ) -> BenchResult:
     """Time fn() per iteration; hashes ndarray outputs to catch nondeterminism."""
-    if warmup < 0 or iters < 1:
-        raise ConfigError(f"need warmup >= 0 and iters >= 1, got {warmup}/{iters}")
-    n_threads = thread_budget(threads)
+    n_threads = _checked_budget(warmup, iters, threads)
     samples = np.empty(iters, dtype=np.float64)
     with _limit_threads(n_threads):
-        out = None
         for _ in range(warmup):
+            fn()
+        tracemalloc.start()  # one untimed call: the hash reference and the memory peak
+        try:
             out = fn()
-        if warmup == 0:
-            out = fn()  # hash reference comes from an untimed run
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         ref_hash = _hash_output(out)
         for i in range(iters):
             t0 = time.perf_counter_ns()
@@ -168,7 +180,7 @@ def bench(
                     )
     return stats_from_samples(
         samples, label=label, warmup=warmup, threads=n_threads, shape=shape,
-        output_hash=ref_hash, threads_enforced=_HAVE_TPC,
+        output_hash=ref_hash, threads_enforced=_HAVE_TPC, peak_alloc_mb=peak / 1e6,
     )
 
 
@@ -256,8 +268,10 @@ class PairBenchResult:
         lines += [r.summary() for r in self.results.values()]
         names = list(self.results)
         if len(names) == 2:
-            ratio = self.results[names[0]].mean_ms / self.results[names[1]].mean_ms
-            lines.append(f"{names[0]}/{names[1]} mean-time ratio: {ratio:.3f}")
+            a, b = self.results[names[0]], self.results[names[1]]
+            lines.append(f"{names[0]}/{names[1]} mean-time ratio: {a.mean_ms / b.mean_ms:.3f}")
+            lines.append(f"{names[0]}/{names[1]} peak-alloc ratio: "
+                         f"{a.peak_alloc_mb / b.peak_alloc_mb:.3f}")
         return "\n".join(lines)
 
 
@@ -277,6 +291,8 @@ def bench_pair_mbconv(
     """
     if pair not in ISO_PAIRS:
         raise ConfigError(f"unknown pair {pair!r}; choose from {sorted(ISO_PAIRS)}")
+    _checked_budget(warmup, iters, threads)  # every flag before the 0.3-0.6 s build
+    check_resolution(ISO_SPECS[ISO_PAIRS[pair][0]].patch, input_res, input_res)
     em, mb = build_iso_pair(pair, seed=seed, dtype=np.float32)
     p_em = analyzer.count_params(em).total_params_with_bias
     p_mb = analyzer.count_params(mb).total_params_with_bias
@@ -286,7 +302,6 @@ def bench_pair_mbconv(
             f"pair {pair}: parameter totals differ by {gap * 100:.2f}% (> 2%): "
             f"{p_em:,} vs {p_mb:,}"
         )
-    check_resolution(em, input_res, input_res)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1, 3, input_res, input_res), dtype=np.float32)
     results = {}
@@ -312,13 +327,14 @@ def bench_pair_mbconv(
 def bench_csv(results) -> str:
     """CSV rows for a list of BenchResult."""
     lines = [
-        "label,mean_ms,std_ms,p50_ms,p90_ms,cv,unstable,warmup,iters,threads,threads_enforced,shape"
+        "label,mean_ms,std_ms,p50_ms,p90_ms,cv,unstable,peak_alloc_mb,warmup,iters,threads,"
+        "threads_enforced,shape"
     ]
     for r in results:
         shape = "x".join(str(s) for s in r.shape) if r.shape else ""
         lines.append(
             f"{r.label},{r.mean_ms:.6f},{r.std_ms:.6f},{r.p50_ms:.6f},{r.p90_ms:.6f},"
-            f"{r.cv:.4f},{int(r.unstable)},{r.warmup},{r.iters},{r.threads},"
+            f"{r.cv:.4f},{int(r.unstable)},{r.peak_alloc_mb:.6f},{r.warmup},{r.iters},{r.threads},"
             f"{int(r.threads_enforced)},{shape}"
         )
     return "\n".join(lines) + "\n"

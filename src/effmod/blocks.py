@@ -162,9 +162,11 @@ def efficient_mod_ctx(x: Var, p: EfficientModParams) -> Var:
 def efficient_mod(
     x: Var, p: EfficientModParams, mode: str = "reshape", combine: str = "mul"
 ) -> Var:
-    ctx = efficient_mod_ctx(x, p)
-    v = ad.pointwise(x, p.v_w, p.v_b)
-    fused = ad.fuse_modulate(ctx, v, mode=mode, combine=combine)
+    # ctx before v, so the context's temporaries are gone before v exists; under
+    # no_grad the product overwrites v (this block made it) and no local keeps ctx
+    fused = ad.fuse_modulate(
+        efficient_mod_ctx(x, p), v := ad.pointwise(x, p.v_w, p.v_b), mode, combine, out=v
+    )
     return ad.pointwise(fused, p.p_w, p.p_b)
 
 
@@ -433,23 +435,26 @@ def init_attention(
     )
 
 
-def attention_block(x: Var, p: AttentionParams) -> Var:
-    if x.data.ndim != 4:
-        raise PreconditionError(f"attention input must be [n, c, h, w], got {x.data.shape}")
-    n, c, hh, ww = x.data.shape
-    if c != p.channels:
-        raise PreconditionError(f"attention input channels {c} != params channels {p.channels}")
-    H = p.heads
-    d, t = c // H, hh * ww
-
-    h = ad.pointwise(ad.layer_norm(x, p.ln1_g, p.ln1_b), p.qkv_w, p.qkv_b)
-    qkv = ad.reshape(h, (n, 3, H, d, t))  # channels are [q | k | v], each head-major
-    q, k, v = (ad.reshape(ad.narrow(qkv, 1, i, 1), (n, H, d, t)) for i in range(3))
+def _attend(h: Var, p: AttentionParams) -> Var:
+    """proj(multi-head attention(qkv(h))); q, k, v, scores and att die on return."""
+    n, c, hh, ww = h.data.shape
+    d, t = c // p.heads, hh * ww
+    qkv = ad.reshape(ad.pointwise(h, p.qkv_w, p.qkv_b), (n, 3, p.heads, d, t))
+    # channels are [q | k | v], each head-major
+    q, k, v = (ad.reshape(ad.narrow(qkv, 1, i, 1), (n, p.heads, d, t)) for i in range(3))
     # scores[key, query]: softmax runs down each column, and v @ att lands in [n, H, d, t]
     scores = ad.scale(ad.matmul(ad.transpose(k, (0, 1, 3, 2)), q), 1.0 / np.sqrt(d))
     att = ad.softmax(scores, axis=-2)
-    y = ad.reshape(ad.matmul(v, att), (n, c, hh, ww))
-    x = ad.add(x, ad.pointwise(y, p.proj_w, p.proj_b))
+    return ad.pointwise(ad.reshape(ad.matmul(v, att), (n, c, hh, ww)), p.proj_w, p.proj_b)
+
+
+def attention_block(x: Var, p: AttentionParams) -> Var:
+    if x.data.ndim != 4:
+        raise PreconditionError(f"attention input must be [n, c, h, w], got {x.data.shape}")
+    c = x.data.shape[1]
+    if c != p.channels:
+        raise PreconditionError(f"attention input channels {c} != params channels {p.channels}")
+    x = ad.add(x, _attend(ad.layer_norm(x, p.ln1_g, p.ln1_b), p))
 
     h2 = ad.layer_norm(x, p.ln2_g, p.ln2_b)
     m = ad.pointwise(ad.gelu(ad.pointwise(h2, p.mlp1_w, p.mlp1_b)), p.mlp2_w, p.mlp2_b)

@@ -546,7 +546,7 @@ def batched_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def fuse_modulate(
-    ctx: np.ndarray, v: np.ndarray, mode: str = "reshape", combine: str = "mul"
+    ctx: np.ndarray, v: np.ndarray, mode: str = "reshape", combine: str = "mul", out=None
 ) -> np.ndarray:
     """Fuse a c-channel context map into an r*c-channel value map.
 
@@ -556,6 +556,9 @@ def fuse_modulate(
     `effmod bench fusion`. Both routes are bit-identical; the ablation test
     depends on that. combine="sum" is the additive-variant
     hook used by the fusion ablation (default "mul" is the modulation product).
+    The result is written into out when one is given: a C-contiguous array of
+    v's shape and the result dtype, which may be v itself (each element of v
+    is read only by the write to the same element).
     """
     check_nchw(ctx, "ctx")
     check_nchw(v, "v")
@@ -571,15 +574,20 @@ def fuse_modulate(
     if combine not in ("mul", "sum"):
         raise ConfigError(f"combine must be 'mul' or 'sum', got {combine!r}")
     r = v.shape[1] // c
+    dtype = np.result_type(ctx, v)
+    if out is None:
+        out = np.empty(v.shape, dtype)  # not empty_like: a non-C v would give a non-C out
+    elif out.shape != v.shape or out.dtype != dtype or not out.flags.c_contiguous:
+        raise PreconditionError(
+            f"out: want a C-contiguous {dtype} {v.shape} array, got {out.dtype} {out.shape}"
+        )
 
+    op = np.multiply if combine == "mul" else np.add
     if mode == "repeat":
-        tiled = np.tile(ctx, (1, r, 1, 1))
-        out = v * tiled if combine == "mul" else v + tiled
+        op(v, np.tile(ctx, (1, r, 1, 1)), out=out)
     else:
-        v5 = v.reshape(n, r, c, h, w)
-        out = v5 * ctx[:, None] if combine == "mul" else v5 + ctx[:, None]
-        out = out.reshape(v.shape)
-    return _checked(np.ascontiguousarray(out), "fuse_modulate")
+        op(v.reshape(n, r, c, h, w), ctx[:, None], out=out.reshape(n, r, c, h, w))
+    return _checked(out, "fuse_modulate")
 
 
 def fuse_modulate_vjp(

@@ -415,9 +415,8 @@ def total_stride(model: Model) -> int:
     return model.stem.spec.stride * math.prod(d.spec.stride for d in model.downs)
 
 
-def check_resolution(model: Model, h: int, w: int) -> None:
-    """Reject input sizes the model cannot run: each side a positive multiple of total_stride."""
-    stride = total_stride(model)
+def check_resolution(stride: int, h: int, w: int) -> None:
+    """Reject input sizes that are not positive multiples of a model's total_stride."""
     if h < 1 or w < 1 or h % stride or w % stride:
         raise PreconditionError(
             f"input spatial dims must be positive and divisible by the model's total stride "
@@ -430,7 +429,7 @@ def _check_input(model: Model, x: np.ndarray):
         raise PreconditionError(f"model input must be [n, 3, h, w], got {x.shape}")
     if x.dtype != model.dtype:
         raise PreconditionError(f"model input is {x.dtype}, the model's parameters {model.dtype}")
-    check_resolution(model, x.shape[2], x.shape[3])
+    check_resolution(total_stride(model), x.shape[2], x.shape[3])
 
 
 def forward_features(model: Model, x, training: bool = False, seed: int = 0, step: int = 0) -> Var:

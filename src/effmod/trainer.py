@@ -163,12 +163,14 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
 # ----------------------------------------------------------------- train
 
 
-def _accuracy(model, images, labels, batch_size=64) -> float:
+def _accuracy(model, images, labels, batch_size=64, where: str = "eval") -> float:
     correct = 0
     for i in range(0, len(labels), batch_size):
         xb = images[i : i + batch_size].astype(model.dtype)
-        with no_grad():
+        with no_grad(), np.errstate(all="ignore"):  # non-finite logits raise below
             logits = M.model_forward(model, xb).data
+        if not np.isfinite(logits).all():
+            raise NumericalError(f"logits became non-finite ({where})")
         correct += int((logits.argmax(axis=1) == labels[i : i + batch_size]).sum())
     return correct / len(labels)
 
@@ -187,8 +189,8 @@ def train(
     """Train in place; returns the per-epoch history.
 
     The dataset is split train/eval deterministically from (seed, dataset
-    seed). Raises NumericalError with step and lr context if the loss goes
-    non-finite.
+    seed). Raises NumericalError with step and lr context if the loss or the
+    eval logits go non-finite.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
@@ -236,7 +238,7 @@ def train(
             epoch=epoch,
             train_loss=loss_sum / n_train,
             train_acc=correct / n_train,
-            eval_acc=_accuracy(model, ev_x, ev_y),
+            eval_acc=_accuracy(model, ev_x, ev_y, where=f"eval after epoch {epoch}, lr {lr:.3e}"),
         )
         history.epochs.append(stats)
         if log is not None:

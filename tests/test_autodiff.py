@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from effmod import autodiff as ad
+from effmod import kernels as K
 from effmod import model as M
 from effmod.errors import PreconditionError
 from effmod.kernels import ConvSpec
@@ -351,6 +352,31 @@ def test_fuse_modulate_gradients_mode_invariant():
         grads[mode] = (ctx.grad, v.grad)
     assert grads["repeat"][0].tobytes() == grads["reshape"][0].tobytes()
     assert grads["repeat"][1].tobytes() == grads["reshape"][1].tobytes()
+
+
+@pytest.mark.parametrize("mode", ["repeat", "reshape"])
+@pytest.mark.parametrize("combine", ["mul", "sum"])
+def test_fuse_modulate_writes_into_out_only_under_no_grad(mode, combine):
+    ctx_data = RNG.normal(size=(2, 3, 4, 4))
+    v_data = RNG.normal(size=(2, 12, 4, 4))
+    want = K.fuse_modulate(ctx_data, v_data, mode=mode, combine=combine)
+    with ad.no_grad():
+        v = ad.Var(v_data.copy())
+        got = ad.fuse_modulate(ad.Var(ctx_data), v, mode, combine, out=v)
+        assert got.data.tobytes() == want.tobytes() and np.shares_memory(got.data, v.data)
+        leaf = ad.Var(v_data.copy())
+        ad.fuse_modulate(ad.Var(ctx_data), leaf, mode, combine)  # no out: v is never written
+        assert leaf.data.tobytes() == v_data.tobytes()
+    # with the tape on, out is ignored: v is saved for ctx's gradient
+    grads = {}
+    for out in (None, "v"):
+        ctx, v = ad.Var(ctx_data.copy()), ad.Var(v_data.copy())
+        y = ad.fuse_modulate(ctx, v, mode, combine, out=v if out else None)
+        assert y.data.tobytes() == want.tobytes() and not np.shares_memory(y.data, v.data)
+        assert v.data.tobytes() == v_data.tobytes()
+        ad.backward(y, seed=np.ones_like(want))
+        grads[out] = (ctx.grad.tobytes(), v.grad.tobytes())
+    assert grads[None] == grads["v"]
 
 
 def test_grad_check_report_fields():

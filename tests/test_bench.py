@@ -1,6 +1,7 @@
 """Timing harness mechanics, kept fast: tiny iteration counts throughout."""
 
 import contextlib
+import dataclasses
 import time
 import types
 
@@ -81,6 +82,30 @@ def test_non_array_output_skips_hashing():
     assert res.output_hash == ""
 
 
+def test_bench_records_the_peak_allocation_of_one_untimed_call():
+    calls = []
+
+    def alloc():
+        calls.append(1)
+        return np.ones(1 << 20)  # 8 MiB
+
+    res = bn.bench(alloc, warmup=2, iters=3, threads=1)
+    assert len(calls) == 2 + 1 + 3  # warmup, the untimed probe, the timed loop
+    assert 8.3 <= res.peak_alloc_mb <= 8.5
+    assert f"peak alloc {res.peak_alloc_mb:.3f} MB" in res.summary()
+    assert bn.bench(lambda: None, warmup=0, iters=1, threads=1).peak_alloc_mb < 0.01
+
+
+def test_pair_summary_reports_the_peak_ratio():
+    results = {
+        name: dataclasses.replace(bn.stats_from_samples([ms]), peak_alloc_mb=mb)
+        for name, ms, mb in (("efficient_mod", 2.0, 1.5), ("mbconv", 4.0, 6.0))
+    }
+    text = bn.PairBenchResult("p", results, {}, 0.0).summary()
+    assert "efficient_mod/mbconv mean-time ratio: 0.500" in text
+    assert "efficient_mod/mbconv peak-alloc ratio: 0.250" in text
+
+
 # -------------------------------------------------------- thread budget
 
 
@@ -119,7 +144,8 @@ def test_bench_csv_layout():
     text = bn.bench_csv([a, b])
     lines = text.strip().split("\n")
     assert lines[0] == (
-        "label,mean_ms,std_ms,p50_ms,p90_ms,cv,unstable,warmup,iters,threads,threads_enforced,shape"
+        "label,mean_ms,std_ms,p50_ms,p90_ms,cv,unstable,peak_alloc_mb,warmup,iters,threads,"
+        "threads_enforced,shape"
     )
     assert lines[1].startswith("a,1.5")
     assert len(lines) == 3

@@ -352,6 +352,24 @@ def test_attention_shape_preserved():
     assert _run(B.attention_block, x, p).shape == (2, 24, 3, 3)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_no_grad_forward_equals_the_taped_forward_and_keeps_the_input(dtype):
+    """The inference path frees and overwrites activations; values must not move."""
+    cases = [
+        (B.efficient_mod, _randomize(B.init_efficient_mod(RNG, 8, expansion=6, kernel=5))),
+        (B.attention_block, _randomize(B.init_attention(RNG, 16, heads=4))),
+    ]
+    for block, p in cases:
+        for v in B.named_params(p).values():
+            v.data = v.data.astype(dtype)
+        x = RNG.normal(size=(2, p.channels, 5, 6)).astype(dtype)
+        keep = x.copy()
+        inferred = _run(block, x, p)
+        taped = block(ad.Var(x), p).data
+        assert inferred.tobytes() == taped.tobytes()
+        assert x.tobytes() == keep.tobytes()
+
+
 # ------------------------------------------------------------- residual
 
 

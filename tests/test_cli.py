@@ -123,6 +123,15 @@ def test_train_rejects_non_finite_or_negative_rates(flag, value, capsys):
     assert {"--lr": "lr", "--wd": "weight_decay", "--noise": "noise"}[flag] in err
 
 
+def test_train_with_a_finite_but_huge_lr_is_numerical_error(capsys):
+    """The last step breaks the parameters; the loss check runs before it, the eval check after."""
+    code, out, err = run(["train", "--epochs", "1", "--n", "8", "--lr", "1e308"], capsys)
+    assert code == 4
+    assert "final eval acc" not in out
+    assert err.startswith("error: numerical:") and err.count("\n") == 1
+    assert "epoch 0" in err and "lr 1.000e+308" in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
 def test_gradcheck_rejects_a_tolerance_that_is_not_positive_and_finite(tol, capsys):
     code, out, err = run(["gradcheck", "efficient_mod", "--cases", "1", "--tol", tol], capsys)
@@ -138,6 +147,18 @@ def test_gradcheck_rejects_a_tolerance_that_is_not_positive_and_finite(tol, caps
 def test_bench_rejects_sizes_below_one(argv, capsys):
     code, _, err = run(["bench"] + argv + ["--iters", "1", "--warmup", "0"], capsys)
     assert code == 3
+    assert err.startswith("error: config:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--iters", "0"], ["--warmup", "-1"], ["--threads", "0"], ["--res", "13"], ["--res", "0"]],
+)
+def test_bench_pair_checks_its_flags_before_building(flags, monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli.bench, "build_iso_pair", lambda *a, **k: built.append(a))
+    code, out, err = run(["bench", "pair-iso-196-11", "--iters", "1"] + flags, capsys)
+    assert code == 3 and built == []
     assert err.startswith("error: config:") and err.count("\n") == 1
 
 

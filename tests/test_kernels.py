@@ -694,6 +694,43 @@ def test_fuse_modulate_rejects_bad_shapes():
         )
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["repeat", "reshape"])
+@pytest.mark.parametrize("combine", ["mul", "sum"])
+def test_fuse_modulate_out_v_overwrites_v_bit_identically(mode, combine, dtype):
+    ctx = RNG.normal(size=(2, 3, 4, 5)).astype(dtype)
+    v = RNG.normal(size=(2, 12, 4, 5)).astype(dtype)
+    want = fuse_modulate(ctx, v, mode=mode, combine=combine)
+    got = fuse_modulate(ctx, v, mode=mode, combine=combine, out=v)
+    assert got is v
+    assert got.tobytes() == want.tobytes()
+
+
+def test_fuse_modulate_rejects_a_bad_out():
+    ctx = RNG.normal(size=(1, 2, 3, 3))
+    v = RNG.normal(size=(1, 4, 3, 3))
+    bad = {
+        "shape": np.empty((1, 2, 3, 3)),
+        "f32 out for an f64 product": np.empty((1, 4, 3, 3), np.float32),
+        "f64 out for an f32 product": np.empty((1, 4, 3, 3)),
+        "not C-contiguous": np.empty((1, 4, 3, 3), order="F"),
+        "strided view": np.empty((1, 8, 3, 3))[:, ::2],
+    }
+    for what, out in bad.items():
+        args = (ctx.astype(np.float32), v.astype(np.float32)) if "f32 product" in what else (ctx, v)
+        with pytest.raises(PreconditionError, match="out:"):
+            fuse_modulate(*args, out=out)
+
+
+@pytest.mark.parametrize("mode", ["repeat", "reshape"])
+def test_fuse_modulate_of_a_non_c_ordered_v_is_a_fresh_c_array(mode):
+    ctx = RNG.normal(size=(2, 3, 4, 5))
+    v = np.asfortranarray(RNG.normal(size=(2, 6, 4, 5)))
+    out = fuse_modulate(ctx, v, mode=mode)
+    assert out.flags.c_contiguous and not np.shares_memory(out, v)
+    assert out.tobytes() == fuse_modulate(ctx, np.ascontiguousarray(v), mode=mode).tobytes()
+
+
 # ---------------------------------------------------------------- pool
 
 

@@ -402,6 +402,26 @@ def test_xxs_forward_exercises_attention_path():
     assert np.isfinite(logits).all()
 
 
+def test_xxs_inference_keeps_only_live_activations():
+    """f32 224x224 no_grad forward: one r*c value map per block, overwritten by the product.
+
+    Holding the value map and the product at once, plus ctx and the attention
+    scores past their last use, peaked at 6.45 MB; the floor is the v GEMM of
+    stage0.block1 (block input, LN output, ctx and v) at 3.64 MB.
+    """
+    m = M.build_model(M.build_preset("xxs"), seed=1, dtype=np.float32)
+    x = np.random.default_rng(1).standard_normal((1, 3, 224, 224), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            inferred = M.model_forward(m, x).data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.7e6
+    assert inferred.tobytes() == M.model_forward(m, x).data.tobytes()
+
+
 def test_training_forward_with_drop_path_is_step_keyed():
     spec = M.ModelSpec(
         stem=M.StemSpec(7, 4),
