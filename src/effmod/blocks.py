@@ -162,12 +162,7 @@ def efficient_mod_ctx(x: Var, p: EfficientModParams) -> Var:
 def efficient_mod(
     x: Var, p: EfficientModParams, mode: str = "reshape", combine: str = "mul"
 ) -> Var:
-    # ctx before v, so the context's temporaries are gone before v exists; under
-    # no_grad the product overwrites v (this block made it) and no local keeps ctx
-    fused = ad.fuse_modulate(
-        efficient_mod_ctx(x, p), v := ad.pointwise(x, p.v_w, p.v_b), mode, combine, out=v
-    )
-    return ad.pointwise(fused, p.p_w, p.p_b)
+    return ad.modulate(efficient_mod_ctx(x, p), x, p.v_w, p.v_b, p.p_w, p.p_b, mode, combine)
 
 
 # ------------------------------------------------------------------- VAN
@@ -442,9 +437,10 @@ def _attend(h: Var, p: AttentionParams) -> Var:
     qkv = ad.reshape(ad.pointwise(h, p.qkv_w, p.qkv_b), (n, 3, p.heads, d, t))
     # channels are [q | k | v], each head-major
     q, k, v = (ad.reshape(ad.narrow(qkv, 1, i, 1), (n, p.heads, d, t)) for i in range(3))
-    # scores[key, query]: softmax runs down each column, and v @ att lands in [n, H, d, t]
-    scores = ad.scale(ad.matmul(ad.transpose(k, (0, 1, 3, 2)), q), 1.0 / np.sqrt(d))
-    att = ad.softmax(scores, axis=-2)
+    # scores[key, query] from a scaled q (not scaled t*t scores): softmax overwrites them
+    # down each column, and v @ att lands in [n, H, d, t]
+    scores = ad.matmul(ad.transpose(k, (0, 1, 3, 2)), ad.scale(q, 1.0 / np.sqrt(d)))
+    att = ad.softmax(scores, axis=-2, out=scores)
     return ad.pointwise(ad.reshape(ad.matmul(v, att), (n, c, hh, ww)), p.proj_w, p.proj_b)
 
 

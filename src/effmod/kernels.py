@@ -29,11 +29,14 @@ kernel with pad 3 has 9 live taps at a 2x2 input, 1 at 1x1).
       _whole_map     1    2    8   16  never  never
   The micro training step (batch 32, maps 8x8 and below) runs whole-map; batch
   1 at 7x7 and up runs the band (whole-map: c256 7x7 f32 forward 1.6 vs 0.4 ms).
-- Dense (groups = 1: stems, downsamples, patchify): the forward is one matmul
-  per image over the im2col of a sliding_window_view of the padded input. The
-  VJP stays a tap loop of small GEMMs on an [h, w, n, c] copy: a one-GEMM VJP
-  holds the whole patch matrix and its cotangent during backward, and took
-  the micro training step (batch 32, f64) from 13.0 to 17.7 MB peak.
+- Dense (groups = 1: stems, downsamples, patchify): the forward multiplies the
+  im2col of a sliding_window_view of the padded input into the result one band
+  of output rows at a time (row_bands), so the xxs stem's 147 x 3136 patch
+  matrix (1.84 MB in f32; whole, the f32 224x224 inference peak is 2.88 MB, not
+  2.41) never exists whole. A map that fits is one band. The VJP stays a tap
+  loop of small GEMMs on an [h, w, n, c] copy: a one-GEMM VJP holds the whole
+  patch matrix and its cotangent during backward, and took the micro training
+  step (batch 32, f64) from 13.0 to 17.7 MB peak.
 - Other group counts run the dense route once per group.
 
 Elementwise kernels work in place on the arrays they allocate. scipy's erf costs
@@ -59,6 +62,10 @@ from .errors import ConfigError, NumericalError, PreconditionError
 FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 _validate = False
+
+# Largest band of _dense's im2col and autodiff.modulate's value map: on the xxs f32 224x224
+# forward (2 cores) 256 KiB also peaks at 2.41 MB, but runs 3-5% slower; no bands, 0-3% faster.
+BAND_BYTES = 512 << 10
 
 
 def set_validation(enabled: bool) -> None:
@@ -237,6 +244,12 @@ def _depthwise(x: np.ndarray, w: np.ndarray, spec: ConvSpec, oh: int, ow: int) -
     return out
 
 
+def row_bands(rows: int, row_bytes: int) -> list:
+    """Slices of rows in bands of at most BAND_BYTES (one row at least); one band if all fit."""
+    step = rows if rows * row_bytes <= BAND_BYTES else max(1, BAND_BYTES // row_bytes)
+    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+
+
 def _dense(x: np.ndarray, w: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     n, c_in, h, wd = x.shape
     s, d, p = spec.stride, spec.dilation, spec.pad
@@ -252,10 +265,14 @@ def _dense(x: np.ndarray, w: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np
     win = sliding_window_view(xp, (span, span), axis=(2, 3))[
         :, :, ::s, ::s, i0 * d : i1 * d : d, j0 * d : j1 * d : d
     ]
-    # im2col over the live kernel rows/columns: [n, c_in*kh*kw, oh*ow]
-    patches = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, -1, oh * ow)
     wm = w[:, :, i0:i1, j0:j1].reshape(w.shape[0], -1).astype(x.dtype, copy=False)
-    return (wm @ patches).reshape(n, -1, oh, ow)
+    out = np.empty((n, w.shape[0], oh, ow), dtype=x.dtype)
+    for rs in row_bands(oh, n * wm.shape[1] * ow * x.itemsize):
+        # im2col of these output rows over the live kernel rows/columns: [n, c_in*kh*kw, rows*ow]
+        patches = np.ascontiguousarray(win[:, :, rs].transpose(0, 1, 4, 5, 2, 3))
+        cols = (rs.stop - rs.start) * ow
+        np.matmul(wm, patches.reshape(n, -1, cols), out=out[:, :, rs].reshape(n, -1, cols))
+    return out
 
 
 def _group_slices(spec: ConvSpec, c_in: int, c_out: int):
@@ -371,10 +388,10 @@ def conv2d_vjp(
     return None if dx is None else np.ascontiguousarray(dx), dw, db
 
 
-def pointwise(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+def pointwise(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, out=None) -> np.ndarray:
     """Channel-mixing linear map, w [c_out, c_in]; equals conv2d with a 1x1 kernel.
 
-    One GEMM per image on the NCHW data in place: w @ x viewed as [n, c_in, h*w].
+    One GEMM per image on the NCHW data in place: w @ x viewed as [n, c_in, h*w], into out if given.
     """
     check_nchw(x, "x")
     if w.ndim != 2 or w.shape[1] != x.shape[1]:
@@ -384,7 +401,12 @@ def pointwise(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.n
     if b is not None and b.shape != (w.shape[0],):
         raise PreconditionError(f"b: expected shape ({w.shape[0]},), got {b.shape}")
     n, c, h, wd = x.shape
-    out = np.matmul(w, x.reshape(n, c, h * wd)).reshape(n, -1, h, wd)
+    shape, dtype = (n, w.shape[0], h, wd), np.result_type(x, w)
+    if out is None:
+        out = np.empty(shape, dtype)
+    elif out.shape != shape or out.dtype != dtype or out.strides[2] != wd * out.strides[3]:
+        raise PreconditionError(f"out: want {dtype} {shape}, got {out.dtype} {out.shape}{out.strides}")
+    np.matmul(w, x.reshape(n, c, h * wd), out=out.reshape(n, -1, h * wd))
     if b is not None:
         out += b[:, None, None]
     return _checked(out, "pointwise")
@@ -522,9 +544,11 @@ def layer_norm_vjp(
     return dx, dgamma, dbeta
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shift-stable softmax along one axis; rows sum to 1."""
-    e = x - x.max(axis=axis, keepdims=True)
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Shift-stable softmax along one axis; rows sum to 1. out (x's shape and dtype) may be x."""
+    if out is not None and (out.shape != x.shape or out.dtype != x.dtype):
+        raise PreconditionError(f"out: want {x.dtype} {x.shape}, got {out.dtype} {out.shape}")
+    e = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
     return _checked(e, "softmax")

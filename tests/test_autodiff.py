@@ -15,6 +15,10 @@ from effmod.kernels import ConvSpec
 RNG = np.random.default_rng(7)
 
 
+def rel_err(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-12)
+
+
 def test_sum_gradient_is_ones():
     x = ad.Var(RNG.normal(size=(3, 4)))
     ad.backward(ad.sum_all(x))
@@ -354,29 +358,77 @@ def test_fuse_modulate_gradients_mode_invariant():
     assert grads["repeat"][1].tobytes() == grads["reshape"][1].tobytes()
 
 
-@pytest.mark.parametrize("mode", ["repeat", "reshape"])
-@pytest.mark.parametrize("combine", ["mul", "sum"])
-def test_fuse_modulate_writes_into_out_only_under_no_grad(mode, combine):
-    ctx_data = RNG.normal(size=(2, 3, 4, 4))
-    v_data = RNG.normal(size=(2, 12, 4, 4))
-    want = K.fuse_modulate(ctx_data, v_data, mode=mode, combine=combine)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("axis", [-1, -2], ids=["last", "second-last"])
+def test_softmax_writes_into_out_only_under_no_grad(axis, dtype):
+    x_data = RNG.normal(size=(2, 3, 5, 5)).astype(dtype)
+    seed = RNG.normal(size=x_data.shape).astype(dtype)
+    want = K.softmax(x_data, axis=axis)
     with ad.no_grad():
-        v = ad.Var(v_data.copy())
-        got = ad.fuse_modulate(ad.Var(ctx_data), v, mode, combine, out=v)
-        assert got.data.tobytes() == want.tobytes() and np.shares_memory(got.data, v.data)
-        leaf = ad.Var(v_data.copy())
-        ad.fuse_modulate(ad.Var(ctx_data), leaf, mode, combine)  # no out: v is never written
-        assert leaf.data.tobytes() == v_data.tobytes()
-    # with the tape on, out is ignored: v is saved for ctx's gradient
+        x = ad.Var(x_data.copy())
+        got = ad.softmax(x, axis, out=x)
+        assert got.data.tobytes() == want.tobytes() and np.shares_memory(got.data, x.data)
+        leaf = ad.Var(x_data.copy())
+        ad.softmax(leaf, axis)  # no out: x is never written
+        assert leaf.data.tobytes() == x_data.tobytes()
+    # with the tape on, out is ignored: the input stays as it was
     grads = {}
-    for out in (None, "v"):
-        ctx, v = ad.Var(ctx_data.copy()), ad.Var(v_data.copy())
-        y = ad.fuse_modulate(ctx, v, mode, combine, out=v if out else None)
-        assert y.data.tobytes() == want.tobytes() and not np.shares_memory(y.data, v.data)
-        assert v.data.tobytes() == v_data.tobytes()
-        ad.backward(y, seed=np.ones_like(want))
-        grads[out] = (ctx.grad.tobytes(), v.grad.tobytes())
-    assert grads[None] == grads["v"]
+    for out in (None, "x"):
+        x = ad.Var(x_data.copy())
+        y = ad.softmax(x, axis, out=x if out else None)
+        assert y.data.tobytes() == want.tobytes() and not np.shares_memory(y.data, x.data)
+        assert x.data.tobytes() == x_data.tobytes()
+        ad.backward(y, seed=seed)
+        grads[out] = x.grad.tobytes()
+    assert grads[None] == grads["x"]
+
+
+def _modulate_args(rng, n, c, r, c_out, h, w, dtype):
+    """(ctx, x, v_w, v_b, p_w, p_b) arrays for one modulate call."""
+    shapes = [(n, c, h, w), (n, c, h, w), (r * c, c), (r * c,), (c_out, r * c), (c_out,)]
+    return [rng.normal(size=s).astype(dtype) for s in shapes]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("combine", ["mul", "sum"])
+def test_modulate_bands_match_the_unbanded_composition(monkeypatch, combine, dtype):
+    """Under no_grad each band of rows of v runs on its own: 1-row bands, a ragged
+    last band and one band must all give the three kernels' result."""
+    rng = np.random.default_rng(3)
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    for n, c, r, c_out, h, w in [(1, 3, 4, 5, 7, 5), (3, 2, 3, 2, 5, 6)]:
+        ctx, x, v_w, v_b, p_w, p_b = _modulate_args(rng, n, c, r, c_out, h, w, dtype)
+        v = K.pointwise(x, v_w, v_b)
+        want = K.pointwise(K.fuse_modulate(ctx, v, combine=combine), p_w, p_b)
+        row = n * r * c * w * np.dtype(dtype).itemsize  # bytes of one row of v
+        for budget, sizes in [(row, [1] * h), (2 * row, [2] * (h // 2) + [1]), (h * row, [h])]:
+            monkeypatch.setattr(K, "BAND_BYTES", budget)
+            assert [b.stop - b.start for b in K.row_bands(h, row)] == sizes
+            got = {}
+            for mode in ("repeat", "reshape"):
+                with ad.no_grad():
+                    y = ad.modulate(*map(ad.Var, (ctx, x, v_w, v_b, p_w, p_b)), mode, combine)
+                got[mode] = y.data
+            assert got["repeat"].tobytes() == got["reshape"].tobytes()
+            assert got["reshape"].dtype == dtype
+            assert rel_err(got["reshape"], want) <= tol, (n, budget)
+
+
+def test_modulate_on_the_tape_is_one_band_and_equals_its_three_ops(monkeypatch):
+    """With the tape on the node is one band whatever the budget, and its value and
+    gradients equal those of its three ops as separate nodes."""
+    monkeypatch.setattr(K, "BAND_BYTES", 1)
+    arrays = _modulate_args(np.random.default_rng(4), 2, 3, 2, 4, 5, 4, np.float64)
+    seed = RNG.normal(size=(2, 4, 5, 4))
+    one, three = [ad.Var(a.copy()) for a in arrays], [ad.Var(a.copy()) for a in arrays]
+    y = ad.modulate(*one)
+    ctx, x, v_w, v_b, p_w, p_b = three
+    y3 = ad.pointwise(ad.fuse_modulate(ctx, ad.pointwise(x, v_w, v_b)), p_w, p_b)
+    assert y.data.tobytes() == y3.data.tobytes()
+    ad.backward(y, seed=seed)
+    ad.backward(y3, seed=seed)
+    for a, b in zip(one, three):
+        assert a.grad.tobytes() == b.grad.tobytes()
 
 
 def test_grad_check_report_fields():

@@ -93,6 +93,19 @@ def test_efficient_mod_sum_variant_differs_but_same_params():
     assert not np.array_equal(mul_out, sum_out)
 
 
+@pytest.mark.parametrize("case", range(B.GC_CASES))
+def test_efficient_mod_gradcheck_over_row_bands(monkeypatch, case):
+    """A 1-byte budget makes every row of v its own band in the no_grad forwards the
+    finite differences take; the taped forward and its VJP stay one band."""
+    bands = []
+    row_bands = K.row_bands
+    monkeypatch.setattr(K, "BAND_BYTES", 1)
+    monkeypatch.setattr(K, "row_bands", lambda *a: bands.append(row_bands(*a)) or bands[-1])
+    rep = B.block_grad_check("efficient_mod", case=case, tol=1e-5)
+    assert rep.passed, rep.to_text()
+    assert bands and min(len(b) for b in bands) >= 4
+
+
 def test_efficient_mod_rejects_bad_config():
     with pytest.raises(ConfigError):
         B.init_efficient_mod(RNG, 4, expansion=0)
@@ -287,9 +300,12 @@ def _attention_oracle(x, p):
 
 
 def _randomize(p):
-    """Nonzero biases and norm affines, so the oracle sees every parameter at work."""
+    """Nonzero biases and norm affines, so the oracle sees every parameter at work.
+
+    Each draw takes its parameter's dtype, so a float32 block stays float32.
+    """
     for v in B.named_params(p).values():
-        v.data = v.data + RNG.normal(0, 0.1, v.data.shape)
+        v.data = v.data + RNG.normal(0, 0.1, v.data.shape).astype(v.data.dtype)
     return p
 
 
@@ -356,12 +372,11 @@ def test_attention_shape_preserved():
 def test_no_grad_forward_equals_the_taped_forward_and_keeps_the_input(dtype):
     """The inference path frees and overwrites activations; values must not move."""
     cases = [
-        (B.efficient_mod, _randomize(B.init_efficient_mod(RNG, 8, expansion=6, kernel=5))),
-        (B.attention_block, _randomize(B.init_attention(RNG, 16, heads=4))),
+        (B.efficient_mod, _randomize(B.init_efficient_mod(RNG, 8, kernel=5, dtype=dtype))),
+        (B.attention_block, _randomize(B.init_attention(RNG, 16, heads=4, dtype=dtype))),
     ]
     for block, p in cases:
-        for v in B.named_params(p).values():
-            v.data = v.data.astype(dtype)
+        assert all(v.data.dtype == dtype for v in B.named_params(p).values())
         x = RNG.normal(size=(2, p.channels, 5, 6)).astype(dtype)
         keep = x.copy()
         inferred = _run(block, x, p)

@@ -168,12 +168,20 @@ CONV_ORACLE_CASES = [
          dtype=np.float32),
     # batch 1 at a map wide enough for the band route
     dict(n=1, c_in=4, c_out=4, h=14, w=16, k=7, stride=1, dilation=1, groups=4, bias=True),
+    # dense im2col in bands of output rows under a small BAND_BYTES (bands: the row counts)
+    dict(n=2, c_in=3, c_out=5, h=21, w=15, k=7, stride=4, dilation=1, groups=1, bias=True,
+         band_bytes=2 * 2 * 3 * 49 * 4 * 8, bands=[2, 2, 2]),
+    dict(n=1, c_in=2, c_out=3, h=7, w=5, k=3, stride=1, dilation=1, groups=1, bias=True,
+         band_bytes=3 * 2 * 9 * 5 * 4, bands=[3, 3, 1], dtype=np.float32),
+    dict(n=2, c_in=2, c_out=3, h=1, w=1, k=1, stride=4, dilation=1, groups=1, bias=True,
+         padding=2, band_bytes=1, bands=[2]),
 ]
 CONV_ORACLE_IDS = [
     "dense", "depthwise5", "depthwise-dil3", "stride4", "grouped", "dw7-dil3",
     "dw-stride2", "dw-stride4", "dw-pad0", "dw-pad-wide", "dw-dil2",
     "dw7-side1", "dw7-side2", "dw7-n3-rect", "dw7-f32", "dw-all-padding",
     "dw7-micro-n32", "dw7-n8-f32", "dw7-n1-wide",
+    "dense7-s4-bands", "dense3-ragged-bands", "dense-no-live-tap",
 ]
 
 
@@ -205,8 +213,23 @@ def _record_routes(monkeypatch) -> list:
     return answers
 
 
+def _record_bands(monkeypatch) -> list:
+    """Record the band heights of each row_bands answer."""
+    bands, split = [], kernels.row_bands
+
+    def spy(*args):
+        bands.append([r.stop - r.start for r in split(*args)])
+        return split(*args)
+
+    monkeypatch.setattr(kernels, "row_bands", spy)
+    return bands
+
+
 @pytest.mark.parametrize("case", CONV_ORACLE_CASES, ids=CONV_ORACLE_IDS)
-def test_conv_matches_loop_oracle(case):
+def test_conv_matches_loop_oracle(monkeypatch, case):
+    if "band_bytes" in case:
+        monkeypatch.setattr(kernels, "BAND_BYTES", case["band_bytes"])
+        bands = _record_bands(monkeypatch)
     x, w, b, spec = _conv_case(case)
     dtype = x.dtype
     got = conv2d(x, w, b, spec)
@@ -217,6 +240,8 @@ def test_conv_matches_loop_oracle(case):
     assert got.dtype == dtype
     # f32 rounds each of the k*k products and their sum at ~6e-8 relative
     assert rel_err(got, want) <= (1e-10 if dtype == np.float64 else 1e-5)
+    if "band_bytes" in case:
+        assert bands == [case["bands"]]
 
 
 def test_conv_oracle_cases_run_both_depthwise_routes(monkeypatch):
@@ -404,6 +429,30 @@ def test_pointwise_equals_1x1_conv():
 def test_pointwise_rejects_bad_weight():
     with pytest.raises(PreconditionError):
         pointwise(RNG.normal(size=(1, 3, 2, 2)), RNG.normal(size=(4, 5)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pointwise_writes_a_band_of_rows_into_out(dtype):
+    x = RNG.normal(size=(2, 5, 6, 4)).astype(dtype)
+    w, b = RNG.normal(size=(3, 5)).astype(dtype), RNG.normal(size=3).astype(dtype)
+    want = pointwise(x, w, b)
+    big = np.zeros((2, 3, 6, 4), dtype)
+    for rows in (slice(0, 1), slice(1, 4), slice(4, 6)):
+        got = pointwise(x[:, :, rows], w, b, out=big[:, :, rows])
+        assert np.shares_memory(got, big)
+    np.testing.assert_allclose(big, want, rtol=1e-5 if dtype == np.float32 else 1e-13)
+
+
+def test_pointwise_rejects_a_bad_out():
+    x, w = RNG.normal(size=(1, 3, 2, 4)), RNG.normal(size=(2, 3))
+    bad = {
+        "shape": np.empty((1, 3, 2, 4)),
+        "dtype": np.empty((1, 2, 2, 4), np.float32),
+        "rows of two strides": np.empty((1, 2, 2, 8))[:, :, :, :4],
+    }
+    for what, out in bad.items():
+        with pytest.raises(PreconditionError, match="out:"):
+            pointwise(x, w, out=out)
 
 
 # ------------------------------------------------- gelu, sigmoid, norms
@@ -613,6 +662,19 @@ def test_softmax_matches_loop_oracle():
     for axis, shape in [(-1, (2, 3, 5)), (1, (4, 6)), (0, (5, 2))]:
         x = RNG.normal(size=shape) * 4
         assert rel_err(softmax(x, axis=axis), softmax_oracle(x, axis)) <= 1e-10
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_out_x_overwrites_x_bit_identically(dtype):
+    x = (RNG.normal(size=(2, 3, 4, 4)) * 4).astype(dtype)
+    for axis in (-1, -2):
+        want = softmax(x, axis=axis)
+        got = x.copy()
+        assert softmax(got, axis=axis, out=got) is got
+        assert got.tobytes() == want.tobytes()
+    for out in (np.empty((2, 3, 4)), np.empty(x.shape, np.float16)):
+        with pytest.raises(PreconditionError, match="out:"):
+            softmax(x, out=out)
 
 
 # --------------------------------------------------------------- matmul

@@ -5,6 +5,7 @@ in kernels, autodiff, blocks, model or trainer that would break
 perfbench/run.py fails here first. The benchmark's traced runs also fail
 unless the forward MACs its span counters see equal analyzer.count_macs and
 the span self times add up; the second test runs both checks on small inputs.
+The last test pins the infer-xxs workload's traced peak allocation.
 """
 
 import pathlib
@@ -49,3 +50,18 @@ def test_traced_macs_match_the_analyzer(monkeypatch, preset, res, batch, dtype, 
     assert tracer.images == batch
     assert tracer.fwd_macs == analyzer.count_macs(m, (res, res)) * batch
     assert tracer.analyze()["errors"] == []
+
+
+def test_infer_xxs_peak_alloc_stays_under_2_5_mb(monkeypatch):
+    """The benchmark's own probe of one f32 224x224 no_grad forward.
+
+    The r*c value map and the stem's im2col run in row bands and attention's
+    softmax overwrites its scores; the peak then sits at the per-row
+    temporaries of stage 0's depthwise band route (2.41 MB).
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    w = workloads.InferXXS(1)
+    w.setup()
+    assert workloads.peak_alloc_bytes(w) <= 2.5e6
