@@ -11,14 +11,24 @@ kernel with pad 3 has 9 live taps at a 2x2 input, 1 at 1x1).
 - Depthwise (groups = channels): each channel is a doubly-block-Toeplitz
   matrix T [h*w, oh*ow] whose entry (src, dst) holds the weight of the one tap
   that takes input pixel src to output pixel dst (Sedghi, Gupta & Long, ICLR
-  2019). _toeplitz_index lists the entries (tap, src, dst), sorted by tap, over
-  the whole map or one axis. Two GEMM routes read it, each for forward and VJP,
-  and neither makes a padded copy:
-  - whole map: out = x[c, n, hw] @ T, dx = g @ T^T, and dw sums x^T @ g at
-    each tap's entries with one np.add.reduceat;
-  - band: per live kernel row, the row's taps fill a [c, w_in, ow] band from
-    the one-axis index; output rows += input rows @ band, dx rows += g rows @
-    band^T, and dw gathers the rows' x^T @ g the same way.
+  2019). Two GEMM routes read it, each for forward and VJP:
+  - whole map: _toeplitz_index lists T's entries (tap, src, dst), sorted by
+    tap; out = x[c, n, hw] @ T, dx = g @ T^T, and dw sums x^T @ g at each
+    tap's entries with one np.add.reduceat;
+  - tiles: per live kernel row, a band of T cut to b output columns and the
+    (b-1)*s + (k-1)*d + 1 input columns they read holds the row's taps. The
+    interior tiles run as one batched GEMM on a read-only strided view of the
+    unpadded input, each edge tile on a clipped slice of the band; a tile that
+    reads only padding is skipped. The product fills channel blocks of at most
+    TILE_BYTES, each added to the output in whole rows. The VJP pads instead:
+    the cotangent spread to o*s + e - p on a zero map padded by e = (k-1)*d
+    gives dx as its stride-1 tile forward with the flipped kernel, and dw from
+    the same tiles' x^T @ g products.
+    A map up to 2*TILE_COLS wide is one full-width band (b = its width), which
+    spends w/k times the conv's MACs; wider maps take b = TILE_COLS = 14. At
+    batch 1, f32, k7 on 2 cores, c32 56x56 went 1.9 -> 1.1 ms forward and
+    4.6 -> 2.6 ms VJP against the band; b = 10 and 20 were no faster there, and
+    tiling 28x28 (b = 10) made its VJP slower than the band.
   The whole map spends h*w MACs per output where the conv needs k*k, and
   filling T costs about 8 images of its GEMM, so _whole_map picks it when
   h*w*(n + 8) <= 2*n*k*k. Smallest batch at which it beat the band, forward
@@ -28,12 +38,12 @@ kernel with pad 3 has 9 live taps at a 2x2 input, 1 at 1x1).
       c128 f32       1    1    8   16  16-32     64
       _whole_map     1    2    8   16  never  never
   The micro training step (batch 32, maps 8x8 and below) runs whole-map; batch
-  1 at 7x7 and up runs the band (whole-map: c256 7x7 f32 forward 1.6 vs 0.4 ms).
+  1 at 7x7 and up runs the tiles (whole-map: c256 7x7 f32 forward 1.6 vs 0.4 ms).
 - Dense (groups = 1: stems, downsamples, patchify): the forward multiplies the
   im2col of a sliding_window_view of the padded input into the result one band
   of output rows at a time (row_bands), so the xxs stem's 147 x 3136 patch
-  matrix (1.84 MB in f32; whole, the f32 224x224 inference peak is 2.88 MB, not
-  2.41) never exists whole. A map that fits is one band. The VJP stays a tap
+  matrix (1.84 MB in f32; whole, it put the f32 224x224 inference peak at
+  2.88 MB) never exists whole. A map that fits is one band. The VJP stays a tap
   loop of small GEMMs on an [h, w, n, c] copy: a one-GEMM VJP holds the whole
   patch matrix and its cotangent during backward, and took the micro training
   step (batch 32, f64) from 13.0 to 17.7 MB peak.
@@ -54,7 +64,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.special import erf
 
 from .errors import ConfigError, NumericalError, PreconditionError
@@ -66,6 +76,10 @@ _validate = False
 # Largest band of _dense's im2col and autodiff.modulate's value map: on the xxs f32 224x224
 # forward (2 cores) 256 KiB also peaks at 2.41 MB, but runs 3-5% slower; no bands, 0-3% faster.
 BAND_BYTES = 512 << 10
+# The depthwise tile route (module docstring): output columns per tile, and the largest block of
+# its product, which keeps the xxs stage-0 conv (c32 56x56 f32) within 0.17 MB of its output.
+TILE_COLS = 14
+TILE_BYTES = 128 << 10
 
 
 def set_validation(enabled: bool) -> None:
@@ -181,7 +195,7 @@ def _live_taps(spec: ConvSpec, size: int, out: int) -> list:
 
 @functools.lru_cache(maxsize=128)
 def _toeplitz_index(spec: ConvSpec, *sizes: int) -> tuple:
-    """(tap, src, dst, starts) over one axis or the whole map: see the module docstring.
+    """(tap, src, dst, starts) of the whole-map route's T: see the module docstring.
 
     Positions are flat row-major over the axes given. The arrays are shared, so read-only.
     """
@@ -203,7 +217,7 @@ def _toeplitz_index(spec: ConvSpec, *sizes: int) -> tuple:
 
 
 def _whole_map(n: int, h: int, w: int, k: int) -> bool:
-    """The depthwise route: whole-map Toeplitz (True) or band; see the module docstring."""
+    """The depthwise route: whole-map Toeplitz (True) or tiles; see the module docstring."""
     return h * w * (n + 8) <= 2 * n * k * k
 
 
@@ -220,27 +234,62 @@ def _cnm(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[0], a.shape[1], -1).transpose(1, 0, 2)
 
 
-def _bands(x: np.ndarray, w: np.ndarray, spec: ConvSpec, oh: int, ow: int):
-    """(i, output rows, input rows they read, band) for each live kernel row i.
+def _tile_view(a, col, count, step, width, writeable=False):
+    """a as [n, c, count, rows, width]: tile t starts at column col + t*step (one tile: a slice)."""
+    if count == 1:
+        return a[:, :, None, :, col : col + width]
+    sn, sc, sr, sw = a.strides
+    shape, strides = (*a.shape[:2], count, a.shape[2], width), (sn, sc, step * sw, sr, sw)
+    return as_strided(a[..., col:], shape, strides, writeable=writeable)
 
-    Distinct kernel columns never share a band entry, so a refill leaves no stale weight.
+
+@functools.lru_cache(maxsize=128)
+def _tile_plan(spec: ConvSpec, wd: int, ow: int, dtype) -> tuple:
+    """(taps, pieces) of the tile route along the width; taps is shared, so read-only.
+
+    taps [k, span, b] is 1 where kernel column j sits in the band. A piece (t, count, cols, q)
+    is count tiles of cols output columns from column t, reading band rows q.
     """
-    s, d, p = spec.stride, spec.dilation, spec.pad
-    kj, src, dst, _ = _toeplitz_index(spec, x.shape[3])
-    band = np.zeros((x.shape[1], x.shape[3], ow), dtype=x.dtype)
-    for i, lo, hi in _live_taps(spec, x.shape[2], oh):
-        band[:, src, dst] = w[:, 0, i, kj]
-        yield i, slice(lo, hi), slice(lo * s + i * d - p, (hi - 1) * s + i * d - p + 1, s), band
+    k, s, d, p = spec.kernel, spec.stride, spec.dilation, spec.pad
+    b = TILE_COLS if ow > 2 * TILE_COLS else ow
+    span = (b - 1) * s + (k - 1) * d + 1
+    taps = (np.arange(span)[:, None] == np.arange(b) * s + np.arange(k)[:, None, None] * d).astype(dtype)
+    taps.flags.writeable = False
+    inner = [t for t in range(0, ow, b) if 0 <= t * s - p <= wd - span and t + b <= ow]
+    runs = [(t, 1) for t in range(0, ow, b) if t not in inner] + [(t, len(inner)) for t in inner[:1]]
+    return taps, tuple((t, m, min(b, ow - t), q) for t, m in runs  # skipping tiles that read only padding
+                       if (q := slice(max(0, p - t * s), min(span, wd + p - t * s))).start < q.stop)
+
+
+def _tiled(x: np.ndarray, w: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
+    """The forward of the depthwise tile route: see the module docstring."""
+    (n, c, h, wd), (s, d, p) = x.shape, (spec.stride, spec.dilation, spec.pad)
+    taps, pieces = _tile_plan(spec, wd, ow, x.dtype)
+    k, span, b = taps.shape
+    # y, the product of one block of cb channels: the fewest even blocks within TILE_BYTES; the
+    # columns of skipped tiles stay 0
+    cb = -(-c // -(-n * c * oh * ow * x.itemsize // TILE_BYTES))
+    band, y = np.empty((c, 1, span, b), dtype=x.dtype), np.zeros((n, min(c, cb), oh, ow), dtype=x.dtype)
+    views = [(band[..., q, :cols], _tile_view(x, t * s - p + q.start, m, b * s, q.stop - q.start),
+              _tile_view(y, t, m, b, cols, writeable=True)) for t, m, cols, q in pieces]
+    out = np.zeros((n, c, oh, ow), dtype=x.dtype)
+    for i, lo, hi in _live_taps(spec, h, oh):
+        np.matmul(w[:, 0, i], taps.reshape(k, -1), out=band.reshape(c, -1))
+        rows = slice(lo * s + i * d - p, (hi - 1) * s + i * d - p + 1, s)
+        for c0 in range(0, c, cb):
+            ch, cn = slice(c0, c0 + cb), min(cb, c - c0)
+            for bq, xt, yt in views:
+                np.matmul(xt[:, ch, :, rows], bq[ch], out=yt[:, :cn, :, : hi - lo])
+            out[:, ch, lo:hi] += y[:, :cn, : hi - lo]
+    return out
 
 
 def _depthwise(x: np.ndarray, w: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     n, c, h, wd = x.shape
-    out = np.zeros((n, c, oh, ow), dtype=x.dtype)
-    if _whole_map(n, h, wd, spec.kernel):
-        np.matmul(_cnm(x), _toeplitz(w, spec, h, wd, x.dtype), out=_cnm(out))
-    else:
-        for _, orows, rows, band in _bands(x, w, spec, oh, ow):
-            out[:, :, orows] += x[:, :, rows] @ band
+    if not _whole_map(n, h, wd, spec.kernel):
+        return _tiled(x, w, spec, oh, ow)
+    out = np.empty((n, c, oh, ow), dtype=x.dtype)
+    np.matmul(_cnm(x), _toeplitz(w, spec, h, wd, x.dtype), out=_cnm(out))
     return out
 
 
@@ -306,25 +355,34 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -
 
 def _depthwise_vjp(x: np.ndarray, w: np.ndarray, spec: ConvSpec, go: np.ndarray, need_input: bool):
     n, c, h, wd = x.shape
-    oh, ow = go.shape[2:]
-    # C-ordered, so the reshaped views below write through
-    dx = np.zeros(x.shape, dtype=x.dtype) if need_input else None
     dw = np.zeros(w.shape, dtype=w.dtype)
     if _whole_map(n, h, wd, spec.kernel):
+        # C-ordered, so the reshaped views below write through
+        dx = np.zeros(x.shape, dtype=x.dtype) if need_input else None
         tap, src, dst, starts = _toeplitz_index(spec, h, wd)
         if need_input:
             np.matmul(_cnm(go), _toeplitz(w, spec, h, wd, x.dtype).transpose(0, 2, 1), out=_cnm(dx))
         xg = _cnm(x).transpose(0, 2, 1) @ _cnm(go)
         dw.reshape(c, -1)[:, tap[starts]] = np.add.reduceat(xg[:, src, dst], starts, axis=1)
         return dx, dw
-    kj, src, dst, starts = _toeplitz_index(spec, wd)
-    for i, orows, rows, band in _bands(x, w, spec, oh, ow):
-        g = go[:, :, orows]
-        if need_input:
-            dx[:, :, rows] += g @ band.transpose(0, 2, 1)
-        xr = x[:, :, rows].transpose(1, 0, 2, 3).reshape(c, -1, wd)
-        xg = xr.transpose(0, 2, 1) @ g.transpose(1, 0, 2, 3).reshape(c, -1, ow)
-        dw[:, 0, i, kj[starts]] = np.add.reduceat(xg[:, src, dst], starts, axis=1)
+    # The cotangent of output o sits at o*s + e - p on a zero map g padded by e = (k-1)*d;
+    # outputs before lo, and past the map, read only padding.
+    k, d, s, p = spec.kernel, spec.dilation, spec.stride, spec.pad
+    e = (k - 1) * d
+    lo = max(0, -((e - p) // s))
+    g = np.zeros((n, c, h + e, wd + e), dtype=x.dtype)
+    gv, src = g[:, :, lo * s + e - p :: s, lo * s + e - p :: s], go[:, :, lo:, lo:]
+    rows, cols = min(gv.shape[2], src.shape[2]), min(gv.shape[3], src.shape[3])
+    gv[:, :, :rows, :cols] = src[:, :, :rows, :cols]
+    flip = ConvSpec(k, dilation=d, groups=c, padding=0)
+    dx = _tiled(g, w[:, :, ::-1, ::-1], flip, h, wd) if need_input else None
+    taps, pieces = _tile_plan(flip, wd + e, wd, x.dtype)
+    views = [(taps[:, q, :cols], _tile_view(g, t + q.start, m, taps.shape[2], q.stop - q.start),
+              _tile_view(x, t, m, taps.shape[2], cols)) for t, m, cols, q in pieces]
+    for i in range(k):  # g's kernel row i is dw's row k-1-i, its columns reversed
+        for tq, gt, xt in views:
+            xg = gt[:, :, :, i * d : i * d + h].swapaxes(3, 4) @ xt
+            dw[:, 0, -1 - i, ::-1] += np.tensordot(xg, tq, axes=([3, 4], [1, 2])).sum(axis=(0, 2))
     return dx, dw
 
 

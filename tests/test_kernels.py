@@ -7,6 +7,7 @@ closed forms) and are asserted directly.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,19 @@ CONV_ORACLE_CASES = [
          band_bytes=3 * 2 * 9 * 5 * 4, bands=[3, 3, 1], dtype=np.float32),
     dict(n=2, c_in=2, c_out=3, h=1, w=1, k=1, stride=4, dilation=1, groups=1, bias=True,
          padding=2, band_bytes=1, bands=[2]),
+    # batch 1 with more than 2 * TILE_COLS output columns: tiles of TILE_COLS columns
+    dict(n=1, c_in=2, c_out=2, h=5, w=61, k=7, stride=1, dilation=1, groups=2, bias=True),
+    dict(n=1, c_in=2, c_out=2, h=6, w=64, k=7, stride=2, dilation=1, groups=2, bias=True),
+    dict(n=1, c_in=2, c_out=2, h=9, w=120, k=5, stride=4, dilation=1, groups=2, bias=False),
+    dict(n=1, c_in=2, c_out=2, h=6, w=40, k=7, stride=1, dilation=2, groups=2, bias=True),
+    dict(n=1, c_in=2, c_out=2, h=5, w=50, k=7, stride=1, dilation=3, groups=2, bias=True),
+    dict(n=1, c_in=2, c_out=2, h=8, w=40, k=7, stride=1, dilation=1, groups=2, bias=True,
+         padding=0),
+    dict(n=1, c_in=2, c_out=2, h=3, w=30, k=3, stride=1, dilation=1, groups=2, bias=True,
+         padding=30),
+    # ... with the product in channel blocks of 2 and 1 under a small TILE_BYTES
+    dict(n=1, c_in=3, c_out=3, h=4, w=58, k=7, stride=1, dilation=1, groups=3, bias=True,
+         dtype=np.float32, tile_bytes=2000),
 ]
 CONV_ORACLE_IDS = [
     "dense", "depthwise5", "depthwise-dil3", "stride4", "grouped", "dw7-dil3",
@@ -182,6 +196,8 @@ CONV_ORACLE_IDS = [
     "dw7-side1", "dw7-side2", "dw7-n3-rect", "dw7-f32", "dw-all-padding",
     "dw7-micro-n32", "dw7-n8-f32", "dw7-n1-wide",
     "dense7-s4-bands", "dense3-ragged-bands", "dense-no-live-tap",
+    "dw7-tiles-ragged", "dw7-tiles-s2", "dw5-tiles-s4", "dw7-tiles-dil2", "dw7-tiles-dil3",
+    "dw7-tiles-pad0", "dw3-tiles-all-padding-edges", "dw7-tiles-f32",
 ]
 
 
@@ -201,16 +217,21 @@ def _conv_case(case, rng=RNG):
 
 
 def _record_routes(monkeypatch) -> list:
-    """Record each answer of the depthwise route predicate (True: whole map, False: band)."""
-    answers = []
-    pick = kernels._whole_map
+    """Record each depthwise route taken: "whole map", "band" (one full-width tile) or "tiles"."""
+    routes, pick, plan = [], kernels._whole_map, kernels._tile_plan
 
-    def spy(*args):
-        answers.append(pick(*args))
-        return answers[-1]
+    def whole_map(*args):
+        routes.append("whole map" if pick(*args) else None)
+        return routes[-1] is not None
 
-    monkeypatch.setattr(kernels, "_whole_map", spy)
-    return answers
+    def tile_plan(spec, wd, ow, dtype):
+        taps, pieces = plan(spec, wd, ow, dtype)
+        routes[-1] = "tiles" if taps.shape[2] < ow else "band"
+        return taps, pieces
+
+    monkeypatch.setattr(kernels, "_whole_map", whole_map)
+    monkeypatch.setattr(kernels, "_tile_plan", tile_plan)
+    return routes
 
 
 def _record_bands(monkeypatch) -> list:
@@ -230,6 +251,8 @@ def test_conv_matches_loop_oracle(monkeypatch, case):
     if "band_bytes" in case:
         monkeypatch.setattr(kernels, "BAND_BYTES", case["band_bytes"])
         bands = _record_bands(monkeypatch)
+    if "tile_bytes" in case:
+        monkeypatch.setattr(kernels, "TILE_BYTES", case["tile_bytes"])
     x, w, b, spec = _conv_case(case)
     dtype = x.dtype
     got = conv2d(x, w, b, spec)
@@ -245,11 +268,29 @@ def test_conv_matches_loop_oracle(monkeypatch, case):
 
 
 def test_conv_oracle_cases_run_both_depthwise_routes(monkeypatch):
-    """Whatever the route threshold, the oracle cases reach both depthwise routes."""
-    answers = _record_routes(monkeypatch)
+    """Whatever the thresholds, the oracle cases reach the whole map, one full-width band and
+    tiles narrower than the map."""
+    routes = _record_routes(monkeypatch)
     for case in CONV_ORACLE_CASES:
         conv2d(*_conv_case(case, np.random.default_rng(0)))
-    assert set(answers) == {True, False}
+    assert set(routes) == {"whole map", "band", "tiles"}
+
+
+def test_depthwise_tiles_allocate_little_beyond_the_output():
+    """The xxs stage-0 depthwise conv (c32 56x56 f32, batch 1): no full-width band (0.40 MB)
+    or per-row product (0.36 MB), only a 36 KB band and a product block of TILE_BYTES."""
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((1, 32, 56, 56), dtype=np.float32)
+    w = rng.standard_normal((32, 1, 7, 7), dtype=np.float32)
+    spec = ConvSpec(7, groups=32)
+    conv2d(x, w, None, spec)  # fills the tile plan's cache
+    tracemalloc.start()
+    try:
+        out = conv2d(x, w, None, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 0.25e6
 
 
 def test_conv_same_padding_preserves_shape():
@@ -354,6 +395,24 @@ def _conv_vjp_sweep_cases(count):
     return cases
 
 
+def _tiled_vjp_sweep_cases(count):
+    """Valid batch-1 depthwise (x, w, b, spec) draws 30-64 wide and 2-6 tall: the VJP, which
+    tiles the input width, always runs tiles, and the forward does when its output is wide."""
+    rng = np.random.default_rng(33)
+    cases = []
+    while len(cases) < count:
+        k = int(rng.choice([3, 5, 7]))
+        padding = None if rng.integers(0, 3) == 0 else int(rng.integers(0, 5))
+        spec = ConvSpec(k, stride=int(rng.integers(1, 5)), dilation=int(rng.integers(1, 4)),
+                        groups=3, padding=padding)
+        h, w = int(rng.integers(2, 7)), int(rng.integers(30, 65))
+        if spec.out_size(h) < 1 or spec.out_size(w) < 1:
+            continue
+        cases.append((rng.normal(size=(1, 3, h, w)), rng.normal(size=(3, 1, k, k)),
+                      rng.normal(size=(3,)), spec))
+    return cases
+
+
 def _has_dead_tap(spec, size):
     """Whether some kernel offset reads only padding along an axis of this size."""
     s, d, p = spec.stride, spec.dilation, spec.pad
@@ -371,15 +430,15 @@ def test_conv_vjp_sweep_matches_central_differences(monkeypatch):
     rng = np.random.default_rng(32)
     eps = 1e-3
     seen = set()
-    answers = _record_routes(monkeypatch)
-    depthwise = {True: set(), False: set()}  # features seen per route (True: whole map)
-    for x, w, b, spec in _conv_vjp_sweep_cases(150):
+    routes = _record_routes(monkeypatch)
+    depthwise = {"whole map": set(), "band": set(), "tiles": set()}  # features seen per route
+    for x, w, b, spec in _conv_vjp_sweep_cases(150) + _tiled_vjp_sweep_cases(40):
         seen.add((spec.kernel, spec.stride, spec.dilation, spec.groups > 1, spec.padding is None))
         go = rng.normal(size=conv2d(x, w, b, spec).shape)
         grads = conv2d_vjp(x, w, spec, go, need_bias=True)
         if spec.groups == x.shape[1] == w.shape[0]:
             h, wd = x.shape[2:]
-            depthwise[answers[-1]] |= {
+            depthwise[routes[-1]] |= {
                 f"stride{spec.stride}", f"dilation{spec.dilation}", "h!=w" if h != wd else "",
                 "dead tap" if _has_dead_tap(spec, h) or _has_dead_tap(spec, wd) else "",
             }

@@ -55,9 +55,9 @@ def test_traced_macs_match_the_analyzer(monkeypatch, preset, res, batch, dtype, 
 def test_infer_xxs_peak_alloc_stays_under_2_5_mb(monkeypatch):
     """The benchmark's own probe of one f32 224x224 no_grad forward.
 
-    The r*c value map and the stem's im2col run in row bands and attention's
-    softmax overwrites its scores; the peak then sits at the per-row
-    temporaries of stage 0's depthwise band route (2.41 MB).
+    The r*c value map and the stem's im2col run in row bands, attention's
+    softmax overwrites its scores and the depthwise convs run in tiles; the
+    peak then sits at autodiff.modulate's value-map band (2.22 MB).
     """
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads

@@ -2,10 +2,12 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_trajectory.json"
 WORKLOADS = {"infer-xxs", "train-micro", "fwdbwd-xxs"}
+HASH = re.compile(r"[0-9a-f]{7,40}")
 
 
 def _number_or_none(v):
@@ -43,3 +45,14 @@ def test_trajectory_is_seeded_from_the_earlier_perf_changes():
     entries = json.loads(TRAJECTORY.read_text())["entries"]
     transcribed = {e["commit"] for e in entries if e["transcribed"]}
     assert {"85d4557", "6d9a7f9", "0264654", "f6e0866"} <= transcribed
+
+
+def test_trajectory_names_commits_by_hash():
+    """commit and parent are hex hashes. Only the newest change's entries may say
+    child-of-<parent>: its own hash is unknown until it lands."""
+    entries = json.loads(TRAJECTORY.read_text())["entries"]
+    newest = entries[-1]["commit"]
+    for i, e in enumerate(entries):
+        assert HASH.fullmatch(e["parent"]), (i, e["parent"])
+        if e["commit"] != newest or e["commit"] != f"child-of-{e['parent']}":
+            assert HASH.fullmatch(e["commit"]), (i, e["commit"])
