@@ -296,12 +296,12 @@ def sigmoid(x: Var) -> Var:
     return _node(s, "sigmoid", (x,), lambda g: (g * s * (1.0 - s),))
 
 
-def layer_norm(x: Var, gamma: Var, beta: Var, eps: float = 1e-6) -> Var:
-    """Normalize over axis 1: the channels of an NCHW map or of pooled [n, c] features."""
-    out = K.layer_norm(x.data, gamma.data, beta.data, eps=eps, axis=1)
+def layer_norm(x: Var, gamma: Var, beta: Var) -> Var:
+    """Normalize over axis 1, the channels of an NCHW map or pooled [n, c] features; eps 1e-6."""
+    out = K.layer_norm(x.data, gamma.data, beta.data, axis=1)
 
     def vjp(g):
-        return K.layer_norm_vjp(x.data, gamma.data, g, eps, 1)
+        return K.layer_norm_vjp(x.data, gamma.data, g, axis=1)
 
     return _node(out, "layer_norm", (x, gamma, beta), vjp)
 
@@ -331,7 +331,7 @@ def fuse_modulate(ctx: Var, v: Var, mode: str = "reshape", combine: str = "mul")
     out = K.fuse_modulate(ctx.data, v.data, mode=mode, combine=combine)
 
     def vjp(g):
-        return K.fuse_modulate_vjp(ctx.data, v.data, mode, combine, g)
+        return K.fuse_modulate_vjp(ctx.data, v.data, combine, g)
 
     return _node(out, "fuse_modulate", (ctx, v), vjp)
 
@@ -355,7 +355,7 @@ def modulate(ctx: Var, x: Var, v_w, v_b, p_w, p_b, mode="reshape", combine="mul"
         nonlocal v, prod
         g, dpw, dpb = K.pointwise_vjp(prod, p_w.data, g)
         prod = None
-        dctx, g = K.fuse_modulate_vjp(ctx.data, v, mode, combine, g)
+        dctx, g = K.fuse_modulate_vjp(ctx.data, v, combine, g)
         v = None
         dx, dvw, dvb = K.pointwise_vjp(x.data, v_w.data, g)
         return tuple(d for d, q in zip((dctx, dx, dvw, dvb, dpw, dpb), inputs) if q is not None)

@@ -67,11 +67,9 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.special import erf
 
-from .errors import ConfigError, NumericalError, PreconditionError
+from .errors import ConfigError, PreconditionError
 
 FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-
-_validate = False
 
 # Largest band of _dense's im2col and autodiff.modulate's value map: on the xxs f32 224x224
 # forward (2 cores) 256 KiB also peaks at 2.41 MB, but runs 3-5% slower; no bands, 0-3% faster.
@@ -80,18 +78,6 @@ BAND_BYTES = 512 << 10
 # its product, which keeps the xxs stage-0 conv (c32 56x56 f32) within 0.17 MB of its output.
 TILE_COLS = 14
 TILE_BYTES = 128 << 10
-
-
-def set_validation(enabled: bool) -> None:
-    """Toggle post-kernel finite checks. Off by default; costs one pass per call."""
-    global _validate
-    _validate = bool(enabled)
-
-
-def _checked(out: np.ndarray, op: str) -> np.ndarray:
-    if _validate and not np.isfinite(out).all():
-        raise NumericalError(f"{op}: non-finite values in output")
-    return out
 
 
 def check_nchw(x: np.ndarray, name: str = "x") -> None:
@@ -350,7 +336,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -
             out[:, sl_out] = _dense(x[:, sl_in], w[sl_out], spec, oh, ow)
     if b is not None:
         out += b[None, :, None, None]
-    return _checked(out, "conv2d")
+    return out
 
 
 def _depthwise_vjp(x: np.ndarray, w: np.ndarray, spec: ConvSpec, go: np.ndarray, need_input: bool):
@@ -467,7 +453,7 @@ def pointwise(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, out=Non
     np.matmul(w, x.reshape(n, c, h * wd), out=out.reshape(n, -1, h * wd))
     if b is not None:
         out += b[:, None, None]
-    return _checked(out, "pointwise")
+    return out
 
 
 def pointwise_vjp(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray):
@@ -511,7 +497,7 @@ def gelu(x: np.ndarray) -> np.ndarray:
     e = np.maximum(x, -_GELU_CLAMP, out=e)
     e *= 0.5
     s *= e
-    return _checked(s, "gelu")
+    return s
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
@@ -539,7 +525,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return _checked(out, "sigmoid")
+    return out
 
 
 def _layer_norm_stats(x: np.ndarray, eps: float, axis: int):
@@ -581,7 +567,7 @@ def layer_norm(
     shape = _channel_shape(x, axis)
     out *= gamma.reshape(shape)
     out += beta.reshape(shape)
-    return _checked(out, "layer_norm")
+    return out
 
 
 def layer_norm_vjp(
@@ -609,7 +595,7 @@ def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.
     e = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
-    return _checked(e, "softmax")
+    return e
 
 
 def batched_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -624,7 +610,7 @@ def batched_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise PreconditionError(
             f"batched_matmul: batch dims disagree, {a.shape[:-2]} vs {b.shape[:-2]}"
         )
-    return _checked(np.matmul(a, b), "batched_matmul")
+    return np.matmul(a, b)
 
 
 def fuse_modulate(
@@ -669,23 +655,17 @@ def fuse_modulate(
         op(v, np.tile(ctx, (1, r, 1, 1)), out=out)
     else:
         op(v.reshape(n, r, c, h, w), ctx[:, None], out=out.reshape(n, r, c, h, w))
-    return _checked(out, "fuse_modulate")
+    return out
 
 
-def fuse_modulate_vjp(
-    ctx: np.ndarray,
-    v: np.ndarray,
-    mode: str,
-    combine: str,
-    grad_out: np.ndarray,
-):
-    """Cotangents for fuse_modulate; reduces the context grad over the r repeats."""
+def fuse_modulate_vjp(ctx: np.ndarray, v: np.ndarray, combine: str, grad_out: np.ndarray):
+    """Cotangents (dctx, dv) of fuse_modulate in either mode; dctx sums over the r repeats.
+    dv multiplies the pairs grad_out * np.tile(ctx, (1, r, 1, 1)) does, so its bits match."""
     n, c, h, w = ctx.shape
     r = v.shape[1] // c
     go5 = grad_out.reshape(n, r, c, h, w)
     if combine == "mul":
-        dv = (grad_out * np.tile(ctx, (1, r, 1, 1)) if mode == "repeat"
-              else (go5 * ctx[:, None]).reshape(v.shape))
+        dv = (go5 * ctx[:, None]).reshape(v.shape)
         dctx = (go5 * v.reshape(n, r, c, h, w)).sum(axis=1)
     else:
         dv = grad_out.copy()
@@ -696,5 +676,5 @@ def fuse_modulate_vjp(
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
     """Spatial mean, keepdims: [n,c,h,w] -> [n,c,1,1]."""
     check_nchw(x, "x")
-    return _checked(x.mean(axis=(2, 3), keepdims=True), "global_avg_pool")
+    return x.mean(axis=(2, 3), keepdims=True)
 

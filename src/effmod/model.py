@@ -260,7 +260,7 @@ def spec_from_json(text: str) -> ModelSpec:
 @dataclass
 class ConvLayer:
     w: Var
-    b: Var | None
+    b: Var
     spec: ConvSpec
 
 
@@ -282,7 +282,7 @@ class Model:
     head_norm_g: Var
     head_norm_b: Var
     head_w: Var
-    head_b: Var | None
+    head_b: Var
     combine: str = "mul"  # modulation fuse op; "sum" is the ablation variant
 
     @property
@@ -292,8 +292,7 @@ class Model:
     def named_parameters(self):
         """Stable (name, Var) walk; order defines the serialization layout."""
         yield "stem.w", self.stem.w
-        if self.stem.b is not None:
-            yield "stem.b", self.stem.b
+        yield "stem.b", self.stem.b
         for si, stage in enumerate(self.stages):
             for bi, entry in enumerate(stage):
                 prefix = f"stage{si}.block{bi}."
@@ -304,28 +303,26 @@ class Model:
                     yield prefix + name, v
             if si < len(self.downs):
                 yield f"down{si}.w", self.downs[si].w
-                if self.downs[si].b is not None:
-                    yield f"down{si}.b", self.downs[si].b
+                yield f"down{si}.b", self.downs[si].b
         yield "head.norm_g", self.head_norm_g
         yield "head.norm_b", self.head_norm_b
         yield "head.w", self.head_w
-        if self.head_b is not None:
-            yield "head.b", self.head_b
+        yield "head.b", self.head_b
 
     def param_count(self) -> int:
         return sum(v.data.size for _, v in self.named_parameters())
 
 
-def _conv_layer(rng, c_in, c_out, kernel, stride, padding, bias, std, dtype) -> ConvLayer:
+def _conv_layer(rng, c_in, c_out, kernel, stride, padding, std, dtype) -> ConvLayer:
     w = Var(B.trunc_normal(rng, (c_out, c_in, kernel, kernel), std=std, dtype=dtype))
-    b = Var(np.zeros((c_out,), dtype=dtype)) if bias else None
+    b = Var(np.zeros((c_out,), dtype=dtype))
     return ConvLayer(w=w, b=b, spec=ConvSpec(kernel, stride=stride, padding=padding))
 
 
 _BLOCK_INITS = {"mod": B.init_efficient_mod, "mbconv": B.init_mbconv, "attn": B.init_attention}
 
 
-def _assemble(spec, stem: tuple, plan: list, seed, dtype, bias, combine) -> Model:
+def _assemble(spec, stem: tuple, plan: list, seed, dtype, combine) -> Model:
     """Draw stem, stages (each but the last followed by its downsample) and
     head from one RNG, in that order; a seed gives bit-identical parameters.
 
@@ -338,13 +335,13 @@ def _assemble(spec, stem: tuple, plan: list, seed, dtype, bias, combine) -> Mode
     rng = np.random.default_rng(seed)
     std = 0.02
     dims = [dim for dim, _ in plan]
-    stem_layer = _conv_layer(rng, 3, dims[0], *stem, bias, std, dtype)
+    stem_layer = _conv_layer(rng, 3, dims[0], *stem, std, dtype)
     stages: list[list[BlockEntry]] = []
     downs: list[ConvLayer] = []
     for si, (dim, blocks) in enumerate(plan):
         entries = []
         for kind, kwargs in blocks:
-            params = _BLOCK_INITS[kind](rng, dim, bias=bias, std=std, dtype=dtype, **kwargs)
+            params = _BLOCK_INITS[kind](rng, dim, std=std, dtype=dtype, **kwargs)
             wrap = None if kind == "attn" else B.init_residual_wrap(
                 dim, spec.layer_scale_init, spec.drop_path_rate, dtype=dtype
             )
@@ -352,7 +349,7 @@ def _assemble(spec, stem: tuple, plan: list, seed, dtype, bias, combine) -> Mode
         stages.append(entries)
         if si + 1 < len(plan):
             downs.append(_conv_layer(
-                rng, dim, dims[si + 1], DOWN_KERNEL, DOWN_STRIDE, DOWN_PAD, bias, std, dtype
+                rng, dim, dims[si + 1], DOWN_KERNEL, DOWN_STRIDE, DOWN_PAD, std, dtype
             ))
     return Model(
         spec=spec,
@@ -362,15 +359,14 @@ def _assemble(spec, stem: tuple, plan: list, seed, dtype, bias, combine) -> Mode
         head_norm_g=Var(np.ones((dims[-1],), dtype=dtype)),
         head_norm_b=Var(np.zeros((dims[-1],), dtype=dtype)),
         head_w=Var(B.trunc_normal(rng, (spec.head, dims[-1]), std=std, dtype=dtype)),
-        head_b=Var(np.zeros((spec.head,), dtype=dtype)) if bias else None,
+        head_b=Var(np.zeros((spec.head,), dtype=dtype)),
         combine=combine,
     )
 
 
-def build_model(
-    spec: ModelSpec, seed: int = 0, dtype=np.float32, bias: bool = True, combine: str = "mul"
-) -> Model:
-    """Materialize a hierarchical model; same seed gives bit-identical params."""
+def build_model(spec: ModelSpec, seed: int = 0, dtype=np.float32, combine: str = "mul") -> Model:
+    """Materialize a hierarchical model, every layer with its bias; same seed gives
+    bit-identical params. combine picks the modulation's fuse op ("sum": the ablation)."""
     spec.validate()
     plan = []
     for st in spec.stages:
@@ -383,27 +379,27 @@ def build_model(
         blocks += [attn] * st.attn_blocks
         plan.append((st.dim, blocks))
     stem = (spec.stem.kernel, spec.stem.stride, spec.stem.kernel // 2)
-    return _assemble(spec, stem, plan, seed, dtype, bias, combine)
+    return _assemble(spec, stem, plan, seed, dtype, combine)
 
 
-def build_isotropic(
-    spec: IsotropicSpec, seed: int = 0, dtype=np.float32, bias: bool = True, combine: str = "mul"
-) -> Model:
-    """Single-width stack behind a patchify conv; blocks are all one kind."""
+def build_isotropic(spec: IsotropicSpec, seed: int = 0, dtype=np.float32) -> Model:
+    """Single-width stack behind a patchify conv; blocks are all one kind, with biases
+    and the multiplicative fuse."""
     spec.validate()
     kind = "mod" if spec.block == "efficient_mod" else "mbconv"
     block = (kind, {"expansion": spec.expansion, "kernel": spec.dw_kernel})
     plan = [(spec.dim, [block] * spec.depth)]
-    return _assemble(spec, (spec.patch, spec.patch, 0), plan, seed, dtype, bias, combine)
+    return _assemble(spec, (spec.patch, spec.patch, 0), plan, seed, dtype, "mul")
 
 
-def build_iso_pair(pair: str, seed: int = 0, dtype=np.float32, bias: bool = True):
+def build_iso_pair(pair: str, seed: int = 0, dtype=np.float32):
+    """The (EfficientMod, MBConv) models of one equal-parameter isotropic pair."""
     if pair not in ISO_PAIRS:
         raise ConfigError(f"unknown isotropic pair {pair!r}; choose from {sorted(ISO_PAIRS)}")
     a, b = ISO_PAIRS[pair]
     return (
-        build_isotropic(ISO_SPECS[a], seed=seed, dtype=dtype, bias=bias),
-        build_isotropic(ISO_SPECS[b], seed=seed, dtype=dtype, bias=bias),
+        build_isotropic(ISO_SPECS[a], seed=seed, dtype=dtype),
+        build_isotropic(ISO_SPECS[b], seed=seed, dtype=dtype),
     )
 
 

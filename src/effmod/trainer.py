@@ -6,8 +6,9 @@ noise. It is deliberately easy (a least-squares pixel classifier clears 70%
 on the noiseless variant) so the micro model can certify the training loop,
 not fight the task.
 
-Recipe: AdamW (0.9, 0.999) with decoupled weight decay, cosine learning-rate
-decay to zero over all steps, fixed batch order per seed, float64 parameters.
+Recipe: AdamW (betas 0.9, 0.999, eps 1e-8) with decoupled weight decay, cosine
+learning-rate decay to zero over all steps, a fixed 20% eval split and batch
+order per seed, float64 parameters.
 Bit-for-bit reproducible per seed within a process. A non-finite loss aborts
 with step/lr diagnostics rather than training through NaNs.
 """
@@ -25,6 +26,8 @@ from .autodiff import Var, no_grad
 from .errors import ConfigError, NumericalError
 
 IMG_SIZE = 32
+BAR_JITTER = 2.0  # the bar's offset from the center is uniform in +-BAR_JITTER pixels
+BAR_THICKNESS = 2.5  # a pixel d from the line has intensity clip(BAR_THICKNESS - d, 0, 1)
 
 
 @dataclass
@@ -42,15 +45,9 @@ class SyntheticDataset:
         return int(self.labels.max()) + 1
 
 
-def gen_dataset(
-    seed: int,
-    n: int = 512,
-    classes: int = 4,
-    noise: float = 0.05,
-    jitter: float = 2.0,
-    thickness: float = 2.5,
-) -> SyntheticDataset:
-    """Balanced oriented-bar images; class k is a bar at angle k*180/classes deg."""
+def gen_dataset(seed: int, n: int = 512, classes: int = 4, noise: float = 0.05) -> SyntheticDataset:
+    """Balanced oriented-bar images; class k is a bar at angle k*180/classes deg, offset
+    by up to BAR_JITTER and BAR_THICKNESS wide, plus white noise of std noise."""
     if n < classes or n % classes != 0:
         raise ConfigError(f"n={n} must be a positive multiple of classes={classes}")
     if not 0 <= noise < np.inf:  # a NaN noise would skip the noise silently
@@ -63,10 +60,10 @@ def gen_dataset(
     images = np.empty((n, 3, IMG_SIZE, IMG_SIZE), dtype=np.float32)
     for i, k in enumerate(labels):
         theta = np.pi * k / classes
-        offset = rng.uniform(-jitter, jitter)
+        offset = rng.uniform(-BAR_JITTER, BAR_JITTER)
         # signed distance to the line through (cx,cy)+offset*normal at angle theta
         dist = np.abs(-np.sin(theta) * (xx - cx) + np.cos(theta) * (yy - cy) - offset)
-        bar = np.clip(thickness - dist, 0.0, 1.0)
+        bar = np.clip(BAR_THICKNESS - dist, 0.0, 1.0)
         img = np.broadcast_to(bar, (3, IMG_SIZE, IMG_SIZE)).copy()
         if noise > 0:
             img += noise * rng.standard_normal((3, IMG_SIZE, IMG_SIZE))
@@ -122,13 +119,13 @@ class TrainHistory:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over the model's named parameters."""
+    """Decoupled-weight-decay Adam over the model's named parameters, with fixed betas
+    and eps; step(lr_t) takes each step's learning rate from the schedule."""
 
-    def __init__(self, params, lr=3e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.05):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, weight_decay=0.05):
         self.params = list(params)  # [(name, Var)]
-        self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.wd = weight_decay
         self.t = 0
         self.m = [np.zeros_like(v.data) for _, v in self.params]
@@ -183,22 +180,21 @@ def train(
     weight_decay: float = 0.05,
     seed: int = 0,
     batch_size: int = 32,
-    eval_frac: float = 0.2,
     log=None,
 ) -> TrainHistory:
     """Train in place; returns the per-epoch history.
 
-    The dataset is split train/eval deterministically from (seed, dataset
-    seed). Raises NumericalError with step and lr context if the loss or the
-    eval logits go non-finite.
+    The dataset is split 80/20 train/eval deterministically from (seed,
+    dataset seed). Raises NumericalError with step and lr context if the loss
+    or the eval logits go non-finite.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
     for name, v in (("lr", lr), ("weight_decay", weight_decay)):
         if not 0 <= v < np.inf:
             raise ConfigError(f"{name} must be finite and >= 0, got {v}")
-    (tr_x, tr_y), (ev_x, ev_y) = split_dataset(dataset, eval_frac=eval_frac, seed=seed)
-    opt = AdamW(model.named_parameters(), lr=lr, weight_decay=weight_decay)
+    (tr_x, tr_y), (ev_x, ev_y) = split_dataset(dataset, seed=seed)
+    opt = AdamW(model.named_parameters(), weight_decay=weight_decay)
     n_train = len(tr_y)
     steps_per_epoch = (n_train + batch_size - 1) // batch_size
     total_steps = epochs * steps_per_epoch
@@ -207,7 +203,7 @@ def train(
         hyperparams={
             "epochs": epochs, "lr": lr, "weight_decay": weight_decay, "seed": seed,
             "batch_size": batch_size, "n_train": n_train, "n_eval": len(ev_y),
-            "optimizer": "adamw(0.9,0.999)", "schedule": "cosine",
+            "optimizer": f"adamw({AdamW.b1},{AdamW.b2})", "schedule": "cosine",
             "combine": model.combine,
         },
     )
@@ -269,16 +265,9 @@ def train_micro(
     return model, history
 
 
-def ablate_fusion(
-    seed: int = 0,
-    epochs: int = 30,
-    lr: float = 3e-3,
-    weight_decay: float = 0.05,
-    n: int = 512,
-    noise: float = 0.05,
-    log=None,
-) -> dict:
-    """Train the same micro init with multiplicative vs additive fusion.
+def ablate_fusion(seed: int = 0, epochs: int = 30, n: int = 512, log=None) -> dict:
+    """Train the same micro init with multiplicative vs additive fusion, at train_micro's
+    default lr, weight decay and noise.
 
     Both runs share the seed, so they start from bit-identical parameters and
     see identical batches; the only difference is the fuse op. Returns
@@ -288,10 +277,7 @@ def ablate_fusion(
     for combine in ("mul", "sum"):
         if log is not None:
             log(f"--- fusion variant: {combine} ---")
-        _, hist = train_micro(
-            seed=seed, epochs=epochs, lr=lr, weight_decay=weight_decay,
-            n=n, noise=noise, combine=combine, log=log,
-        )
+        _, hist = train_micro(seed=seed, epochs=epochs, n=n, combine=combine, log=log)
         out[combine] = hist
     return out
 

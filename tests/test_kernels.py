@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effmod import kernels
-from effmod.errors import ConfigError, NumericalError, PreconditionError
+from effmod.errors import ConfigError, PreconditionError
 from effmod.kernels import (
     ConvSpec,
     batched_matmul,
@@ -28,7 +28,6 @@ from effmod.kernels import (
     layer_norm,
     layer_norm_vjp,
     pointwise,
-    set_validation,
     sigmoid,
     softmax,
 )
@@ -852,6 +851,26 @@ def test_fuse_modulate_of_a_non_c_ordered_v_is_a_fresh_c_array(mode):
     assert out.tobytes() == fuse_modulate(ctx, np.ascontiguousarray(v), mode=mode).tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("combine", ["mul", "sum"])
+def test_fuse_modulate_vjp_equals_the_tiled_context_products_bitwise(combine, dtype):
+    """One VJP serves both fusion modes: its cotangents are bit for bit the products
+    and sums of the repeat route, which tiles ctx r times along the channels."""
+    for n, c, r, h, w in [(1, 3, 4, 5, 7), (2, 2, 3, 4, 4), (3, 1, 1, 2, 3), (1, 8, 6, 14, 14)]:
+        ctx, v, g = (RNG.normal(size=s).astype(dtype) for s in
+                     [(n, c, h, w), (n, r * c, h, w), (n, r * c, h, w)])
+        dctx, dv = kernels.fuse_modulate_vjp(ctx, v, combine, g)
+        if combine == "mul":
+            want_dv, prod = g * np.tile(ctx, (1, r, 1, 1)), g * v
+        else:
+            want_dv, prod = g, g
+        want_dctx = prod.reshape(n, r, c, h, w).sum(axis=1)
+        assert dv.dtype == dctx.dtype == dtype
+        assert dv.shape == v.shape and dctx.shape == ctx.shape
+        assert dv.tobytes() == want_dv.tobytes(), (n, c, r, h, w)
+        assert dctx.tobytes() == want_dctx.tobytes(), (n, c, r, h, w)
+
+
 # ---------------------------------------------------------------- pool
 
 
@@ -861,18 +880,3 @@ def test_global_avg_pool_frozen_values():
     x = np.array([[1.0, 3.0], [5.0, 7.0]]).reshape(1, 1, 2, 2)
     assert global_avg_pool(x)[0, 0, 0, 0] == 4.0
     assert not global_avg_pool(np.zeros((2, 3, 4, 4))).any()
-
-
-# ------------------------------------------------------------ validation
-
-
-def test_validation_toggle_catches_nonfinite():
-    x = np.array([[np.inf]]).reshape(1, 1, 1, 1)
-    w = np.ones((1, 1, 1, 1))
-    set_validation(True)
-    try:
-        with pytest.raises(NumericalError):
-            conv2d(x, w, None, ConvSpec(1))
-    finally:
-        set_validation(False)
-    conv2d(x, w, None, ConvSpec(1))  # no error when validation is off

@@ -318,15 +318,6 @@ def test_parameter_naming_layout():
 def test_build_rejects_bad_combine():
     with pytest.raises(ConfigError):
         M.build_model(M.build_preset("micro"), combine="xor")
-    with pytest.raises(ConfigError):
-        M.build_isotropic(M.ISO_SPECS["iso-effmod-196-11"], combine="bogus")
-
-
-def test_bias_false_drops_bias_params():
-    m = M.build_model(M.build_preset("micro"), bias=False)
-    names = [n for n, _ in m.named_parameters()]
-    assert "stem.b" not in names and "head.b" not in names
-    assert not any(n.endswith(".f_b") or n.endswith(".dw_b") for n in names)
 
 
 # -------------------------------------------------------------- forward

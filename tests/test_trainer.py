@@ -86,7 +86,7 @@ def test_adamw_zero_lr_is_noop():
 def test_adamw_first_step_is_signlike():
     v = ad.Var(np.array([1.0, -2.0, 3.0]))
     v.grad = np.array([0.5, -4.0, 1e-12])
-    opt = T.AdamW([("p", v)], lr=1.0, weight_decay=0.0)
+    opt = T.AdamW([("p", v)], weight_decay=0.0)
     opt.step(lr_t=0.1)
     # t=1: mhat == g, vhat == g*g, so the update is ~sign(g) scaled by lr
     delta = v.data - np.array([1.0, -2.0, 3.0])
@@ -99,7 +99,7 @@ def test_single_step_reduces_single_sample_loss():
     ds = T.gen_dataset(1, n=4)
     x = ds.images[:1].astype(np.float64)
     y = ds.labels[:1]
-    opt = T.AdamW(model.named_parameters(), lr=1e-3, weight_decay=0.0)
+    opt = T.AdamW(model.named_parameters(), weight_decay=0.0)
 
     def loss_val():
         with ad.no_grad():
