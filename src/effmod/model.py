@@ -37,6 +37,7 @@ from .kernels import ConvSpec
 DOWN_KERNEL, DOWN_STRIDE, DOWN_PAD = 3, 2, 1
 HEADS = 8  # attention heads in every hierarchical model
 MAX_WEIGHTS = 10**8  # 400 MB of f32 weights; the largest preset, s, has 12.9 M
+MAX_ACTIVATIONS = 2**28  # elements in one dataset or activation array: 1 GiB of f32
 
 
 @dataclass(frozen=True)
@@ -567,11 +568,11 @@ def load_params(model: Model, path: str) -> None:
                 f"model {want.dtype.name}"
             )
         raw = np.frombuffer(take(want.nbytes, name), dtype=_CODE_DTYPES[code])
-        loaded[name] = raw.reshape(shape).astype(want.dtype)
+        loaded[name] = raw.reshape(shape)
     if off != len(blob):
         raise ConfigError(f"{path}: {len(blob) - off} trailing bytes after the last parameter")
     for name in params:
         if name not in loaded:
             raise ConfigError(f"{path}: missing parameter {name}")
     for name, v in params.items():
-        v.data = loaded[name]
+        v.data[...] = loaded[name]  # in place: an AdamW's flat buffer keeps its views

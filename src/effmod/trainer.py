@@ -6,9 +6,9 @@ noise. It is deliberately easy (a least-squares pixel classifier clears 70%
 on the noiseless variant) so the micro model can certify the training loop,
 not fight the task.
 
-Recipe: AdamW (betas 0.9, 0.999, eps 1e-8) with decoupled weight decay, cosine
-learning-rate decay to zero over all steps, a fixed 20% eval split and batch
-order per seed, float64 parameters.
+Recipe: AdamW (betas 0.9, 0.999, eps 1e-8) with decoupled weight decay, stepping all
+parameters in place as one flat buffer; cosine learning-rate decay to zero over all
+steps, a fixed 20% eval split and batch order per seed, float64 parameters.
 Bit-for-bit reproducible per seed within a process. A non-finite loss aborts
 with step/lr diagnostics rather than training through NaNs.
 """
@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as M
 from .autodiff import Var, no_grad
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, PreconditionError
 
 IMG_SIZE = 32
 BAR_JITTER = 2.0  # the bar's offset from the center is uniform in +-BAR_JITTER pixels
@@ -50,6 +50,8 @@ def gen_dataset(seed: int, n: int = 512, classes: int = 4, noise: float = 0.05) 
     by up to BAR_JITTER and BAR_THICKNESS wide, plus white noise of std noise."""
     if n < classes or n % classes != 0:
         raise ConfigError(f"n={n} must be a positive multiple of classes={classes}")
+    if n * 3 * IMG_SIZE**2 > M.MAX_ACTIVATIONS:  # before anything is allocated
+        raise ConfigError(f"n={n} images exceed MAX_ACTIVATIONS = {M.MAX_ACTIVATIONS:,} elements")
     if not 0 <= noise < np.inf:  # a NaN noise would skip the noise silently
         raise ConfigError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
@@ -120,7 +122,13 @@ class TrainHistory:
 
 class AdamW:
     """Decoupled-weight-decay Adam over the model's named parameters, with fixed betas
-    and eps; step(lr_t) takes each step's learning rate from the schedule."""
+    and eps; step(lr_t) takes each step's learning rate from the schedule.
+
+    The parameters become views of one flat buffer, `flat`, kept for the optimizer's
+    life; step updates it in place in the per-array formula's order, so bit for bit.
+    Write .data in place (v.data[...] =). Mixed dtypes, and at step a missing .grad
+    or a .data off `flat`, raise PreconditionError naming the parameter.
+    """
 
     b1, b2, eps = 0.9, 0.999, 1e-8
 
@@ -128,22 +136,33 @@ class AdamW:
         self.params = list(params)  # [(name, Var)]
         self.wd = weight_decay
         self.t = 0
-        self.m = [np.zeros_like(v.data) for _, v in self.params]
-        self.v = [np.zeros_like(v.data) for _, v in self.params]
+        for name, q in self.params:
+            if q.dtype != self.params[0][1].dtype:
+                raise PreconditionError(f"AdamW: parameters mix dtypes; {name} is {q.dtype}")
+        self.flat = np.concatenate([q.data.ravel() for _, q in self.params])
+        for (_, q), end in zip(self.params, np.cumsum([q.data.size for _, q in self.params])):
+            q.data = self.flat[end - q.data.size : end].reshape(q.shape)
+        self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
 
     def step(self, lr_t: float):
+        for name, q in self.params:
+            if q.grad is None or q.data.base is not self.flat:
+                what = "has no gradient" if q.grad is None else "no longer views AdamW.flat"
+                raise PreconditionError(f"AdamW.step: parameter {name} {what}")
         self.t += 1
         bc1 = 1.0 - self.b1**self.t
         bc2 = 1.0 - self.b2**self.t
-        for i, (_, p) in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                continue
-            self.m[i] = self.b1 * self.m[i] + (1.0 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1.0 - self.b2) * (g * g)
-            mhat = self.m[i] / bc1
-            vhat = self.v[i] / bc2
-            p.data = p.data - lr_t * (mhat / (np.sqrt(vhat) + self.eps) + self.wd * p.data)
+        g = np.concatenate([q.grad.ravel() for _, q in self.params])
+        s = np.multiply(g, g)  # g and s are the step's only parameter-sized temporaries
+        self.m *= self.b1
+        self.m += np.multiply(g, 1.0 - self.b1, out=g)
+        self.v *= self.b2
+        self.v += np.multiply(s, 1.0 - self.b2, out=s)
+        np.divide(self.m, bc1, out=g)  # mhat / (sqrt(vhat) + eps) + wd * p
+        g /= np.add(np.sqrt(np.divide(self.v, bc2, out=s), out=s), self.eps, out=s)
+        g += np.multiply(self.flat, self.wd, out=s)
+        g *= lr_t
+        self.flat -= g
 
     def zero_grad(self):
         for _, p in self.params:

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, stderr categories, file outputs."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,20 @@ def test_train_with_a_finite_but_huge_lr_is_numerical_error(capsys):
     assert "final eval acc" not in out
     assert err.startswith("error: numerical:") and err.count("\n") == 1
     assert "epoch 0" in err and "lr 1.000e+308" in err
+
+
+def test_train_n_above_the_activation_budget_is_config_error_without_allocating(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(["train", "--n", "1000000000000", "--epochs", "1"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert code == 3
+    assert "loss" not in out
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert "n=1000000000000" in err and f"{M.MAX_ACTIVATIONS:,}" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])

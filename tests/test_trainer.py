@@ -6,7 +6,7 @@ import pytest
 from effmod import autodiff as ad
 from effmod import model as M
 from effmod import trainer as T
-from effmod.errors import ConfigError, NumericalError
+from effmod.errors import ConfigError, NumericalError, PreconditionError
 
 
 # ----------------------------------------------------------------- data
@@ -36,6 +36,13 @@ def test_dataset_rejects_unbalanced_n():
         T.gen_dataset(0, n=63, classes=4)
     with pytest.raises(ConfigError):
         T.gen_dataset(0, n=2, classes=4)
+
+
+def test_dataset_size_is_checked_against_the_activation_budget(monkeypatch):
+    monkeypatch.setattr(M, "MAX_ACTIVATIONS", 8 * 3 * T.IMG_SIZE**2)
+    assert T.gen_dataset(0, n=8).images.size == M.MAX_ACTIVATIONS
+    with pytest.raises(ConfigError, match="n=12 images exceed MAX_ACTIVATIONS"):
+        T.gen_dataset(0, n=12)
 
 
 def test_split_deterministic_and_disjoint():
@@ -92,6 +99,112 @@ def test_adamw_first_step_is_signlike():
     delta = v.data - np.array([1.0, -2.0, 3.0])
     np.testing.assert_allclose(delta[:2], [-0.1, 0.1], rtol=1e-6)
     assert abs(delta[2]) < 0.1  # eps dominates a vanishing gradient
+
+
+class PerArrayAdamW:
+    """The per-array AdamW update, one array at a time with fresh temporaries: the
+    reference that AdamW's flat in-place update must match bit for bit."""
+
+    def __init__(self, arrays, weight_decay):
+        self.params = [a.copy() for a in arrays]
+        self.wd = weight_decay
+        self.t = 0
+        self.m = [np.zeros_like(a) for a in self.params]
+        self.v = [np.zeros_like(a) for a in self.params]
+
+    def step(self, grads, lr_t):
+        b1, b2, eps = T.AdamW.b1, T.AdamW.b2, T.AdamW.eps
+        self.t += 1
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        for i, (p, g) in enumerate(zip(self.params, grads)):
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
+            mhat = self.m[i] / bc1
+            vhat = self.v[i] / bc2
+            self.params[i] = p - lr_t * (mhat / (np.sqrt(vhat) + eps) + self.wd * p)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_flat_adamw_matches_the_per_array_formula_bit_for_bit(dtype):
+    model = M.build_model(M.build_preset("micro"), seed=2, dtype=dtype)
+    ds = T.gen_dataset(2, n=16)
+    x = ds.images.astype(dtype)
+    oracle = PerArrayAdamW([v.data for _, v in model.named_parameters()], weight_decay=0.05)
+    opt = T.AdamW(model.named_parameters(), weight_decay=0.05)
+    for step in range(5):
+        logits = M.model_forward(model, x, training=True, seed=2, step=step)
+        opt.zero_grad()
+        ad.backward(ad.cross_entropy(logits, ds.labels))
+        lr_t = T.cosine_lr(3e-3, step, 5)
+        oracle.step([v.grad for _, v in model.named_parameters()], lr_t)
+        opt.step(lr_t)
+        for (name, v), want in zip(model.named_parameters(), oracle.params):
+            assert v.data.dtype == dtype, (step, name)
+            assert v.data.tobytes() == want.tobytes(), (step, name)
+
+
+def test_adamw_keeps_each_parameter_array_across_steps():
+    model = M.build_model(M.build_preset("micro"), seed=0, dtype=np.float64)
+    opt = T.AdamW(model.named_parameters(), weight_decay=0.05)
+    arrays = {name: v.data for name, v in model.named_parameters()}
+    before = opt.flat.copy()
+    for _ in range(2):
+        for _, v in model.named_parameters():
+            v.grad = np.ones_like(v.data)
+        opt.step(1e-3)
+    assert not np.array_equal(opt.flat, before)
+    for name, v in model.named_parameters():
+        assert v.data is arrays[name] and v.data.base is opt.flat, name
+
+
+def _two_param_adamw():
+    a, b = ad.Var(np.ones(3)), ad.Var(np.full((2, 2), 2.0))
+    opt = T.AdamW([("a", a), ("b", b)], weight_decay=0.05)
+    a.grad, b.grad = np.ones(3), np.ones((2, 2))
+    return opt, a, b
+
+
+def test_adamw_step_without_a_gradient_raises_and_changes_nothing():
+    opt, _, b = _two_param_adamw()
+    b.grad = None
+    before = opt.flat.copy()
+    with pytest.raises(PreconditionError, match="parameter b has no gradient"):
+        opt.step(1e-3)
+    assert np.array_equal(opt.flat, before) and opt.t == 0
+
+
+def test_adamw_step_on_a_rebound_parameter_raises():
+    opt, _, b = _two_param_adamw()
+    b.data = np.zeros((2, 2))  # rebinding, not writing in place, leaves the flat buffer
+    with pytest.raises(PreconditionError, match="parameter b no longer views AdamW.flat"):
+        opt.step(1e-3)
+
+
+def test_adamw_rejects_parameters_of_mixed_dtypes():
+    a, b = ad.Var(np.ones(3)), ad.Var(np.ones(2, dtype=np.float32))
+    with pytest.raises(PreconditionError, match="b is float32"):
+        T.AdamW([("a", a), ("b", b)])
+
+
+def test_load_params_writes_into_the_optimizers_buffer(tmp_path):
+    model = M.build_model(M.build_preset("micro"), seed=0, dtype=np.float64)
+    opt = T.AdamW(model.named_parameters(), weight_decay=0.05)
+    path = str(tmp_path / "p.efmod")
+    M.save_params(model, path)
+    saved = [v.data.copy() for _, v in model.named_parameters()]
+    opt.flat += 1.0
+    M.load_params(model, path)
+    for (name, v), want in zip(model.named_parameters(), saved):
+        assert v.data.base is opt.flat and v.data.tobytes() == want.tobytes(), name
+    grads = [np.full_like(a, 0.5) for a in saved]
+    for (_, v), g in zip(model.named_parameters(), grads):
+        v.grad = g
+    opt.step(1e-2)
+    oracle = PerArrayAdamW(saved, weight_decay=0.05)
+    oracle.step(grads, 1e-2)
+    for (name, v), want in zip(model.named_parameters(), oracle.params):
+        assert v.data.tobytes() == want.tobytes(), name
 
 
 def test_single_step_reduces_single_sample_loss():
