@@ -17,5 +17,6 @@ print(f"== fusion modes on a 144-channel r=6 block at 14x14, {iters} iters ==")
 res = bench.bench_fusion_modes(c=144, expansion=6, res=14, warmup=20, iters=iters)
 print(res.summary())
 print()
-print(f"output hashes match: {res.repeat.output_hash == res.reshape.output_hash}")
+repeat, reshape = res.results["repeat"], res.results["reshape"]
+print(f"output hashes match: {repeat.output_hash == reshape.output_hash}")
 print("(hash equality is checked every iteration; a flip aborts the run)")

@@ -16,7 +16,7 @@ from .analyzer import (
     degree_probe,
 )
 from .autodiff import GradCheckReport, Var, backward, finite_diff_grad, grad_check, no_grad
-from .bench import BenchResult, bench_fusion_modes, bench_pair_mbconv
+from .bench import BenchResult, PairBenchResult, bench_fusion_modes, bench_pair_mbconv
 from .blocks import (
     AttentionParams,
     EfficientModParams,

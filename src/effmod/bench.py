@@ -20,13 +20,13 @@ import hashlib
 import os
 import time
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analyzer
-from .autodiff import no_grad
+from . import analyzer, model
+from .autodiff import Var, no_grad
 from .blocks import efficient_mod, init_efficient_mod
 from .errors import ConfigError, NumericalError
 from .model import ISO_PAIRS, ISO_SPECS, build_iso_pair, check_resolution, model_forward
@@ -66,38 +66,31 @@ def _checked_budget(warmup: int, iters: int, threads: int | None) -> int:
     return thread_budget(threads)
 
 
-@contextmanager
-def _limit_threads(n: int):
-    if _HAVE_TPC:
-        with threadpoolctl.threadpool_limits(limits=n):
-            yield
-    else:
-        yield
-
-
 @dataclass
 class BenchResult:
+    """One timed callable: its samples and the conditions they were taken under."""
+
     label: str
-    mean_ms: float
-    std_ms: float
-    p50_ms: float
-    p90_ms: float
-    warmup: int
-    iters: int
-    threads: int
+    samples_ms: list = field(repr=False)
+    warmup: int = 0
+    threads: int = 0
     threads_enforced: bool = False  # True only when threadpoolctl limited the BLAS pools
     shape: tuple | None = None
     output_hash: str = ""
     peak_alloc_mb: float = 0.0  # tracemalloc peak of one untimed call, after the warmup
-    samples_ms: list = field(default_factory=list, repr=False)
 
-    @property
-    def cv(self) -> float:
-        return self.std_ms / self.mean_ms if self.mean_ms > 0 else 0.0
+    def __post_init__(self):
+        if len(self.samples_ms) == 0:
+            raise ConfigError("need at least one timed iteration")
 
-    @property
-    def unstable(self) -> bool:
-        return self.cv > 0.20
+    # every statistic is a view of the samples, so none can disagree with them
+    iters = property(lambda self: len(self.samples_ms))
+    mean_ms = property(lambda self: float(np.mean(self.samples_ms)))
+    std_ms = property(lambda self: float(np.std(self.samples_ms)))
+    p50_ms = property(lambda self: float(np.percentile(self.samples_ms, 50)))
+    p90_ms = property(lambda self: float(np.percentile(self.samples_ms, 90)))
+    cv = property(lambda self: self.std_ms / self.mean_ms if self.mean_ms > 0 else 0.0)
+    unstable = property(lambda self: self.cv > 0.20)
 
     def summary(self) -> str:
         flag = "  UNSTABLE(cv>20%)" if self.unstable else ""
@@ -107,6 +100,26 @@ class BenchResult:
             f"({self.iters} iters, {self.warmup} warmup, {self.threads} threads "
             f"{'enforced' if self.threads_enforced else 'requested, not enforced'}), "
             f"peak alloc {self.peak_alloc_mb:.3f} MB{flag}"
+        )
+
+
+@dataclass
+class PairBenchResult:
+    """One experiment: two members timed under one protocol, compared first over second."""
+
+    label: str
+    results: dict  # member name -> BenchResult, in ratio order
+    note: str = ""  # the precondition the experiment checked before timing
+
+    def summary(self) -> str:
+        (na, a), (nb, b) = self.results.items()
+        return "\n".join(
+            [f"{self.label}: {self.note}" if self.note else self.label]
+            + [r.summary() for r in self.results.values()]
+            + [
+                f"{na}/{nb} mean-time ratio: {a.mean_ms / b.mean_ms:.3f}",
+                f"{na}/{nb} peak-alloc ratio: {a.peak_alloc_mb / b.peak_alloc_mb:.3f}",
+            ]
         )
 
 
@@ -120,31 +133,6 @@ def _hash_output(out) -> str:
     return ""
 
 
-def stats_from_samples(
-    samples_ms, label="", warmup=0, threads=0, shape=None, output_hash="", threads_enforced=False,
-    peak_alloc_mb=0.0,
-):
-    """Order-independent summary of a sample vector (exposed for testing)."""
-    arr = np.asarray(samples_ms, dtype=np.float64)
-    if arr.size == 0:
-        raise ConfigError("need at least one timed iteration")
-    return BenchResult(
-        label=label,
-        mean_ms=float(arr.mean()),
-        std_ms=float(arr.std()),
-        p50_ms=float(np.percentile(arr, 50)),
-        p90_ms=float(np.percentile(arr, 90)),
-        warmup=warmup,
-        iters=int(arr.size),
-        threads=threads,
-        threads_enforced=threads_enforced,
-        shape=shape,
-        output_hash=output_hash,
-        peak_alloc_mb=peak_alloc_mb,
-        samples_ms=[float(s) for s in arr],
-    )
-
-
 def bench(
     fn,
     label: str = "",
@@ -156,7 +144,8 @@ def bench(
     """Time fn() per iteration; hashes ndarray outputs to catch nondeterminism."""
     n_threads = _checked_budget(warmup, iters, threads)
     samples = np.empty(iters, dtype=np.float64)
-    with _limit_threads(n_threads):
+    limit = threadpoolctl.threadpool_limits(limits=n_threads) if _HAVE_TPC else nullcontext()
+    with limit:
         for _ in range(warmup):
             fn()
         tracemalloc.start()  # one untimed call: the hash reference and the memory peak
@@ -178,32 +167,13 @@ def bench(
                         f"{label or 'bench'}: nondeterministic output at iteration {i} "
                         f"(hash {h[:12]} != {ref_hash[:12]})"
                     )
-    return stats_from_samples(
-        samples, label=label, warmup=warmup, threads=n_threads, shape=shape,
-        output_hash=ref_hash, threads_enforced=_HAVE_TPC, peak_alloc_mb=peak / 1e6,
+    return BenchResult(
+        label, samples.tolist(), warmup, n_threads, threads_enforced=_HAVE_TPC, shape=shape,
+        output_hash=ref_hash, peak_alloc_mb=peak / 1e6,
     )
 
 
 # ----------------------------------------------------- fusion experiment
-
-
-@dataclass
-class FusionBenchResult:
-    repeat: BenchResult
-    reshape: BenchResult
-
-    @property
-    def repeat_over_reshape(self) -> float:
-        return self.repeat.mean_ms / self.reshape.mean_ms
-
-    def summary(self) -> str:
-        return "\n".join(
-            [
-                self.repeat.summary(),
-                self.reshape.summary(),
-                f"repeat/reshape mean-time ratio: {self.repeat_over_reshape:.3f}",
-            ]
-        )
 
 
 def bench_fusion_modes(
@@ -214,65 +184,49 @@ def bench_fusion_modes(
     iters: int = DEFAULT_ITERS,
     threads: int | None = None,
     seed: int = 0,
-) -> FusionBenchResult:
+) -> PairBenchResult:
     """Time the materializing vs view-based fusion route on one block.
 
     Hard-fails unless the two routes produce bit-identical outputs first; the
-    experiment is meaningless if they diverge.
+    experiment is meaningless if they diverge. Sizes past the model's weight
+    or activation budget are refused before anything is allocated.
     """
     if min(c, res) < 1:
         raise ConfigError(f"need channels and res >= 1, got {c} and {res}")
+    _checked_budget(warmup, iters, threads)
+    weights = 2 * (expansion + 1) * c * c + 49 * c  # f, g, v, p and the 7x7 depthwise
+    if weights > model.MAX_WEIGHTS:
+        raise ConfigError(
+            f"channels {c} at expansion {expansion} give {weights:,} weights, "
+            f"above MAX_WEIGHTS = {model.MAX_WEIGHTS:,}"
+        )
+    value_map = expansion * c * res * res
+    if value_map > model.MAX_ACTIVATIONS:
+        raise ConfigError(
+            f"channels {c} at expansion {expansion} and res {res} give a {value_map:,}-element "
+            f"value map, above MAX_ACTIVATIONS = {model.MAX_ACTIVATIONS:,}"
+        )
     rng = np.random.default_rng(seed)
     params = init_efficient_mod(rng, c, expansion=expansion, kernel=7, dtype=np.float32)
     x = rng.standard_normal((1, c, res, res), dtype=np.float32)
 
     def run(mode):
-        def f():
-            with no_grad():
-                from .autodiff import Var
+        with no_grad():
+            return efficient_mod(Var(x), params, mode=mode).data
 
-                return efficient_mod(Var(x), params, mode=mode).data
-
-        return f
-
-    out_repeat = run("repeat")()
-    out_reshape = run("reshape")()
-    if not np.array_equal(out_repeat, out_reshape):
+    if not np.array_equal(run("repeat"), run("reshape")):
         raise NumericalError("fusion modes disagree bitwise; refusing to benchmark")
-    shape = (1, c, res, res)
-    return FusionBenchResult(
-        repeat=bench(run("repeat"), "fusion-repeat", warmup, iters, threads, shape),
-        reshape=bench(run("reshape"), "fusion-reshape", warmup, iters, threads, shape),
-    )
+    results = {
+        mode: bench(lambda: run(mode), f"fusion-{mode}", warmup, iters, threads, x.shape)
+        for mode in ("repeat", "reshape")
+    }
+    return PairBenchResult("fusion", results, "routes bit-identical")
 
 
 # ------------------------------------------------------ iso pair experiment
 
 PAIR_WARMUP = 5
 PAIR_ITERS = 30  # one iteration is a full 224^2 forward; keep the default sane
-
-
-@dataclass
-class PairBenchResult:
-    pair: str
-    results: dict  # block name -> BenchResult
-    params: dict  # block name -> with-bias param count
-    param_gap: float  # relative difference of the two totals
-
-    def summary(self) -> str:
-        lines = [
-            f"pair {self.pair}: params "
-            + ", ".join(f"{k} {v:,}" for k, v in self.params.items())
-            + f" (gap {self.param_gap * 100:.2f}%)"
-        ]
-        lines += [r.summary() for r in self.results.values()]
-        names = list(self.results)
-        if len(names) == 2:
-            a, b = self.results[names[0]], self.results[names[1]]
-            lines.append(f"{names[0]}/{names[1]} mean-time ratio: {a.mean_ms / b.mean_ms:.3f}")
-            lines.append(f"{names[0]}/{names[1]} peak-alloc ratio: "
-                         f"{a.peak_alloc_mb / b.peak_alloc_mb:.3f}")
-        return "\n".join(lines)
 
 
 def bench_pair_mbconv(
@@ -292,7 +246,16 @@ def bench_pair_mbconv(
     if pair not in ISO_PAIRS:
         raise ConfigError(f"unknown pair {pair!r}; choose from {sorted(ISO_PAIRS)}")
     _checked_budget(warmup, iters, threads)  # every flag before the 0.3-0.6 s build
-    check_resolution(ISO_SPECS[ISO_PAIRS[pair][0]].patch, input_res, input_res)
+    specs = [ISO_SPECS[name] for name in ISO_PAIRS[pair]]
+    patch = specs[0].patch
+    check_resolution(patch, input_res, input_res)
+    tokens = (input_res // patch) ** 2
+    widest = max(3 * input_res**2, *(spec.dim * spec.expansion * tokens for spec in specs))
+    if widest > model.MAX_ACTIVATIONS:
+        raise ConfigError(
+            f"pair {pair} at res {input_res}: the widest activation has {widest:,} elements, "
+            f"above MAX_ACTIVATIONS = {model.MAX_ACTIVATIONS:,}"
+        )
     em, mb = build_iso_pair(pair, seed=seed, dtype=np.float32)
     p_em = analyzer.count_params(em).total_params_with_bias
     p_mb = analyzer.count_params(mb).total_params_with_bias
@@ -304,24 +267,18 @@ def bench_pair_mbconv(
         )
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1, 3, input_res, input_res), dtype=np.float32)
+
+    def forward(m):
+        with no_grad():
+            return model_forward(m, x).data
+
     results = {}
     for name, m in (("efficient_mod", em), ("mbconv", mb)):
-        with no_grad():
-            probe = model_forward(m, x).data
-        if not np.isfinite(probe).all():
+        if not np.isfinite(forward(m)).all():
             raise NumericalError(f"pair {pair}: {name} probe produced non-finite logits")
-
-        def f(m=m):
-            with no_grad():
-                return model_forward(m, x).data
-
-        results[name] = bench(f, f"{pair}-{name}", warmup, iters, threads, x.shape)
-    return PairBenchResult(
-        pair=pair,
-        results=results,
-        params={"efficient_mod": p_em, "mbconv": p_mb},
-        param_gap=gap,
-    )
+        results[name] = bench(lambda: forward(m), f"{pair}-{name}", warmup, iters, threads, x.shape)
+    note = f"params efficient_mod {p_em:,}, mbconv {p_mb:,} (gap {gap * 100:.2f}%)"
+    return PairBenchResult(f"pair {pair}", results, note)
 
 
 def bench_csv(results) -> str:

@@ -105,20 +105,13 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_bench(args) -> int:
     print(f"# bench {args.experiment}, seed {args.seed}")
+    budget = dict(warmup=args.warmup, iters=args.iters, threads=args.threads, seed=args.seed)
     if args.experiment == "fusion":
-        res = bench.bench_fusion_modes(
-            c=args.channels, expansion=args.expansion, res=args.res,
-            warmup=args.warmup, iters=args.iters, threads=args.threads, seed=args.seed,
-        )
-        print(res.summary())
-        _write(args.csv, bench.bench_csv([res.repeat, res.reshape]), "bench csv")
+        res = bench.bench_fusion_modes(args.channels, args.expansion, args.res, **budget)
     else:
-        res = bench.bench_pair_mbconv(
-            pair=args.experiment.removeprefix("pair-"), input_res=args.res,
-            warmup=args.warmup, iters=args.iters, threads=args.threads, seed=args.seed,
-        )
-        print(res.summary())
-        _write(args.csv, bench.bench_csv(list(res.results.values())), "bench csv")
+        res = bench.bench_pair_mbconv(args.experiment.removeprefix("pair-"), args.res, **budget)
+    print(res.summary())
+    _write(args.csv, bench.bench_csv(res.results.values()), "bench csv")
     return 0
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
+from . import model as M
 from .blocks import efficient_mod_ctx
 from .errors import ConfigError, PreconditionError
 from .model import Model, _check_input, forward_features
@@ -34,6 +35,11 @@ def context_map(model: Model, image: np.ndarray, stage: int, block: int) -> Cont
         img = img[None]
     if img.ndim != 4 or img.shape[0] != 1 or img.shape[1] != 3:
         raise PreconditionError(f"context_map wants one RGB image, got shape {image.shape}")
+    if 3 * img.shape[2] * img.shape[3] > M.MAX_ACTIVATIONS:
+        raise ConfigError(
+            f"a {img.shape[2]}x{img.shape[3]} image exceeds MAX_ACTIVATIONS = "
+            f"{M.MAX_ACTIVATIONS:,} elements"
+        )
     if not 0 <= stage < len(model.stages):
         raise ConfigError(f"stage {stage} out of range (model has {len(model.stages)})")
     entries = model.stages[stage]

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import re
 import time
 import types
 
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from effmod import bench as bn
+from effmod import model as M
+from effmod.autodiff import Var
 from effmod.errors import ConfigError, NumericalError
 
 
@@ -40,8 +43,8 @@ def test_bench_rejects_bad_counts():
 
 def test_stats_order_independent():
     samples = [3.0, 1.0, 2.0, 5.0, 4.0]
-    a = bn.stats_from_samples(samples)
-    b = bn.stats_from_samples(sorted(samples))
+    a = bn.BenchResult("a", samples)
+    b = bn.BenchResult("b", sorted(samples))
     assert a.mean_ms == b.mean_ms
     assert a.p50_ms == b.p50_ms == 3.0
     assert a.p90_ms == b.p90_ms
@@ -49,13 +52,13 @@ def test_stats_order_independent():
 
 def test_stats_empty_rejected():
     with pytest.raises(ConfigError):
-        bn.stats_from_samples([])
+        bn.BenchResult("empty", [])
 
 
 def test_cv_and_instability_flag():
-    steady = bn.stats_from_samples([1.0, 1.0, 1.0])
+    steady = bn.BenchResult("steady", [1.0, 1.0, 1.0])
     assert steady.cv == 0.0 and not steady.unstable
-    jumpy = bn.stats_from_samples([1.0, 10.0, 1.0, 10.0])
+    jumpy = bn.BenchResult("jumpy", [1.0, 10.0, 1.0, 10.0])
     assert jumpy.cv > 0.20 and jumpy.unstable
     assert "UNSTABLE" in jumpy.summary()
 
@@ -98,10 +101,10 @@ def test_bench_records_the_peak_allocation_of_one_untimed_call():
 
 def test_pair_summary_reports_the_peak_ratio():
     results = {
-        name: dataclasses.replace(bn.stats_from_samples([ms]), peak_alloc_mb=mb)
+        name: bn.BenchResult(name, [ms], peak_alloc_mb=mb)
         for name, ms, mb in (("efficient_mod", 2.0, 1.5), ("mbconv", 4.0, 6.0))
     }
-    text = bn.PairBenchResult("p", results, {}, 0.0).summary()
+    text = bn.PairBenchResult("p", results).summary()
     assert "efficient_mod/mbconv mean-time ratio: 0.500" in text
     assert "efficient_mod/mbconv peak-alloc ratio: 0.250" in text
 
@@ -139,8 +142,8 @@ def test_thread_budget_env_validation(monkeypatch):
 
 
 def test_bench_csv_layout():
-    a = bn.stats_from_samples([1.0, 2.0], label="a", warmup=1, threads=2, shape=(1, 2))
-    b = bn.stats_from_samples([3.0], label="b", warmup=0, threads=1)
+    a = bn.BenchResult("a", [1.0, 2.0], warmup=1, threads=2, shape=(1, 2))
+    b = bn.BenchResult("b", [3.0], warmup=0, threads=1)
     text = bn.bench_csv([a, b])
     lines = text.strip().split("\n")
     assert lines[0] == (
@@ -176,8 +179,97 @@ def test_thread_budget_enforcement_is_reported(monkeypatch, have_tpc):
 
 def test_fusion_bench_small_block():
     res = bn.bench_fusion_modes(c=8, expansion=2, res=4, warmup=1, iters=3, threads=1)
-    assert res.repeat.iters == 3 and res.reshape.iters == 3
-    ratio = res.repeat_over_reshape
+    repeat, reshape = res.results["repeat"], res.results["reshape"]
+    assert repeat.iters == 3 and reshape.iters == 3
+    ratio = repeat.mean_ms / reshape.mean_ms
     assert np.isfinite(ratio) and ratio > 0
-    assert res.repeat.output_hash == res.reshape.output_hash  # bit-equal routes
-    assert "ratio" in res.summary()
+    assert repeat.output_hash == reshape.output_hash  # bit-equal routes
+    lines = res.summary().split("\n")
+    assert lines[0] == "fusion: routes bit-identical"
+    assert lines[1].startswith("fusion-repeat: ") and lines[2].startswith("fusion-reshape: ")
+    assert lines[3].startswith("repeat/reshape mean-time ratio: ")
+    assert lines[4].startswith("repeat/reshape peak-alloc ratio: ")
+
+
+def test_fusion_bench_refuses_routes_that_disagree(monkeypatch):
+    real, timed = bn.efficient_mod, []
+    off_by_mode = lambda x, p, mode: Var(real(x, p, mode=mode).data + (mode == "repeat"))
+    monkeypatch.setattr(bn, "efficient_mod", off_by_mode)
+    monkeypatch.setattr(bn, "bench", lambda *a, **k: timed.append(a))
+    with pytest.raises(NumericalError, match="disagree bitwise"):
+        bn.bench_fusion_modes(c=8, expansion=2, res=4, warmup=0, iters=1, threads=1)
+    assert timed == []
+
+
+def test_bench_result_stores_no_statistic_of_its_samples():
+    stored = {f.name for f in dataclasses.fields(bn.BenchResult)}
+    assert stored == {
+        "label", "samples_ms", "warmup", "threads", "threads_enforced", "shape", "output_hash",
+        "peak_alloc_mb",
+    }
+    res = bn.BenchResult("r", [4.0, 1.0, 3.0, 2.0])
+    assert (res.iters, res.mean_ms, res.p50_ms) == (4, 2.5, 2.5)
+    assert res.p90_ms == pytest.approx(3.7) and res.std_ms == pytest.approx(1.25**0.5)
+
+
+def test_pair_bench_keeps_its_summary_lines():
+    res = bn.bench_pair_mbconv("iso-196-11", input_res=14, warmup=0, iters=1, threads=1)
+    lines = res.summary().split("\n")
+    assert list(res.results) == ["efficient_mod", "mbconv"]
+    assert re.fullmatch(
+        r"pair iso-196-11: params efficient_mod [\d,]+, mbconv [\d,]+ \(gap \d+\.\d\d%\)",
+        lines[0],
+    )
+    assert lines[1].startswith("iso-196-11-efficient_mod: mean ")
+    assert lines[2].startswith("iso-196-11-mbconv: mean ")
+    assert lines[3].startswith("efficient_mod/mbconv mean-time ratio: ")
+    assert lines[4].startswith("efficient_mod/mbconv peak-alloc ratio: ")
+    assert len(lines) == 5
+
+
+# -------------------------------------------------------- size budgets
+
+
+class _Built(Exception):
+    """Raised by a stand-in builder: the size checks let the run through."""
+
+
+def _refuse_building(*args, **kwargs):
+    raise _Built
+
+
+@pytest.mark.parametrize(
+    "budget, bound, kwargs",
+    [
+        ("MAX_WEIGHTS", 2 * 3 * 8 * 8 + 49 * 8, dict(c=8, expansion=2, res=4)),
+        ("MAX_ACTIVATIONS", 2 * 8 * 4 * 4, dict(c=8, expansion=2, res=4)),
+        ("MAX_ACTIVATIONS", 3 * 5 * 25 * 25, dict(c=5, expansion=3, res=25)),
+    ],
+)
+def test_fusion_bench_budget_boundary(monkeypatch, budget, bound, kwargs):
+    monkeypatch.setattr(bn, "init_efficient_mod", _refuse_building)
+    monkeypatch.setattr(M, budget, bound)
+    with pytest.raises(_Built):
+        bn.bench_fusion_modes(**kwargs, warmup=0, iters=1, threads=1)
+    monkeypatch.setattr(M, budget, bound - 1)
+    with pytest.raises(ConfigError, match=f"above {budget} = {bound - 1:,}"):
+        bn.bench_fusion_modes(**kwargs, warmup=0, iters=1, threads=1)
+
+
+@pytest.mark.parametrize("flags", [dict(iters=0), dict(warmup=-1), dict(threads=0)])
+def test_fusion_bench_checks_its_flags_before_building(monkeypatch, flags):
+    monkeypatch.setattr(bn, "init_efficient_mod", _refuse_building)
+    with pytest.raises(ConfigError):
+        bn.bench_fusion_modes(**{"c": 8, "expansion": 2, "res": 4, "iters": 1, **flags})
+
+
+@pytest.mark.parametrize("res, widest", [(14, 7 * 196 * 1), (28, 7 * 196 * 4)])
+def test_pair_bench_budget_boundary(monkeypatch, res, widest):
+    """iso-196-11's widest map is MBConv's 196*7 channels at (res/14)^2 tokens."""
+    monkeypatch.setattr(bn, "build_iso_pair", _refuse_building)
+    monkeypatch.setattr(M, "MAX_ACTIVATIONS", widest)
+    with pytest.raises(_Built):
+        bn.bench_pair_mbconv("iso-196-11", input_res=res, warmup=0, iters=1, threads=1)
+    monkeypatch.setattr(M, "MAX_ACTIVATIONS", widest - 1)
+    with pytest.raises(ConfigError, match=f"{widest:,} elements"):
+        bn.bench_pair_mbconv("iso-196-11", input_res=res, warmup=0, iters=1, threads=1)

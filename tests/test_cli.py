@@ -167,7 +167,8 @@ def test_bench_rejects_sizes_below_one(argv, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--iters", "0"], ["--warmup", "-1"], ["--threads", "0"], ["--res", "13"], ["--res", "0"]],
+    [["--iters", "0"], ["--warmup", "-1"], ["--threads", "0"], ["--res", "13"], ["--res", "0"],
+     ["--res", "1400000"]],
 )
 def test_bench_pair_checks_its_flags_before_building(flags, monkeypatch, capsys):
     built = []
@@ -175,6 +176,29 @@ def test_bench_pair_checks_its_flags_before_building(flags, monkeypatch, capsys)
     code, out, err = run(["bench", "pair-iso-196-11", "--iters", "1"] + flags, capsys)
     assert code == 3 and built == []
     assert err.startswith("error: config:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["fusion", "--channels", "1000000000", "--res", "4"], "channels 1000000000"),
+        (["fusion", "--channels", "8", "--res", "10000000"], "res 10000000"),
+        (["fusion", "--expansion", "1000000000"], "expansion 1000000000"),
+        (["pair-iso-196-11", "--res", "1400000"], "res 1400000"),
+    ],
+)
+def test_bench_sizes_above_the_budgets_are_config_errors_without_allocating(argv, named, capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(["bench"] + argv + ["--iters", "1", "--warmup", "0"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert code == 3
+    assert "mean" not in out
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert named in err and ("MAX_WEIGHTS" in err or "MAX_ACTIVATIONS" in err)
 
 
 # -------------------------------------------------------------- reports
@@ -330,6 +354,18 @@ def test_ctxmap_rejects_an_image_without_pixels(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_ctxmap_checks_the_image_against_the_activation_budget(tmp_path, monkeypatch, capsys):
+    img_path = tmp_path / "in.ppm"
+    _write_ppm(img_path, 32, 32)
+    argv = ["ctxmap", "micro", str(img_path), "--stage", "0", "--out", str(tmp_path / "c.pgm")]
+    monkeypatch.setattr(M, "MAX_ACTIVATIONS", 3 * 32 * 32)
+    assert run(argv, capsys)[0] == 0
+    monkeypatch.setattr(M, "MAX_ACTIVATIONS", 3 * 32 * 32 - 1)
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    assert err == "error: config: a 32x32 image exceeds MAX_ACTIVATIONS = 3,071 elements\n"
+
+
 def test_ctxmap_rejects_non_mod_block(tmp_path, capsys):
     img_path = tmp_path / "in.ppm"
     _write_ppm(img_path, 32, 32)
@@ -416,6 +452,7 @@ _SPEC = st.sampled_from(
 
 # (leading words, flags always given, optional flags). Every subcommand drawn takes --seed;
 # the always-given flags bound the work, and presets is left out: it builds every preset.
+# The huge sizes are safe to draw: the size budgets refuse them before anything is allocated.
 _GRAMMAR = [
     ([st.just("analyze"), _SPEC], {"--res": _flag(32, 33, 64)}, {"--csv": _OUT}),
     (
@@ -425,17 +462,18 @@ _GRAMMAR = [
     ),
     (
         [st.just("bench"), st.just("fusion")],
-        {"--channels": _flag(8), "--res": _flag(4), "--iters": _flag(1, 3), "--warmup": _flag(1)},
-        {"--expansion": _flag(2), "--threads": _flag(1, 2), "--csv": _OUT},
+        {"--channels": _flag(8, 10**9), "--res": _flag(4, 10**7), "--iters": _flag(1, 3),
+         "--warmup": _flag(1)},
+        {"--expansion": _flag(2, 10**9), "--threads": _flag(1, 2), "--csv": _OUT},
     ),
     (
         [st.just("bench"), st.sampled_from([f"pair-{pair}" for pair in M.ISO_PAIRS])],
-        {"--res": _flag(14, 13), "--iters": _flag(1), "--warmup": _flag(1)},
+        {"--res": _flag(14, 13, 1_400_000), "--iters": _flag(1), "--warmup": _flag(1)},
         {"--threads": _flag(1)},
     ),
     (
         [st.just("train")],
-        {"--epochs": _flag(1), "--n": _flag(3, 8, 16)},
+        {"--epochs": _flag(1), "--n": _flag(3, 8, 16, 10**12)},
         {"--lr": _flag(3e-3, "-inf"), "--wd": _flag(0.05), "--noise": _flag(0.05),
          "--csv": _OUT, "--save": _OUT},
     ),

@@ -8,15 +8,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_complexity_accounting_demo_runs():
+def _run_demo(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "03_complexity_accounting.py")],
+        [sys.executable, str(ROOT / "demos" / name), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    return done
+
+
+def test_complexity_accounting_demo_runs():
+    done = _run_demo("03_complexity_accounting.py")
     closed = [line for line in done.stdout.splitlines() if "formula" in line and "exact=" in line]
     assert len(closed) == 3
     assert all(line.rstrip().endswith("exact=True") for line in closed), closed
     assert "max |counted - formula| = 0" in done.stdout
+
+
+def test_fusion_bench_demo_runs():
+    done = _run_demo("04_fusion_bench.py", "3")
+    assert "fusion: routes bit-identical" in done.stdout
+    assert "repeat/reshape peak-alloc ratio: " in done.stdout
+    assert "output hashes match: True" in done.stdout
