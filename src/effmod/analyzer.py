@@ -174,10 +174,10 @@ def _walk(model: Model, input_res: tuple | None) -> tuple:
         entry = entries.get(group)
         if entry is None:
             continue
-        if entry.kind == "attn":
+        if entry.kind == "attention":
             c = entry.params.channels
             rows.append(LayerRow(f"{group}.scores", "matmul", 0, 0, 2 * area * area * c, stage))
-        elif entry.kind == "mod":
+        elif entry.kind == "efficient_mod":
             closed.append(ClosedFormRow(group, *verify_closed_form(entry.params)))
     return rows, closed
 

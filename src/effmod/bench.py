@@ -191,10 +191,10 @@ def bench_fusion_modes(
     experiment is meaningless if they diverge. Sizes past the model's weight
     or activation budget are refused before anything is allocated.
     """
-    if min(c, res) < 1:
-        raise ConfigError(f"need channels and res >= 1, got {c} and {res}")
+    if min(c, expansion, res) < 1:
+        raise ConfigError(f"need channels, expansion and res >= 1, got {c}, {expansion} and {res}")
     _checked_budget(warmup, iters, threads)
-    weights = 2 * (expansion + 1) * c * c + 49 * c  # f, g, v, p and the 7x7 depthwise
+    weights, _ = analyzer.closed_form_block_complexity(c, expansion, 7, 1, 1)
     if weights > model.MAX_WEIGHTS:
         raise ConfigError(
             f"channels {c} at expansion {expansion} give {weights:,} weights, "

@@ -14,6 +14,7 @@ bind_params give a stable flat view used by gradcheck and serialization.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,18 +23,6 @@ from . import autodiff as ad
 from .autodiff import Var
 from .errors import ConfigError, PreconditionError
 from .kernels import ConvSpec
-
-BLOCK_KINDS = (
-    "efficient_mod",
-    "van",
-    "focal",
-    "mbconv",
-    "se",
-    "attention",
-    "patch_embed",
-    "residual",
-)
-
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.float32):
     """Normal(0, std) with redraws outside +-2 std (the usual conv/linear init)."""
@@ -525,56 +514,47 @@ def residual_apply(
 GC_STD = 0.5  # gradcheck inits at O(1) scale so FD noise stays far below tol
 
 
-def _gc_block(p, x: np.ndarray, block):
-    """Gradcheck arrays (x, then p's parameters by path) and the block as a function of them."""
-    arrays = {"x": x, **{name: v.data for name, v in named_params(p).items()}}
+# kind: (init, block, cases), each case (c, n, h, w, init kwargs). Attention runs
+# with bias=False: the key-projection bias is a flat direction of softmax attention
+# (scores shift uniformly per query), so its true gradient is identically zero and
+# central differences see only round-off there. The bias rule itself is certified
+# at op level in the test suite.
+_GC_TABLE = {
+    "efficient_mod": (init_efficient_mod, efficient_mod, [
+        (4, 1, 6, 6, {"expansion": 2, "kernel": 3}),
+        (3, 2, 5, 5, {"expansion": 3, "kernel": 5}),
+        (5, 1, 4, 7, {"c_out": 4, "expansion": 1, "kernel": 3}),
+    ]),
+    "van": (init_van, van_block, [(3, 1, 6, 6, {}), (4, 2, 5, 5, {}), (2, 1, 8, 4, {})]),
+    # two levels, kernels (3, 5), everywhere; channel/spatial shapes vary
+    "focal": (init_focal, focal_ctx, [(4, 1, 6, 6, {}), (3, 2, 5, 5, {}), (2, 1, 7, 4, {})]),
+    "mbconv": (init_mbconv, mbconv_block, [
+        (4, 1, 6, 6, {"expansion": 2, "kernel": 3}),
+        (3, 2, 5, 5, {"expansion": 4, "kernel": 3}),
+        (2, 1, 7, 4, {"expansion": 6, "kernel": 5}),
+    ]),
+    "se": (init_se, se_block, [
+        (4, 1, 5, 5, {"reduction": 2}),
+        (8, 2, 4, 4, {"reduction": 4}),
+        (6, 1, 3, 7, {"reduction": 3}),
+    ]),
+    "attention": (init_attention, attention_block, [
+        (8, 1, 1, 5, {"heads": 1, "mlp_ratio": 2.0, "bias": False}),
+        (8, 2, 2, 3, {"heads": 2, "mlp_ratio": 2.0, "bias": False}),
+        (12, 1, 3, 1, {"heads": 4, "mlp_ratio": 1.0, "bias": False}),
+    ]),
+}
+
+
+def _gc_table(kind: str, case: int, rng):
+    """Gradcheck arrays (x, then the parameters by path) and the block as a function of
+    them; the parameters are drawn from rng before x."""
+    init, block, cases = _GC_TABLE[kind]
+    c, n, h, w, kwargs = cases[case]
+    p = init(rng, c, std=GC_STD, dtype=np.float64, **kwargs)
+    arrays = {"x": rng.normal(0, 1, (n, c, h, w))}
+    arrays.update({name: v.data for name, v in named_params(p).items()})
     return arrays, lambda lv: block(lv["x"], bind_params(p, lv))
-
-
-def _gc_efficient_mod(case: int, rng):
-    c, c_out, r, k, n, h, w = [
-        (4, 4, 2, 3, 1, 6, 6),
-        (3, 3, 3, 5, 2, 5, 5),
-        (5, 4, 1, 3, 1, 4, 7),
-    ][case]
-    p = init_efficient_mod(rng, c, c_out=c_out, expansion=r, kernel=k, std=GC_STD, dtype=np.float64)
-    return _gc_block(p, rng.normal(0, 1, (n, c, h, w)), efficient_mod)
-
-
-def _gc_van(case: int, rng):
-    c, n, h, w = [(3, 1, 6, 6), (4, 2, 5, 5), (2, 1, 8, 4)][case]
-    p = init_van(rng, c, std=GC_STD, dtype=np.float64)
-    return _gc_block(p, rng.normal(0, 1, (n, c, h, w)), van_block)
-
-
-def _gc_focal(case: int, rng):
-    # two levels everywhere; channel/spatial shapes vary
-    c, n, h, w = [(4, 1, 6, 6), (3, 2, 5, 5), (2, 1, 7, 4)][case]
-    p = init_focal(rng, c, kernels=(3, 5), std=GC_STD, dtype=np.float64)
-    return _gc_block(p, rng.normal(0, 1, (n, c, h, w)), focal_ctx)
-
-
-def _gc_mbconv(case: int, rng):
-    c, r, k, n, h, w = [(4, 2, 3, 1, 6, 6), (3, 4, 3, 2, 5, 5), (2, 6, 5, 1, 7, 4)][case]
-    p = init_mbconv(rng, c, expansion=r, kernel=k, std=GC_STD, dtype=np.float64)
-    return _gc_block(p, rng.normal(0, 1, (n, c, h, w)), mbconv_block)
-
-
-def _gc_se(case: int, rng):
-    c, red, n, h, w = [(4, 2, 1, 5, 5), (8, 4, 2, 4, 4), (6, 3, 1, 3, 7)][case]
-    p = init_se(rng, c, reduction=red, std=GC_STD, dtype=np.float64)
-    return _gc_block(p, rng.normal(0, 1, (n, c, h, w)), se_block)
-
-
-def _gc_attention(case: int, rng):
-    cases = [(8, 1, 1, 5, 2.0, 1), (8, 2, 2, 3, 2.0, 2), (12, 4, 3, 1, 1.0, 1)]
-    c, heads, h, w, mlp, n = cases[case]
-    # bias=False: the key-projection bias is a flat direction of softmax
-    # attention (scores shift uniformly per query), so its true gradient is
-    # identically zero and central differences see only round-off there.
-    # The bias rule itself is certified at op level in the test suite.
-    p = init_attention(rng, c, heads=heads, mlp_ratio=mlp, bias=False, std=GC_STD, dtype=np.float64)
-    return _gc_block(p, rng.normal(0, 1, (n, c, h, w)), attention_block)
 
 
 def _gc_patch_embed(case: int, rng):
@@ -609,15 +589,11 @@ def _gc_residual(case: int, rng):
 
 
 _GC_BUILDERS = {
-    "efficient_mod": _gc_efficient_mod,
-    "van": _gc_van,
-    "focal": _gc_focal,
-    "mbconv": _gc_mbconv,
-    "se": _gc_se,
-    "attention": _gc_attention,
+    **{kind: functools.partial(_gc_table, kind) for kind in _GC_TABLE},
     "patch_embed": _gc_patch_embed,
     "residual": _gc_residual,
 }
+BLOCK_KINDS = tuple(_GC_BUILDERS)  # in order: block_grad_check seeds from a kind's index
 
 GC_CASES = 3  # shape variants per block kind
 

@@ -28,22 +28,26 @@ class ContextMap:
     raw_max: float
 
 
+def check_image_size(h: int, w: int) -> None:
+    """Refuse an h x w RGB image above MAX_ACTIVATIONS, from its size, before any copy."""
+    if 3 * h * w > M.MAX_ACTIVATIONS:
+        raise ConfigError(
+            f"a {h}x{w} image exceeds MAX_ACTIVATIONS = {M.MAX_ACTIVATIONS:,} elements"
+        )
+
+
 def context_map(model: Model, image: np.ndarray, stage: int, block: int) -> ContextMap:
     """Capture one block's context output for a single [3, h, w] or [1, 3, h, w] image."""
-    img = np.asarray(image, dtype=model.dtype)
-    if img.ndim == 3:
-        img = img[None]
-    if img.ndim != 4 or img.shape[0] != 1 or img.shape[1] != 3:
-        raise PreconditionError(f"context_map wants one RGB image, got shape {image.shape}")
-    if 3 * img.shape[2] * img.shape[3] > M.MAX_ACTIVATIONS:
-        raise ConfigError(
-            f"a {img.shape[2]}x{img.shape[3]} image exceeds MAX_ACTIVATIONS = "
-            f"{M.MAX_ACTIVATIONS:,} elements"
-        )
+    got = np.shape(image)
+    shape = (1, *got) if len(got) == 3 else got
+    if len(shape) != 4 or shape[0] != 1 or shape[1] != 3:
+        raise PreconditionError(f"context_map wants one RGB image, got shape {got}")
+    check_image_size(*shape[2:])
+    img = np.asarray(image, dtype=model.dtype).reshape(shape)
     if not 0 <= stage < len(model.stages):
         raise ConfigError(f"stage {stage} out of range (model has {len(model.stages)})")
     entries = model.stages[stage]
-    mods = [i for i, e in enumerate(entries) if e.kind == "mod"]
+    mods = [i for i, e in enumerate(entries) if e.kind == "efficient_mod"]
     if block not in mods:
         raise ConfigError(
             f"stage {stage} block {block} is not a modulation block (candidates: {mods})"

@@ -267,7 +267,7 @@ class ConvLayer:
 
 @dataclass
 class BlockEntry:
-    kind: str  # "mod" | "attn" | "mbconv"
+    kind: str  # a blocks.BLOCK_KINDS name: "efficient_mod", "mbconv" or "attention"
     params: object
     wrap: B.ResidualWrap | None = None
 
@@ -310,9 +310,6 @@ class Model:
         yield "head.w", self.head_w
         yield "head.b", self.head_b
 
-    def param_count(self) -> int:
-        return sum(v.data.size for _, v in self.named_parameters())
-
 
 def _conv_layer(rng, c_in, c_out, kernel, stride, padding, std, dtype) -> ConvLayer:
     w = Var(B.trunc_normal(rng, (c_out, c_in, kernel, kernel), std=std, dtype=dtype))
@@ -320,7 +317,9 @@ def _conv_layer(rng, c_in, c_out, kernel, stride, padding, std, dtype) -> ConvLa
     return ConvLayer(w=w, b=b, spec=ConvSpec(kernel, stride=stride, padding=padding))
 
 
-_BLOCK_INITS = {"mod": B.init_efficient_mod, "mbconv": B.init_mbconv, "attn": B.init_attention}
+_BLOCK_INITS = {
+    "efficient_mod": B.init_efficient_mod, "mbconv": B.init_mbconv, "attention": B.init_attention
+}
 
 
 def _assemble(spec, stem: tuple, plan: list, seed, dtype, combine) -> Model:
@@ -343,7 +342,7 @@ def _assemble(spec, stem: tuple, plan: list, seed, dtype, combine) -> Model:
         entries = []
         for kind, kwargs in blocks:
             params = _BLOCK_INITS[kind](rng, dim, std=std, dtype=dtype, **kwargs)
-            wrap = None if kind == "attn" else B.init_residual_wrap(
+            wrap = None if kind == "attention" else B.init_residual_wrap(
                 dim, spec.layer_scale_init, spec.drop_path_rate, dtype=dtype
             )
             entries.append(BlockEntry(kind, params, wrap))
@@ -373,10 +372,10 @@ def build_model(spec: ModelSpec, seed: int = 0, dtype=np.float32, combine: str =
     for st in spec.stages:
         pattern = st.expansion_pattern
         blocks = [
-            ("mod", {"expansion": pattern[bi % len(pattern)], "kernel": st.dw_kernel})
+            ("efficient_mod", {"expansion": pattern[bi % len(pattern)], "kernel": st.dw_kernel})
             for bi in range(st.mod_blocks)
         ]
-        attn = ("attn", {"heads": HEADS, "mlp_ratio": spec.attn_mlp_ratio})
+        attn = ("attention", {"heads": HEADS, "mlp_ratio": spec.attn_mlp_ratio})
         blocks += [attn] * st.attn_blocks
         plan.append((st.dim, blocks))
     stem = (spec.stem.kernel, spec.stem.stride, spec.stem.kernel // 2)
@@ -387,8 +386,7 @@ def build_isotropic(spec: IsotropicSpec, seed: int = 0, dtype=np.float32) -> Mod
     """Single-width stack behind a patchify conv; blocks are all one kind, with biases
     and the multiplicative fuse."""
     spec.validate()
-    kind = "mod" if spec.block == "efficient_mod" else "mbconv"
-    block = (kind, {"expansion": spec.expansion, "kernel": spec.dw_kernel})
+    block = (spec.block, {"expansion": spec.expansion, "kernel": spec.dw_kernel})
     plan = [(spec.dim, [block] * spec.depth)]
     return _assemble(spec, (spec.patch, spec.patch, 0), plan, seed, dtype, "mul")
 
@@ -444,7 +442,7 @@ def forward_features(model: Model, x, training: bool = False, seed: int = 0, ste
     layer_idx = 0
     for si, stage in enumerate(model.stages):
         for entry in stage:
-            if entry.kind == "attn":
+            if entry.kind == "attention":
                 h = B.attention_block(h, entry.params)
             else:
                 rng = (
@@ -452,7 +450,7 @@ def forward_features(model: Model, x, training: bool = False, seed: int = 0, ste
                     if training and entry.wrap.drop_path_prob > 0
                     else None
                 )
-                if entry.kind == "mod":
+                if entry.kind == "efficient_mod":
                     inner = lambda z, p=entry.params: B.efficient_mod(z, p, combine=model.combine)
                 else:
                     inner = lambda z, p=entry.params: B.mbconv_block(z, p)

@@ -28,6 +28,7 @@ from .errors import ConfigError, NumericalError, PreconditionError
 IMG_SIZE = 32
 BAR_JITTER = 2.0  # the bar's offset from the center is uniform in +-BAR_JITTER pixels
 BAR_THICKNESS = 2.5  # a pixel d from the line has intensity clip(BAR_THICKNESS - d, 0, 1)
+EVAL_FRAC = 0.2  # share of a dataset held out for eval
 
 
 @dataclass
@@ -73,12 +74,10 @@ def gen_dataset(seed: int, n: int = 512, classes: int = 4, noise: float = 0.05) 
     return SyntheticDataset(seed=seed, images=images, labels=labels.astype(np.int64))
 
 
-def split_dataset(ds: SyntheticDataset, eval_frac: float = 0.2, seed: int = 0):
-    """Deterministic train/eval split of one dataset."""
-    if not 0.0 < eval_frac < 1.0:
-        raise ConfigError(f"eval_frac must be in (0, 1), got {eval_frac}")
+def split_dataset(ds: SyntheticDataset, seed: int = 0):
+    """Deterministic train/eval split of one dataset, EVAL_FRAC of it for eval."""
     idx = np.random.default_rng((seed, ds.seed)).permutation(ds.n)
-    n_eval = max(1, int(round(ds.n * eval_frac)))
+    n_eval = max(1, int(round(ds.n * EVAL_FRAC)))
     ev, tr = idx[:n_eval], idx[n_eval:]
     return (ds.images[tr], ds.labels[tr]), (ds.images[ev], ds.labels[ev])
 
@@ -316,9 +315,9 @@ def paired_csv(histories: dict) -> str:
     return buf.getvalue()
 
 
-def linear_baseline(ds: SyntheticDataset, eval_frac: float = 0.2, seed: int = 0) -> float:
+def linear_baseline(ds: SyntheticDataset, seed: int = 0) -> float:
     """Least-squares pixel classifier accuracy; certifies the task is learnable."""
-    (tr_x, tr_y), (ev_x, ev_y) = split_dataset(ds, eval_frac=eval_frac, seed=seed)
+    (tr_x, tr_y), (ev_x, ev_y) = split_dataset(ds, seed=seed)
     X = tr_x.reshape(len(tr_y), -1).astype(np.float64)
     X = np.hstack([X, np.ones((len(X), 1))])
     Y = np.eye(ds.classes)[tr_y]

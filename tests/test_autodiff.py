@@ -439,4 +439,3 @@ def test_grad_check_report_fields():
     assert rep.rows[0].name == "x"
     assert rep.rows[0].size == 4
     assert "PASS" in rep.to_text()
-    assert rep.worst == "x"

@@ -366,6 +366,22 @@ def test_ctxmap_checks_the_image_against_the_activation_budget(tmp_path, monkeyp
     assert err == "error: config: a 32x32 image exceeds MAX_ACTIVATIONS = 3,071 elements\n"
 
 
+def test_ctxmap_refuses_a_large_grey_image_before_converting_it(tmp_path, monkeypatch, capsys):
+    img_path = tmp_path / "big.pgm"
+    write_pgm(str(img_path), np.zeros((512, 512), dtype=np.uint8))
+    monkeypatch.setattr(M, "MAX_ACTIVATIONS", 3 * 512 * 512 - 1)
+    tracemalloc.start()
+    try:
+        argv = ["ctxmap", "micro", str(img_path), "--out", str(tmp_path / "c.pgm")]
+        code, out, err = run(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert err.startswith("error: config: a 512x512 image exceeds MAX_ACTIVATIONS")
+    assert peak < 1 << 20  # the 0.26 MB file, but no three-channel float copy of it
+
+
 def test_ctxmap_rejects_non_mod_block(tmp_path, capsys):
     img_path = tmp_path / "in.ppm"
     _write_ppm(img_path, 32, 32)

@@ -19,6 +19,22 @@ def _run_demo(name, *args):
     return done
 
 
+def test_blocks_tour_demo_runs():
+    done = _run_demo("01_blocks_tour.py")
+    assert "impulse response support radius = 11 " in done.stdout
+
+
+def test_gradient_certification_demo_runs():
+    done = _run_demo("02_gradient_certification.py")
+    blocks = [line for line in done.stdout.splitlines() if " case " in line]
+    assert len(blocks) == 8 * 3 and all(line.startswith("  PASS ") for line in blocks)
+
+
+def test_desk_training_demo_runs():
+    done = _run_demo("05_desk_training.py", "1")
+    assert "csv bytes equal: True" in done.stdout
+
+
 def test_complexity_accounting_demo_runs():
     done = _run_demo("03_complexity_accounting.py")
     closed = [line for line in done.stdout.splitlines() if "formula" in line and "exact=" in line]

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from effmod import autodiff as ad
+from effmod import blocks as B
 from effmod import model as M
 from effmod.analyzer import count_params
 from effmod.ctxmap import context_map
@@ -313,6 +314,17 @@ def test_parameter_naming_layout():
     assert "down0.w" in names and "down2.w" in names
     assert names[-4:] == ["head.norm_g", "head.norm_b", "head.w", "head.b"]
     assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("name", [*M.PRESETS, *M.ISO_SPECS])
+def test_block_entry_kinds_are_block_kinds(name):
+    """Models name their blocks in the block zoo's vocabulary."""
+    if name in M.PRESETS:
+        m = M.build_model(M.build_preset(name), seed=0)
+    else:
+        m = M.build_isotropic(M.ISO_SPECS[name], seed=0)
+    kinds = {entry.kind for stage in m.stages for entry in stage}
+    assert kinds and kinds <= set(B.BLOCK_KINDS), kinds
 
 
 def test_build_rejects_bad_combine():

@@ -47,11 +47,11 @@ def test_dataset_size_is_checked_against_the_activation_budget(monkeypatch):
 
 def test_split_deterministic_and_disjoint():
     ds = T.gen_dataset(1, n=80)
-    (tr_x, tr_y), (ev_x, ev_y) = T.split_dataset(ds, eval_frac=0.25, seed=2)
-    (tr_x2, _), (ev_x2, _) = T.split_dataset(ds, eval_frac=0.25, seed=2)
+    (tr_x, tr_y), (ev_x, ev_y) = T.split_dataset(ds, seed=2)
+    (tr_x2, _), (ev_x2, _) = T.split_dataset(ds, seed=2)
     assert tr_x.tobytes() == tr_x2.tobytes()
     assert ev_x.tobytes() == ev_x2.tobytes()
-    assert len(tr_y) == 60 and len(ev_y) == 20
+    assert len(tr_y) == 64 and len(ev_y) == 16  # EVAL_FRAC = 0.2
     # recover indices by matching rows; train and eval must not overlap
     flat = {ds.images[i].tobytes(): i for i in range(ds.n)}
     tr_idx = {flat[row.tobytes()] for row in tr_x}
@@ -67,7 +67,7 @@ def test_training_and_eval_cast_images_to_the_model_dtype():
     hist = T.train(m, ds, epochs=1, seed=0)
     assert np.isfinite(hist.epochs[0].train_loss)
     assert all(v.data.dtype == np.float32 for _, v in m.named_parameters())
-    (_, _), (ev_x, ev_y) = T.split_dataset(ds, eval_frac=0.2, seed=0)
+    (_, _), (ev_x, ev_y) = T.split_dataset(ds, seed=0)
     assert T._accuracy(m, ev_x, ev_y) == hist.final_eval_acc
 
 
