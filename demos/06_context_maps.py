@@ -1,12 +1,14 @@
 """Context maps: what the modulation's context branch responds to.
 
 Builds a synthetic bar image, taps the context branch of one block, and
-writes the channel-mean map as a PGM next to this script.
+writes the channel-mean map as a PGM into the directory given as the first
+argument, or next to this script.
 
-Run: python3 demos/06_context_maps.py
+Run: python3 demos/06_context_maps.py [out_dir]
 """
 
 import pathlib
+import sys
 
 import numpy as np
 
@@ -20,7 +22,8 @@ img32 = ds.images[0]  # [3, 32, 32], class = a bar at one of 4 angles
 big = np.repeat(np.repeat(img32, 2, axis=1), 2, axis=2)  # 64x64 keeps stages roomy
 
 model = M.build_model(M.build_preset("micro"), seed=0)
-out_dir = pathlib.Path(__file__).resolve().parent
+here = pathlib.Path(__file__).resolve().parent
+out_dir = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else here
 
 print(f"input: class {ds.labels[0]} bar, upsampled to {big.shape[1]}x{big.shape[2]}")
 for stage, block in [(0, 0), (1, 0), (2, 0)]:

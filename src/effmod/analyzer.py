@@ -229,13 +229,7 @@ def verify_closed_form(params: B.EfficientModParams) -> tuple:
     c, k, r = params.channels, params.kernel, params.expansion
     if params.out_channels != c:
         raise ConfigError("closed form applies to channel-preserving blocks only")
-    counted = (
-        params.f_w.data.size
-        + params.dw_w.data.size
-        + params.g_w.data.size
-        + params.v_w.data.size
-        + params.p_w.data.size
-    )
+    counted = sum(v.data.size for v in B.named_params(params).values() if v.data.ndim >= 2)
     formula, _ = closed_form_block_complexity(c, r, k, 1, 1)
     return counted, formula
 

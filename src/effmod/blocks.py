@@ -24,7 +24,7 @@ from .autodiff import Var
 from .errors import ConfigError, PreconditionError
 from .kernels import ConvSpec
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.float32):
+def trunc_normal(rng: np.random.Generator, shape, std: float, dtype):
     """Normal(0, std) with redraws outside +-2 std (the usual conv/linear init)."""
     out = rng.normal(0.0, std, size=shape)
     bad = np.abs(out) > 2.0 * std
@@ -34,12 +34,19 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.fl
     return out.astype(dtype)
 
 
-def _param(rng, shape, std, dtype) -> Var:
-    return Var(trunc_normal(rng, shape, std=std, dtype=dtype))
+def init_layer(rng, shape, std: float, dtype, bias: bool = True) -> tuple:
+    """One layer's (w, b): w drawn by trunc_normal, b zeros of w's leading dim (every
+    bias here has it), or None without bias."""
+    w = Var(trunc_normal(rng, shape, std, dtype))
+    return w, (Var(np.zeros(shape[:1], dtype=dtype)) if bias else None)
 
 
-def _zeros(shape, dtype) -> Var:
-    return Var(np.zeros(shape, dtype=dtype))
+def _init_layers(rng, layers: dict, std: float, dtype, bias: bool) -> dict:
+    """{layer: shape} -> {layer_w: w, layer_b: b}, drawn in table order."""
+    out = {}
+    for name, shape in layers.items():
+        out[f"{name}_w"], out[f"{name}_b"] = init_layer(rng, shape, std, dtype, bias)
+    return out
 
 
 # ------------------------------------------------- parameter introspection
@@ -127,15 +134,11 @@ def init_efficient_mod(
         raise ConfigError(f"depthwise kernel must be odd and positive, got {kernel}")
     c_out = c if c_out is None else c_out
     rc = expansion * c
-    mk = lambda shape: _param(rng, shape, std, dtype)
-    b = (lambda n: _zeros((n,), dtype)) if bias else (lambda n: None)
+    layers = {
+        "f": (c, c), "dw": (c, 1, kernel, kernel), "g": (c, c), "v": (rc, c), "p": (c_out, rc)
+    }
     return EfficientModParams(
-        f_w=mk((c, c)), f_b=b(c),
-        dw_w=mk((c, 1, kernel, kernel)), dw_b=b(c),
-        g_w=mk((c, c)), g_b=b(c),
-        v_w=mk((rc, c)), v_b=b(rc),
-        p_w=mk((c_out, rc)), p_b=b(c_out),
-        kernel=kernel, expansion=expansion,
+        **_init_layers(rng, layers, std, dtype, bias), kernel=kernel, expansion=expansion
     )
 
 
@@ -183,15 +186,8 @@ class VANParams:
 
 
 def init_van(rng, c: int, bias: bool = True, std: float = 0.02, dtype=np.float32) -> VANParams:
-    mk = lambda shape: _param(rng, shape, std, dtype)
-    b = (lambda n: _zeros((n,), dtype)) if bias else (lambda n: None)
-    return VANParams(
-        f_w=mk((c, c)), f_b=b(c),
-        dw5_w=mk((c, 1, 5, 5)), dw5_b=b(c),
-        dw7_w=mk((c, 1, 7, 7)), dw7_b=b(c),
-        g_w=mk((c, c)), g_b=b(c),
-        p_w=mk((c, c)), p_b=b(c),
-    )
+    layers = {"f": (c, c), "dw5": (c, 1, 5, 5), "dw7": (c, 1, 7, 7), "g": (c, c), "p": (c, c)}
+    return VANParams(**_init_layers(rng, layers, std, dtype, bias))
 
 
 def van_ctx(h: Var, p: VANParams) -> Var:
@@ -246,14 +242,10 @@ def init_focal(
         raise ConfigError(f"focal kernels must be odd and positive, got {kernels}")
     if any(b >= a for a, b in zip(kernels[1:], kernels)):
         raise ConfigError(f"focal kernels must be strictly increasing, got {kernels}")
-    mk = lambda shape: _param(rng, shape, std, dtype)
-    b = (lambda n: _zeros((n,), dtype)) if bias else (lambda n: None)
-    levels = tuple((mk((c, 1, k, k)), b(c)) for k in kernels)
-    gates = tuple((mk((1, c)), b(1)) for _ in kernels)
-    return FocalParams(
-        f_w=mk((c, c)), f_b=b(c), levels=levels, gates=gates,
-        g_w=mk((c, c)), g_b=b(c), kernels=tuple(kernels),
-    )
+    levels = tuple(init_layer(rng, (c, 1, k, k), std, dtype, bias) for k in kernels)
+    gates = tuple(init_layer(rng, (1, c), std, dtype, bias) for _ in kernels)
+    layers = _init_layers(rng, {"f": (c, c), "g": (c, c)}, std, dtype, bias)
+    return FocalParams(levels=levels, gates=gates, kernels=tuple(kernels), **layers)
 
 
 def focal_ctx(x: Var, p: FocalParams) -> Var:
@@ -288,10 +280,6 @@ class MBConvParams:
     kernel: int = 3
     expansion: int = 6
 
-    @property
-    def channels(self) -> int:
-        return self.expand_w.data.shape[1]
-
 
 def init_mbconv(
     rng,
@@ -307,13 +295,9 @@ def init_mbconv(
     if kernel % 2 == 0 or kernel < 1:
         raise ConfigError(f"depthwise kernel must be odd and positive, got {kernel}")
     rc = expansion * c
-    mk = lambda shape: _param(rng, shape, std, dtype)
-    b = (lambda n: _zeros((n,), dtype)) if bias else (lambda n: None)
+    layers = {"expand": (rc, c), "dw": (rc, 1, kernel, kernel), "squeeze": (c, rc)}
     return MBConvParams(
-        expand_w=mk((rc, c)), expand_b=b(rc),
-        dw_w=mk((rc, 1, kernel, kernel)), dw_b=b(rc),
-        squeeze_w=mk((c, rc)), squeeze_b=b(c),
-        kernel=kernel, expansion=expansion,
+        **_init_layers(rng, layers, std, dtype, bias), kernel=kernel, expansion=expansion
     )
 
 
@@ -337,10 +321,6 @@ class SEParams:
     w2: Var
     b2: Var | None
 
-    @property
-    def channels(self) -> int:
-        return self.w1.data.shape[1]
-
 
 def init_se(
     rng, c: int, reduction: int = 4, bias: bool = True, std: float = 0.02, dtype=np.float32
@@ -348,9 +328,9 @@ def init_se(
     if reduction < 1 or c % reduction != 0:
         raise ConfigError(f"reduction {reduction} must divide channel count {c}")
     cr = c // reduction
-    mk = lambda shape: _param(rng, shape, std, dtype)
-    b = (lambda n: _zeros((n,), dtype)) if bias else (lambda n: None)
-    return SEParams(w1=mk((cr, c)), b1=b(cr), w2=mk((c, cr)), b2=b(c))
+    w1, b1 = init_layer(rng, (cr, c), std, dtype, bias)
+    w2, b2 = init_layer(rng, (c, cr), std, dtype, bias)
+    return SEParams(w1=w1, b1=b1, w2=w2, b2=b2)
 
 
 def se_block(x: Var, p: SEParams) -> Var:
@@ -405,17 +385,11 @@ def init_attention(
     hidden = int(round(c * mlp_ratio))
     if hidden < 1:
         raise ConfigError(f"mlp_ratio {mlp_ratio} gives empty hidden layer at c={c}")
-    mk = lambda shape: _param(rng, shape, std, dtype)
-    b = (lambda n: _zeros((n,), dtype)) if bias else (lambda n: None)
-    ones = lambda n: Var(np.ones((n,), dtype=dtype))
+    layers = {"qkv": (3 * c, c), "proj": (c, c), "mlp1": (hidden, c), "mlp2": (c, hidden)}
     return AttentionParams(
-        ln1_g=ones(c), ln1_b=_zeros((c,), dtype),
-        qkv_w=mk((3 * c, c)), qkv_b=b(3 * c),
-        proj_w=mk((c, c)), proj_b=b(c),
-        ln2_g=ones(c), ln2_b=_zeros((c,), dtype),
-        mlp1_w=mk((hidden, c)), mlp1_b=b(hidden),
-        mlp2_w=mk((c, hidden)), mlp2_b=b(c),
-        heads=heads,
+        ln1_g=Var(np.ones((c,), dtype=dtype)), ln1_b=Var(np.zeros((c,), dtype=dtype)),
+        ln2_g=Var(np.ones((c,), dtype=dtype)), ln2_b=Var(np.zeros((c,), dtype=dtype)),
+        **_init_layers(rng, layers, std, dtype, bias), heads=heads,
     )
 
 
@@ -444,14 +418,6 @@ def attention_block(x: Var, p: AttentionParams) -> Var:
     h2 = ad.layer_norm(x, p.ln2_g, p.ln2_b)
     m = ad.pointwise(ad.gelu(ad.pointwise(h2, p.mlp1_w, p.mlp1_b)), p.mlp2_w, p.mlp2_b)
     return ad.add(x, m)
-
-
-# ----------------------------------------------------------- patch embed
-
-
-def patch_embed(x: Var, w: Var, b: Var | None, kernel: int, stride: int, padding: int = 0) -> Var:
-    """Strided conv used for stems, stage downsampling and patchify layers."""
-    return ad.conv2d(x, w, b, ConvSpec(kernel, stride=stride, padding=padding))
 
 
 # -------------------------------------------------------- residual wrap
@@ -558,6 +524,7 @@ def _gc_table(kind: str, case: int, rng):
 
 
 def _gc_patch_embed(case: int, rng):
+    # the strided conv of a stem, a downsample or a patchify layer
     c_in, c_out, k, s, pad, res = [
         (3, 6, 4, 4, 0, 8),
         (3, 5, 7, 4, 3, 11),
@@ -568,7 +535,7 @@ def _gc_patch_embed(case: int, rng):
         "w": rng.normal(0, 0.1, (c_out, c_in, k, k)),
         "b": rng.normal(0, 0.1, (c_out,)),
     }
-    return arrays, lambda lv: patch_embed(lv["x"], lv["w"], lv["b"], k, s, padding=pad)
+    return arrays, lambda lv: ad.conv2d(lv["x"], lv["w"], lv["b"], ConvSpec(k, s, padding=pad))
 
 
 def _gc_residual(case: int, rng):

@@ -17,7 +17,7 @@ import numpy as np
 from . import analyzer, bench, trainer
 from . import model as M
 from .blocks import BLOCK_KINDS, GC_CASES, block_grad_check
-from .ctxmap import check_image_size, context_map
+from .ctxmap import check_block, check_image_size, context_map
 from .errors import ConfigError, NumericalError, PreconditionError
 from .pnm import read_pnm, write_pgm
 
@@ -145,6 +145,8 @@ def cmd_ablate_fusion(args) -> int:
 
 def cmd_ctxmap(args) -> int:
     spec = _load_spec(args.model)
+    kinds = [[kind for kind, _ in blocks] for _, blocks in M.stage_plan(spec)]
+    check_block(kinds, args.stage, args.block)
     raw = read_pnm(args.image)
     check_image_size(*raw.shape[:2])
     model = M.build_model(spec, seed=args.seed)

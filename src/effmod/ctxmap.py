@@ -36,6 +36,17 @@ def check_image_size(h: int, w: int) -> None:
         )
 
 
+def check_block(kinds: list, stage: int, block: int) -> None:
+    """Refuse a stage and block that name no modulation block; kinds[s] lists stage s's kinds."""
+    if not 0 <= stage < len(kinds):
+        raise ConfigError(f"stage {stage} out of range (model has {len(kinds)})")
+    mods = [i for i, kind in enumerate(kinds[stage]) if kind == "efficient_mod"]
+    if block not in mods:
+        raise ConfigError(
+            f"stage {stage} block {block} is not a modulation block (candidates: {mods})"
+        )
+
+
 def context_map(model: Model, image: np.ndarray, stage: int, block: int) -> ContextMap:
     """Capture one block's context output for a single [3, h, w] or [1, 3, h, w] image."""
     got = np.shape(image)
@@ -44,14 +55,8 @@ def context_map(model: Model, image: np.ndarray, stage: int, block: int) -> Cont
         raise PreconditionError(f"context_map wants one RGB image, got shape {got}")
     check_image_size(*shape[2:])
     img = np.asarray(image, dtype=model.dtype).reshape(shape)
-    if not 0 <= stage < len(model.stages):
-        raise ConfigError(f"stage {stage} out of range (model has {len(model.stages)})")
+    check_block([[e.kind for e in entries] for entries in model.stages], stage, block)
     entries = model.stages[stage]
-    mods = [i for i, e in enumerate(entries) if e.kind == "efficient_mod"]
-    if block not in mods:
-        raise ConfigError(
-            f"stage {stage} block {block} is not a modulation block (candidates: {mods})"
-        )
     _check_input(model, img)  # the whole model's stride, not the prefix's
     prefix = replace(
         model,

@@ -298,10 +298,8 @@ class Model:
             for bi, entry in enumerate(stage):
                 prefix = f"stage{si}.block{bi}."
                 if entry.wrap is not None:
-                    for name, v in B.named_params(entry.wrap).items():
-                        yield f"{prefix}wrap.{name}", v
-                for name, v in B.named_params(entry.params).items():
-                    yield prefix + name, v
+                    yield from B.named_params(entry.wrap, prefix + "wrap.").items()
+                yield from B.named_params(entry.params, prefix).items()
             if si < len(self.downs):
                 yield f"down{si}.w", self.downs[si].w
                 yield f"down{si}.b", self.downs[si].b
@@ -312,8 +310,7 @@ class Model:
 
 
 def _conv_layer(rng, c_in, c_out, kernel, stride, padding, std, dtype) -> ConvLayer:
-    w = Var(B.trunc_normal(rng, (c_out, c_in, kernel, kernel), std=std, dtype=dtype))
-    b = Var(np.zeros((c_out,), dtype=dtype))
+    w, b = B.init_layer(rng, (c_out, c_in, kernel, kernel), std, dtype)
     return ConvLayer(w=w, b=b, spec=ConvSpec(kernel, stride=stride, padding=padding))
 
 
@@ -351,6 +348,7 @@ def _assemble(spec, stem: tuple, plan: list, seed, dtype, combine) -> Model:
             downs.append(_conv_layer(
                 rng, dim, dims[si + 1], DOWN_KERNEL, DOWN_STRIDE, DOWN_PAD, std, dtype
             ))
+    head_w, head_b = B.init_layer(rng, (spec.head, dims[-1]), std, dtype)
     return Model(
         spec=spec,
         stem=stem_layer,
@@ -358,16 +356,15 @@ def _assemble(spec, stem: tuple, plan: list, seed, dtype, combine) -> Model:
         downs=downs,
         head_norm_g=Var(np.ones((dims[-1],), dtype=dtype)),
         head_norm_b=Var(np.zeros((dims[-1],), dtype=dtype)),
-        head_w=Var(B.trunc_normal(rng, (spec.head, dims[-1]), std=std, dtype=dtype)),
-        head_b=Var(np.zeros((spec.head,), dtype=dtype)),
+        head_w=head_w,
+        head_b=head_b,
         combine=combine,
     )
 
 
-def build_model(spec: ModelSpec, seed: int = 0, dtype=np.float32, combine: str = "mul") -> Model:
-    """Materialize a hierarchical model, every layer with its bias; same seed gives
-    bit-identical params. combine picks the modulation's fuse op ("sum": the ablation)."""
-    spec.validate()
+def stage_plan(spec: ModelSpec) -> list:
+    """One (dim, blocks) pair per stage, each block (kind, init kwargs): the stage's
+    modulation blocks, then its attention blocks."""
     plan = []
     for st in spec.stages:
         pattern = st.expansion_pattern
@@ -378,8 +375,15 @@ def build_model(spec: ModelSpec, seed: int = 0, dtype=np.float32, combine: str =
         attn = ("attention", {"heads": HEADS, "mlp_ratio": spec.attn_mlp_ratio})
         blocks += [attn] * st.attn_blocks
         plan.append((st.dim, blocks))
+    return plan
+
+
+def build_model(spec: ModelSpec, seed: int = 0, dtype=np.float32, combine: str = "mul") -> Model:
+    """Materialize a hierarchical model, every layer with its bias; same seed gives
+    bit-identical params. combine picks the modulation's fuse op ("sum": the ablation)."""
+    spec.validate()
     stem = (spec.stem.kernel, spec.stem.stride, spec.stem.kernel // 2)
-    return _assemble(spec, stem, plan, seed, dtype, combine)
+    return _assemble(spec, stem, stage_plan(spec), seed, dtype, combine)
 
 
 def build_isotropic(spec: IsotropicSpec, seed: int = 0, dtype=np.float32) -> Model:

@@ -11,10 +11,9 @@ import numpy as np
 from .errors import ConfigError
 
 
-def _read_tokens(data: bytes, count: int):
-    """Yield header tokens, skipping '#' comments; returns (tokens, offset past header)."""
+def _read_tokens(data: bytes, count: int, i: int):
+    """Header tokens from data[i:], skipping '#' comments; returns (tokens, offset past header)."""
     tokens = []
-    i = 0
     while len(tokens) < count:
         if i >= len(data):
             raise ConfigError("truncated PNM header")
@@ -40,8 +39,7 @@ def read_pnm(path: str) -> np.ndarray:
         data = f.read()
     if data[:2] not in (b"P5", b"P6"):
         raise ConfigError(f"{path}: not a binary PGM/PPM (magic {data[:2]!r})")
-    magic = data[:2].decode()
-    tokens, off = _read_tokens(data[2:], 3)
+    tokens, off = _read_tokens(data, 3, 2)
     try:
         w, h, maxval = (int(t) for t in tokens)
     except ValueError:
@@ -50,12 +48,12 @@ def read_pnm(path: str) -> np.ndarray:
         raise ConfigError(
             f"{path}: need width and height >= 1 and an 8-bit maxval, got {w}x{h}, maxval {maxval}"
         )
-    channels = 1 if magic == "P5" else 3
+    channels = 1 if data[:2] == b"P5" else 3
     need = w * h * channels
-    raster = data[2 + off : 2 + off + need]
-    if len(raster) != need:
-        raise ConfigError(f"{path}: raster truncated, expected {need} bytes got {len(raster)}")
-    arr = np.frombuffer(raster, dtype=np.uint8)
+    if len(data) < off + need:
+        got = max(0, len(data) - off)
+        raise ConfigError(f"{path}: raster truncated, expected {need} bytes got {got}")
+    arr = np.frombuffer(data, np.uint8, count=need, offset=off)  # in place: no copy of the file
     if maxval != 255:
         arr = (arr.astype(np.uint16) * 255 // maxval).astype(np.uint8)
     if channels == 1:

@@ -520,6 +520,7 @@ def test_residual_drop_prob_validated():
 
 
 # ----------------------------------------------------------- patch embed
+# The strided conv of a stem, a downsample or a patchify layer (gradcheck kind patch_embed).
 
 
 def test_patch_embed_shapes():
@@ -527,15 +528,17 @@ def test_patch_embed_shapes():
     assert ConvSpec(3, stride=2, padding=1).out_size(56) == 28
     w = ad.Var(RNG.normal(size=(4, 3, 7, 7)))
     b = ad.Var(np.zeros(4))
+    spec = ConvSpec(7, stride=4, padding=3)
     with ad.no_grad():
-        out = B.patch_embed(ad.Var(RNG.normal(size=(1, 3, 64, 64))), w, b, 7, 4, padding=3).data
+        out = ad.conv2d(ad.Var(RNG.normal(size=(1, 3, 64, 64))), w, b, spec).data
     assert out.shape == (1, 4, 16, 16)
 
 
 def test_patch_embed_zero_input():
     w = ad.Var(RNG.normal(size=(2, 3, 4, 4)))
+    spec = ConvSpec(4, stride=4, padding=0)
     with ad.no_grad():
-        out = B.patch_embed(ad.Var(np.zeros((1, 3, 16, 16))), w, None, 4, 4).data
+        out = ad.conv2d(ad.Var(np.zeros((1, 3, 16, 16))), w, None, spec).data
     assert not out.any()
 
 
@@ -543,10 +546,20 @@ def test_patch_embed_zero_input():
 
 
 def test_trunc_normal_respects_bounds():
-    vals = B.trunc_normal(np.random.default_rng(0), (20000,), std=0.02)
+    vals = B.trunc_normal(np.random.default_rng(0), (20000,), 0.02, np.float32)
     assert np.abs(vals).max() <= 2 * 0.02
     assert abs(float(vals.mean())) < 0.001
     assert 0.014 < float(vals.std()) < 0.02
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_layer_draws_the_weight_and_zeros_its_bias(dtype):
+    w, b = B.init_layer(np.random.default_rng(3), (5, 2, 3, 3), 0.1, dtype)
+    want = B.trunc_normal(np.random.default_rng(3), (5, 2, 3, 3), 0.1, dtype)
+    assert w.data.dtype == dtype and w.data.tobytes() == want.tobytes()
+    assert b.data.dtype == dtype and b.data.shape == (5,) and not b.data.any()
+    w2, none = B.init_layer(np.random.default_rng(3), (5, 2, 3, 3), 0.1, dtype, bias=False)
+    assert none is None and w2.data.tobytes() == want.tobytes()
 
 
 def test_named_params_bind_round_trip():

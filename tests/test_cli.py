@@ -12,6 +12,7 @@ from effmod import cli
 from effmod.errors import ConfigError
 from effmod import model as M
 from effmod.blocks import BLOCK_KINDS, GC_CASES
+from effmod.ctxmap import context_map
 from effmod.pnm import read_pnm, write_pgm
 
 
@@ -392,6 +393,43 @@ def test_ctxmap_rejects_non_mod_block(tmp_path, capsys):
     assert "error: config:" in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--stage", "9", "stage 9 out of range (model has 4)"),
+    ("--block", "99",
+     "stage 2 block 99 is not a modulation block (candidates: [0, 1, 2, 3, 4, 5, 6, 7])"),
+], ids=["stage", "block"])
+def test_ctxmap_refuses_a_bad_stage_or_block_before_building_the_model(
+    tmp_path, monkeypatch, capsys, flag, value, message
+):
+    img_path = tmp_path / "in.ppm"
+    _write_ppm(img_path, 64, 64)
+    built = []
+    monkeypatch.setattr(M, "build_model", lambda *a, **kw: built.append(a))
+    tracemalloc.start()
+    try:
+        code, out, err = run(["ctxmap", "s", str(img_path), flag, value], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == "" and not built
+    assert err == f"error: config: {message}\n"
+    assert peak < 1 << 20  # the 12.9 M-weight s preset is never built
+
+
+@pytest.mark.parametrize("stage, block", [(4, 0), (-1, 0), (3, 1), (0, -1)])
+def test_ctxmap_and_context_map_refuse_a_stage_and_block_alike(tmp_path, capsys, stage, block):
+    img_path = tmp_path / "in.ppm"
+    pixels = _write_ppm(img_path, 32, 32)
+    argv = ["ctxmap", "micro", str(img_path), "--stage", str(stage), "--block", str(block)]
+    code, _, err = run(argv, capsys)
+    assert code == 3
+    model = M.build_model(M.build_preset("micro"), seed=0)
+    img = (pixels.astype(np.float32) / 255.0).transpose(2, 0, 1)
+    with pytest.raises(ConfigError) as refused:
+        context_map(model, img, stage, block)
+    assert err == f"error: config: {refused.value}\n"
+
+
 # ------------------------------------------------------------------ pnm
 
 
@@ -416,6 +454,36 @@ def test_pnm_rejects_a_width_or_height_below_one(tmp_path, header):
     path = tmp_path / "empty.pnm"
     path.write_bytes(header + bytes(12))
     with pytest.raises(ConfigError, match="width and height"):
+        read_pnm(str(path))
+
+
+@pytest.mark.parametrize("magic", ["P5", "P6"])
+def test_read_pnm_decodes_the_raster_in_place(tmp_path, magic):
+    path = tmp_path / "big.pnm"
+    if magic == "P5":
+        write_pgm(str(path), np.full((512, 512), 7, dtype=np.uint8))
+    else:
+        _write_ppm(path, 256, 256)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        arr = read_pnm(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arr.shape == ((512, 512) if magic == "P5" else (256, 256, 3))
+    assert peak <= 1.1 * size  # the file's bytes once, no copy of its raster
+
+
+@pytest.mark.parametrize("data, got", [
+    (b"P5 2 2 255\n\x01\x02\x03", 3),
+    (b"P5 2 2 255\n", 0),
+    (b"P5 2 2 255", 0),  # the header ends at the last byte, without its separator
+])
+def test_read_pnm_reports_a_truncated_raster(tmp_path, data, got):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match=f"raster truncated, expected 4 bytes got {got}$"):
         read_pnm(str(path))
 
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from effmod.pnm import read_pnm
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -48,3 +50,10 @@ def test_fusion_bench_demo_runs():
     assert "fusion: routes bit-identical" in done.stdout
     assert "repeat/reshape peak-alloc ratio: " in done.stdout
     assert "output hashes match: True" in done.stdout
+
+
+def test_context_maps_demo_runs(tmp_path):
+    done = _run_demo("06_context_maps.py", str(tmp_path))
+    assert "  stage 2 block 0: context 4x4" in done.stdout
+    for stage, side in enumerate((16, 8, 4)):  # a 64x64 input at strides 4, 8 and 16
+        assert read_pnm(str(tmp_path / f"ctxmap_stage{stage}.pgm")).shape == (side, side)

@@ -306,6 +306,41 @@ def test_build_deterministic_per_seed():
     )
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("name", ["micro", "xxs"])
+def test_parameters_are_drawn_in_parameter_order(name, seed, dtype):
+    """An oracle for the draw order: one trunc_normal per weight (2 or more dims) from
+    one generator, in named_parameters() order. Every other parameter is a constant:
+    norm gains 1, layer scales layer_scale_init, biases and norm shifts 0."""
+    spec = M.build_preset(name)
+    model = M.build_model(spec, seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for pname, v in model.named_parameters():
+        shape = v.data.shape
+        if len(shape) >= 2:
+            want = B.trunc_normal(rng, shape, 0.02, dtype)
+        elif pname.endswith(("_g", ".norm_gamma")):
+            want = np.ones(shape, dtype)
+        elif pname.endswith(".layer_scale"):
+            want = np.full(shape, spec.layer_scale_init, dtype)
+        else:
+            want = np.zeros(shape, dtype)
+        assert v.data.dtype == dtype and v.data.tobytes() == want.tobytes(), pname
+
+
+@pytest.mark.parametrize("name", sorted(M.PRESETS))
+def test_stage_plan_is_the_built_model(name):
+    spec = M.build_preset(name)
+    model = M.build_model(spec, seed=0)
+    plan = M.stage_plan(spec)
+    assert [dim for dim, _ in plan] == [stage.dim for stage in spec.stages]
+    planned = [[kind for kind, _ in blocks] for _, blocks in plan]
+    assert planned == [[entry.kind for entry in stage] for stage in model.stages]
+    for kinds, st in zip(planned, spec.stages):
+        assert kinds == ["efficient_mod"] * st.mod_blocks + ["attention"] * st.attn_blocks
+
+
 def test_parameter_naming_layout():
     m = M.build_model(M.build_preset("micro"), seed=0)
     names = [n for n, _ in m.named_parameters()]
