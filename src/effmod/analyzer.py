@@ -282,7 +282,3 @@ def degree_trajectory(layers: int, seed: int = 0) -> list:
         degrees.append(_poly_degree(p))
     return degrees
 
-
-def degree_probe(layers: int, seed: int = 0) -> int:
-    """Exact degree of x_layers as a polynomial in x_0; equals 2**layers."""
-    return degree_trajectory(layers, seed=seed)[-1]

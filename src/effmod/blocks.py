@@ -8,7 +8,7 @@ squeeze-and-excitation, and a vanilla pre-norm attention block.
 
 Parameters live in small dataclasses holding Var leaves, so one forward pass
 threads the tape through both the block and its wrapper. named_params /
-bind_params give a stable flat view used by gradcheck and serialization.
+bind_params give a stable flat view used by gradcheck and Model.named_parameters.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from .kernels import ConvSpec
 def trunc_normal(rng: np.random.Generator, shape, std: float, dtype):
     """Normal(0, std) with redraws outside +-2 std (the usual conv/linear init)."""
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+    flat = out.reshape(-1)
+    redraw = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    while redraw.size:  # only the entries still out of range, in index order
+        flat[redraw] = rng.normal(0.0, std, size=redraw.size)
+        redraw = redraw[np.abs(flat[redraw]) > 2.0 * std]
     return out.astype(dtype)
 
 

@@ -120,15 +120,12 @@ def cmd_train(args) -> int:
         f"# train micro: seed {args.seed}, epochs {args.epochs}, lr {args.lr}, "
         f"wd {args.wd}, n {args.n}, noise {args.noise}"
     )
-    model, hist = trainer.train_micro(
+    _, hist = trainer.train_micro(
         seed=args.seed, epochs=args.epochs, lr=args.lr, weight_decay=args.wd,
         n=args.n, noise=args.noise, log=print,
     )
     print(f"final eval acc {hist.final_eval_acc:.3f} (best {hist.best_eval_acc:.3f})")
     _write(args.csv, hist.to_csv(), "history csv")
-    if args.save:
-        nbytes = M.save_params(model, args.save)
-        print(f"parameters written to {args.save} ({nbytes} bytes)")
     return 0
 
 
@@ -164,7 +161,7 @@ def cmd_ctxmap(args) -> int:
     return 0
 
 
-def cmd_degree_probe(args) -> int:
+def cmd_degree(args) -> int:
     print(f"# degree-probe: layers {args.layers}, seed {args.seed}")
     traj = analyzer.degree_trajectory(args.layers, seed=args.seed)
     ok = True
@@ -237,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=512, help="dataset size")
     sp.add_argument("--noise", type=float, default=0.05)
     sp.add_argument("--csv", help="write history to this path")
-    sp.add_argument("--save", help="write final parameters (flat binary) to this path")
     sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser(
@@ -259,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("degree-probe", help="polynomial-degree doubling check", parents=[seeded])
     sp.add_argument("--layers", type=int, default=10)
-    sp.set_defaults(fn=cmd_degree_probe)
+    sp.set_defaults(fn=cmd_degree)
 
     return p
 

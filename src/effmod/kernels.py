@@ -47,7 +47,7 @@ kernel with pad 3 has 9 live taps at a 2x2 input, 1 at 1x1).
   loop of small GEMMs on an [h, w, n, c] copy: a one-GEMM VJP holds the whole
   patch matrix and its cotangent during backward, and took the micro training
   step (batch 32, f64) from 13.0 to 17.7 MB peak.
-- Other group counts run the dense route once per group.
+No other group count has a route: _conv_check refuses it.
 
 Elementwise kernels work in place on the arrays they allocate. scipy's erf costs
 ~14 ns an element in f32 as in f64, so float32 gelu and gelu_grad use Abramowitz
@@ -143,10 +143,11 @@ def _conv_check(x: np.ndarray, w: np.ndarray, b, spec: ConvSpec):
             f"w: kernel dims {kh}x{kw} do not match spec.kernel={spec.kernel}"
         )
     g = spec.groups
-    if c_in % g != 0:
-        raise PreconditionError(f"x: channel dim {c_in} not divisible by groups={g}")
-    if c_out % g != 0:
-        raise PreconditionError(f"w: output-channel dim {c_out} not divisible by groups={g}")
+    if g != 1 and not g == c_in == c_out:
+        raise PreconditionError(
+            f"groups={g} with {c_in} input and {c_out} output channels: only dense "
+            f"(groups=1) and depthwise (groups = input = output channels) convs run"
+        )
     if c_in_g != c_in // g:
         raise PreconditionError(
             f"w: input-channel dim {c_in_g} does not match x channels/groups = {c_in // g}"
@@ -310,30 +311,16 @@ def _dense(x: np.ndarray, w: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np
     return out
 
 
-def _group_slices(spec: ConvSpec, c_in: int, c_out: int):
-    g = spec.groups
-    cig, cog = c_in // g, c_out // g
-    return [(slice(k * cig, (k + 1) * cig), slice(k * cog, (k + 1) * cog)) for k in range(g)]
-
-
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -> np.ndarray:
     """2-D cross-correlation with zero padding.
 
     x [n, c_in, h, w], w [c_out, c_in/groups, k, k], optional b [c_out].
-    groups=1 is a dense conv, groups=c_in=c_out is depthwise; other group
-    counts run the dense route once per group.
+    groups=1 is a dense conv and groups=c_in=c_out is depthwise; no other
+    group count runs.
     """
     oh, ow = _conv_check(x, w, b, spec)
-    c_in, c_out = x.shape[1], w.shape[0]
-    g = spec.groups
-    if g == c_in and g == c_out:
-        out = _depthwise(x, w, spec, oh, ow)
-    elif g == 1:
-        out = _dense(x, w, spec, oh, ow)
-    else:
-        out = np.empty((x.shape[0], c_out, oh, ow), dtype=x.dtype)
-        for sl_in, sl_out in _group_slices(spec, c_in, c_out):
-            out[:, sl_out] = _dense(x[:, sl_in], w[sl_out], spec, oh, ow)
+    route = _dense if spec.groups == 1 else _depthwise
+    out = route(x, w, spec, oh, ow)
     if b is not None:
         out += b[None, :, None, None]
     return out
@@ -413,21 +400,8 @@ def conv2d_vjp(
         raise PreconditionError(
             f"grad_out: expected {(x.shape[0], w.shape[0], oh, ow)}, got {grad_out.shape}"
         )
-    c_in, c_out = x.shape[1], w.shape[0]
-    g = spec.groups
-    if g == c_in and g == c_out:
-        dx, dw = _depthwise_vjp(x, w, spec, grad_out, need_input)
-    elif g == 1:
-        dx, dw = _dense_vjp(x, w, spec, grad_out, need_input)
-    else:
-        dx = np.empty_like(x) if need_input else None
-        dw = np.empty_like(w)
-        for sl_in, sl_out in _group_slices(spec, c_in, c_out):
-            dxg, dw[sl_out] = _dense_vjp(
-                x[:, sl_in], w[sl_out], spec, grad_out[:, sl_out], need_input
-            )
-            if need_input:
-                dx[:, sl_in] = dxg
+    route = _dense_vjp if spec.groups == 1 else _depthwise_vjp
+    dx, dw = route(x, w, spec, grad_out, need_input)
     db = grad_out.sum(axis=(0, 2, 3)) if need_bias else None
     return None if dx is None else np.ascontiguousarray(dx), dw, db
 

@@ -21,7 +21,6 @@ import dataclasses
 import json
 import math
 import reprlib
-import struct
 import sys
 import typing
 from dataclasses import dataclass
@@ -291,7 +290,8 @@ class Model:
         return self.stem.w.data.dtype
 
     def named_parameters(self):
-        """Stable (name, Var) walk; order defines the serialization layout."""
+        """Stable (name, Var) walk: the names the analyzer groups into layers, in the
+        order AdamW packs its flat buffer."""
         yield "stem.w", self.stem.w
         yield "stem.b", self.stem.b
         for si, stage in enumerate(self.stages):
@@ -485,96 +485,3 @@ def stage_resolutions(model: Model, input_res) -> list:
         out.append((h, w))
     return out
 
-
-# -------------------------------------------------- parameter serialization
-
-_MAGIC = b"EFMODPRM"
-_VERSION = 1
-_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-
-
-def save_params(model: Model, path: str) -> int:
-    """Write all parameters to the flat binary format; returns bytes written.
-
-    Layout: magic "EFMODPRM", u32 version, u32 array count, then per array:
-    u16 name length + utf-8 name, u8 dtype code (0=f32, 1=f64), u8 ndim,
-    u32 dims, raw little-endian data. Integers are little-endian throughout.
-    """
-    entries = list(model.named_parameters())
-    blob = bytearray()
-    blob += _MAGIC
-    blob += struct.pack("<II", _VERSION, len(entries))
-    for name, v in entries:
-        enc = name.encode("utf-8")
-        arr = v.data
-        code = _DTYPE_CODES.get(arr.dtype)
-        if code is None:
-            raise ConfigError(f"cannot serialize dtype {arr.dtype} for {name}")
-        blob += struct.pack("<H", len(enc)) + enc
-        blob += struct.pack("<BB", code, arr.ndim)
-        blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        blob += np.ascontiguousarray(arr, dtype=_CODE_DTYPES[code]).tobytes()
-    with open(path, "wb") as f:
-        f.write(blob)
-    return len(blob)
-
-
-def load_params(model: Model, path: str) -> None:
-    """Read parameters saved by save_params into the model, strict on layout.
-
-    Every byte must be accounted for: a truncated file, trailing bytes, a name
-    the model lacks or repeats, a shape or dtype that differs from the model's,
-    or a missing parameter raises ConfigError and leaves the model unchanged.
-    """
-    with open(path, "rb") as f:
-        blob = f.read()
-    off = 0
-
-    def take(nbytes: int, what: str) -> bytes:
-        nonlocal off
-        if off + nbytes > len(blob):
-            raise ConfigError(f"{path}: truncated in {what} (byte {off} of {len(blob)})")
-        off += nbytes
-        return blob[off - nbytes : off]
-
-    if take(8, "magic") != _MAGIC:
-        raise ConfigError(f"{path}: not a parameter file (bad magic)")
-    version, count = struct.unpack("<II", take(8, "header"))
-    if version != _VERSION:
-        raise ConfigError(f"{path}: unsupported version {version}")
-    params = dict(model.named_parameters())
-    loaded = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<H", take(2, "a name length"))
-        try:
-            name = take(nlen, "a name").decode("utf-8")
-        except UnicodeDecodeError:
-            raise ConfigError(f"{path}: parameter name at byte {off - nlen} is not UTF-8")
-        if name not in params:
-            raise ConfigError(f"{path}: parameter {name!r} is not in the model")
-        if name in loaded:
-            raise ConfigError(f"{path}: parameter {name!r} appears twice")
-        code, ndim = struct.unpack("<BB", take(2, name))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, name))
-        if code not in _CODE_DTYPES:
-            raise ConfigError(f"{path}: unknown dtype code {code} for {name}")
-        want = params[name].data
-        if shape != want.shape:
-            raise ConfigError(
-                f"{path}: shape mismatch for {name}: file {shape}, model {want.shape}"
-            )
-        if code != _DTYPE_CODES.get(want.dtype):
-            raise ConfigError(
-                f"{path}: dtype mismatch for {name}: file {_CODE_DTYPES[code].name}, "
-                f"model {want.dtype.name}"
-            )
-        raw = np.frombuffer(take(want.nbytes, name), dtype=_CODE_DTYPES[code])
-        loaded[name] = raw.reshape(shape)
-    if off != len(blob):
-        raise ConfigError(f"{path}: {len(blob) - off} trailing bytes after the last parameter")
-    for name in params:
-        if name not in loaded:
-            raise ConfigError(f"{path}: missing parameter {name}")
-    for name, v in params.items():
-        v.data[...] = loaded[name]  # in place: an AdamW's flat buffer keeps its views

@@ -181,11 +181,11 @@ def test_degree_trajectory_doubles():
 
 @pytest.mark.parametrize("layers", range(11))
 def test_degree_probe_power_of_two(layers):
-    assert A.degree_probe(layers) == 2**layers
+    assert A.degree_trajectory(layers)[-1] == 2**layers
 
 
 def test_degree_probe_seed_invariant():
-    assert A.degree_probe(6, seed=0) == A.degree_probe(6, seed=123)
+    assert A.degree_trajectory(6, seed=0)[-1] == A.degree_trajectory(6, seed=123)[-1]
 
 
 def test_degree_probe_bounds():

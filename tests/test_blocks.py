@@ -552,6 +552,26 @@ def test_trunc_normal_respects_bounds():
     assert 0.014 < float(vals.std()) < 0.02
 
 
+def _trunc_normal_full_rescan(rng, shape, std, dtype):
+    """The earlier trunc_normal: every pass rescans the whole array for values to redraw."""
+    out = rng.normal(0.0, std, size=shape)
+    bad = np.abs(out) > 2.0 * std
+    while bad.any():
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * std
+    return out.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_trunc_normal_draws_what_a_full_rescan_draws(dtype):
+    for seed in range(5):
+        for shape in [(1,), (9,), (4, 5), (32, 1, 7, 7), (10, 3, 3, 3)]:
+            got = B.trunc_normal(np.random.default_rng(seed), shape, 0.02, dtype)
+            want = _trunc_normal_full_rescan(np.random.default_rng(seed), shape, 0.02, dtype)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (seed, shape)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_init_layer_draws_the_weight_and_zeros_its_bias(dtype):
     w, b = B.init_layer(np.random.default_rng(3), (5, 2, 3, 3), 0.1, dtype)

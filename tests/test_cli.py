@@ -285,22 +285,17 @@ def test_bench_pair_keeps_requested_res(tmp_path, capsys):
 # ------------------------------------------------------------- training
 
 
-def test_train_writes_history_and_params(tmp_path, capsys):
+def test_train_writes_history(tmp_path, capsys):
     csv_path = tmp_path / "hist.csv"
-    prm_path = tmp_path / "micro.efmod"
     code, out, _ = run(
-        [
-            "train", "--epochs", "1", "--n", "64", "--seed", "0",
-            "--csv", str(csv_path), "--save", str(prm_path),
-        ],
-        capsys,
+        ["train", "--epochs", "1", "--n", "64", "--seed", "0", "--csv", str(csv_path)], capsys
     )
     assert code == 0
     assert "seed 0" in out
     assert "final eval acc" in out
     assert "epoch,train_loss,train_acc,eval_acc" in csv_path.read_text()
-    target = M.build_model(M.build_preset("micro"), seed=99, dtype=np.float64)
-    M.load_params(target, str(prm_path))  # strict load proves a valid file
+    code, _, err = run(["train", "--save", str(tmp_path / "m.efmod")], capsys)
+    assert code == 2 and "--save" in err  # no parameter file is written
 
 
 def test_ablate_fusion_writes_paired_csv(tmp_path, capsys):
@@ -559,7 +554,7 @@ _GRAMMAR = [
         [st.just("train")],
         {"--epochs": _flag(1), "--n": _flag(3, 8, 16, 10**12)},
         {"--lr": _flag(3e-3, "-inf"), "--wd": _flag(0.05), "--noise": _flag(0.05),
-         "--csv": _OUT, "--save": _OUT},
+         "--csv": _OUT},
     ),
     ([st.just("ablate-fusion")], {"--epochs": _flag(1)}, {}),
     (

@@ -1,6 +1,7 @@
 """Demo scripts run end to end."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,9 @@ def test_fusion_bench_demo_runs():
 
 def test_context_maps_demo_runs(tmp_path):
     done = _run_demo("06_context_maps.py", str(tmp_path))
+    trained = r"^trained micro: 2 epochs on 128 bars, eval acc (\d\.\d{3})$"
+    acc = re.search(trained, done.stdout, re.M)
+    assert acc and float(acc[1]) >= 0.9
     assert "  stage 2 block 0: context 4x4" in done.stdout
     for stage, side in enumerate((16, 8, 4)):  # a 64x64 input at strides 4, 8 and 16
         assert read_pnm(str(tmp_path / f"ctxmap_stage{stage}.pgm")).shape == (side, side)

@@ -1,4 +1,4 @@
-"""Model assembly: presets, JSON round trips, forward contracts, serialization."""
+"""Model assembly: presets, JSON round trips, forward contracts."""
 
 import dataclasses
 import json
@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effmod import autodiff as ad
@@ -592,136 +592,3 @@ def test_isotropic_patch_too_large_for_input():
     with pytest.raises(PreconditionError):  # larger than a patch, but not a whole number of them
         M.model_forward(m, RNG.normal(size=(1, 3, 21, 21)).astype(np.float32))
 
-
-# -------------------------------------------------------- serialization
-
-
-def test_param_save_load_round_trip(tmp_path):
-    m = M.build_model(M.build_preset("micro"), seed=3, dtype=np.float64)
-    path = str(tmp_path / "m.efmod")
-    n = M.save_params(m, path)
-    assert n > 0
-    other = M.build_model(M.build_preset("micro"), seed=9, dtype=np.float64)
-    M.load_params(other, path)
-    for (na, va), (nb, vb) in zip(m.named_parameters(), other.named_parameters()):
-        assert na == nb
-        assert va.data.tobytes() == vb.data.tobytes()
-
-
-def test_param_file_header(tmp_path):
-    m = M.build_model(M.build_preset("micro"), seed=0)
-    path = str(tmp_path / "m.efmod")
-    M.save_params(m, path)
-    blob = open(path, "rb").read()
-    assert blob[:8] == b"EFMODPRM"
-    assert int.from_bytes(blob[8:12], "little") == 1
-    count = int.from_bytes(blob[12:16], "little")
-    assert count == sum(1 for _ in m.named_parameters())
-
-
-def test_param_load_rejects_garbage(tmp_path):
-    m = M.build_model(M.build_preset("micro"), seed=0)
-    bad = tmp_path / "bad.efmod"
-    bad.write_bytes(b"NOTAPRMF" + b"\x00" * 32)
-    with pytest.raises(ConfigError, match="magic"):
-        M.load_params(m, str(bad))
-
-
-def test_param_load_rejects_wrong_model(tmp_path):
-    micro = M.build_model(M.build_preset("micro"), seed=0)
-    path = str(tmp_path / "micro.efmod")
-    M.save_params(micro, path)
-    xxs = M.build_model(M.build_preset("xxs"), seed=0)
-    with pytest.raises(ConfigError):
-        M.load_params(xxs, str(path))
-
-
-def test_param_load_rejects_bad_version(tmp_path):
-    m = M.build_model(M.build_preset("micro"), seed=0)
-    path = tmp_path / "m.efmod"
-    M.save_params(m, str(path))
-    blob = bytearray(path.read_bytes())
-    blob[8] = 9
-    path.write_bytes(bytes(blob))
-    with pytest.raises(ConfigError, match="version"):
-        M.load_params(m, str(path))
-
-
-def _saved_micro(tmp_path, dtype=np.float64):
-    m = M.build_model(M.build_preset("micro"), seed=0, dtype=dtype)
-    path = tmp_path / "m.efmod"
-    M.save_params(m, str(path))
-    return path, path.read_bytes()
-
-
-def test_param_load_rejects_truncated_file(tmp_path):
-    path, blob = _saved_micro(tmp_path)
-    m = M.build_model(M.build_preset("micro"), seed=1, dtype=np.float64)
-    before = [v.data.tobytes() for _, v in m.named_parameters()]
-    for cut in (4, 12, 17, 30, len(blob) // 2, len(blob) - 1):
-        path.write_bytes(blob[:cut])
-        with pytest.raises(ConfigError, match="truncated"):
-            M.load_params(m, str(path))
-    assert [v.data.tobytes() for _, v in m.named_parameters()] == before
-
-
-def test_param_load_rejects_trailing_bytes(tmp_path):
-    path, blob = _saved_micro(tmp_path)
-    path.write_bytes(blob + b"\x00")
-    with pytest.raises(ConfigError, match="trailing"):
-        M.load_params(M.build_model(M.build_preset("micro"), dtype=np.float64), str(path))
-
-
-def test_param_load_rejects_names_the_model_lacks(tmp_path):
-    path, blob = _saved_micro(tmp_path)
-    path.write_bytes(blob.replace(b"stem.w", b"stem.q", 1))
-    with pytest.raises(ConfigError, match="stem.q"):
-        M.load_params(M.build_model(M.build_preset("micro"), dtype=np.float64), str(path))
-
-
-def test_param_load_rejects_dtype_mismatch(tmp_path):
-    path, _ = _saved_micro(tmp_path, dtype=np.float32)
-    with pytest.raises(ConfigError, match="dtype"):
-        M.load_params(M.build_model(M.build_preset("micro"), dtype=np.float64), str(path))
-
-
-@pytest.fixture(scope="module")
-def micro_file(tmp_path_factory):
-    m = M.build_model(M.build_preset("micro"), seed=0)
-    path = tmp_path_factory.mktemp("fuzz") / "m.efmod"
-    M.save_params(m, str(path))
-    blob = path.read_bytes()
-    # each entry's header: u16 name length, name, dtype code, ndim, dims
-    headers = [blob.index(name.encode()) - 2 for name, _ in m.named_parameters()]
-    return m, blob, headers
-
-
-@settings(
-    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
-@given(data=st.data())
-def test_param_file_mutations_load_identically_or_raise_config_error(micro_file, tmp_path, data):
-    m, blob, headers = micro_file
-    mutated = bytearray(blob)
-    for _ in range(data.draw(st.integers(0, 4))):
-        at = data.draw(
-            st.sampled_from(headers).flatmap(lambda h: st.integers(h, h + 48))
-            | st.integers(8, 15)  # version, array count
-            | st.integers(0, len(blob) - 1)
-        )
-        mutated[min(at, len(blob) - 1)] = data.draw(st.integers(0, 255))
-    cut = data.draw(st.none() | st.integers(0, len(blob)))
-    mutated = bytes(mutated[:cut])
-    path = tmp_path / "mutated.efmod"
-    path.write_bytes(mutated)
-    before = [v.data.tobytes() for _, v in m.named_parameters()]
-    try:
-        M.load_params(m, str(path))
-    except ConfigError:
-        assert [v.data.tobytes() for _, v in m.named_parameters()] == before
-        return
-    again = tmp_path / "again.efmod"
-    M.save_params(m, str(again))
-    assert again.read_bytes() == mutated  # the model now holds exactly what the file held
-    path.write_bytes(blob)
-    M.load_params(m, str(path))

@@ -187,26 +187,6 @@ def test_adamw_rejects_parameters_of_mixed_dtypes():
         T.AdamW([("a", a), ("b", b)])
 
 
-def test_load_params_writes_into_the_optimizers_buffer(tmp_path):
-    model = M.build_model(M.build_preset("micro"), seed=0, dtype=np.float64)
-    opt = T.AdamW(model.named_parameters(), weight_decay=0.05)
-    path = str(tmp_path / "p.efmod")
-    M.save_params(model, path)
-    saved = [v.data.copy() for _, v in model.named_parameters()]
-    opt.flat += 1.0
-    M.load_params(model, path)
-    for (name, v), want in zip(model.named_parameters(), saved):
-        assert v.data.base is opt.flat and v.data.tobytes() == want.tobytes(), name
-    grads = [np.full_like(a, 0.5) for a in saved]
-    for (_, v), g in zip(model.named_parameters(), grads):
-        v.grad = g
-    opt.step(1e-2)
-    oracle = PerArrayAdamW(saved, weight_decay=0.05)
-    oracle.step(grads, 1e-2)
-    for (name, v), want in zip(model.named_parameters(), oracle.params):
-        assert v.data.tobytes() == want.tobytes(), name
-
-
 def test_single_step_reduces_single_sample_loss():
     model = M.build_model(M.build_preset("micro"), seed=1, dtype=np.float64)
     ds = T.gen_dataset(1, n=4)
