@@ -11,12 +11,9 @@ nothing more. backward() frees the graph as it consumes it, as PyTorch does by
 default: each node drops its parents and vjp closure, and the activations that
 closure saved, once its cotangent has reached its parents. Grads add across
 separate forward passes; a second backward through a freed graph raises.
-Under no_grad, softmax may write into the scores it consumes (out=x); only the
-block that made them passes out, since an op result can be a view of a leaf
-(reshape) and a leaf belongs to the caller. modulate (v -> product -> p of the
-EfficientMod block) keeps v and the product on the tape: recomputing the product
-in the VJP left the micro batch-8 step's backward peak at 1.26 MB on a 0.80 MB
-tape, over the 1.4x the suite pins.
+modulate (v -> product -> p of the EfficientMod block) keeps v and the product
+on the tape: recomputing the product in the VJP left the micro batch-8 step's
+backward peak at 1.26 MB on a 0.80 MB tape, over the 1.4x the suite pins.
 
 Gradient certification is two-sided: every analytic rule here is checked
 against central finite differences (grad_check), and the test suite runs that
@@ -262,7 +259,7 @@ def pointwise(x: Var, w: Var, b: Var | None = None) -> Var:
 
 
 def linear(x: Var, w: Var, b: Var | None = None) -> Var:
-    """Last-axis linear map, w [out, in]: the head's map of pooled [n, c] features."""
+    """Last-axis linear map, w [out, in]."""
     if x.data.shape[-1] != w.data.shape[1]:
         raise PreconditionError(
             f"linear: input feature dim {x.data.shape[-1]} != weight in-dim {w.data.shape[1]}"
@@ -306,8 +303,8 @@ def layer_norm(x: Var, gamma: Var, beta: Var) -> Var:
     return _node(out, "layer_norm", (x, gamma, beta), vjp)
 
 
-def softmax(x: Var, axis: int = -1, out: Var | None = None) -> Var:
-    s = K.softmax(x.data, axis=axis, out=None if _grad_enabled or out is None else out.data)
+def softmax(x: Var, axis: int = -1) -> Var:
+    s = K.softmax(x.data, axis=axis)
 
     def vjp(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
@@ -325,6 +322,36 @@ def matmul(a: Var, b: Var) -> Var:
         return (da, db)
 
     return _node(out, "matmul", (a, b), vjp)
+
+
+def attention(qkv: Var, heads: int) -> Var:
+    """Multi-head self-attention over the h*w positions of a [n, 3c, h, w] map whose
+    channels are [q | k | v], each head-major; returns [n, c, h, w]. Scores are
+    [key, query] from a scaled q, and softmax overwrites them: they are the node's own."""
+    n, c3, h, w = qkv.data.shape
+    if c3 % (3 * heads):
+        raise PreconditionError(f"attention: {c3} qkv channels do not split into 3 x {heads} heads")
+    d = c3 // (3 * heads)
+    s = 1.0 / float(np.sqrt(d))
+    q, k, v = qkv.data.reshape(n, 3, heads, d, h * w).swapaxes(0, 1)  # views, no copies
+    att = K.batched_matmul(k.swapaxes(-1, -2), q * s)
+    K.softmax(att, axis=-2, out=att)
+    out = K.batched_matmul(v, att).reshape(n, c3 // 3, h, w)
+
+    def vjp(g):
+        g = g.reshape(v.shape)
+        dqkv = np.empty((n, 3) + v.shape[1:], np.result_type(qkv.data, g))
+        dq, dk, dv = dqkv.swapaxes(0, 1)
+        np.matmul(g, att.swapaxes(-1, -2), out=dv)
+        da = np.matmul(v.swapaxes(-1, -2), g)  # softmax backward in place, times s
+        da -= (da * att).sum(axis=-2, keepdims=True)
+        da *= att
+        da *= s
+        np.matmul(q, da.swapaxes(-1, -2), out=dk)
+        np.matmul(k, da, out=dq)
+        return (dqkv.reshape(qkv.data.shape),)
+
+    return _node(out, "attention", (qkv,), vjp)
 
 
 def fuse_modulate(ctx: Var, v: Var, mode: str = "reshape", combine: str = "mul") -> Var:

@@ -7,11 +7,10 @@ variation above 20% flags the result as unstable. Benchmarked callables must
 be bit-deterministic: every iteration's output is hashed and compared against
 the first, and a mismatch aborts the run.
 
-Thread budget: defaults to the CPUs the process may run on (EFFMOD_THREADS
-overrides). When threadpoolctl is importable the budget is enforced for real by
-limiting the BLAS pools around the timed region; otherwise it is recorded in
-the result only. Each result says which (threads_enforced), in its summary and
-its CSV row.
+Thread budget: the explicit value, else the CPUs the process may run on. When
+threadpoolctl is importable the budget is enforced for real by limiting the
+BLAS pools around the timed region; otherwise it is recorded in the result
+only. Each result says which (threads_enforced), in its summary and its CSV row.
 """
 
 from __future__ import annotations
@@ -48,15 +47,6 @@ def thread_budget(threads: int | None = None) -> int:
         if threads < 1:
             raise ConfigError(f"thread budget must be positive, got {threads}")
         return threads
-    env = os.environ.get("EFFMOD_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(f"EFFMOD_THREADS must be an int, got {env!r}")
-        if n < 1:
-            raise ConfigError(f"EFFMOD_THREADS must be positive, got {n}")
-        return n
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 

@@ -394,27 +394,14 @@ def init_attention(
     )
 
 
-def _attend(h: Var, p: AttentionParams) -> Var:
-    """proj(multi-head attention(qkv(h))); q, k, v, scores and att die on return."""
-    n, c, hh, ww = h.data.shape
-    d, t = c // p.heads, hh * ww
-    qkv = ad.reshape(ad.pointwise(h, p.qkv_w, p.qkv_b), (n, 3, p.heads, d, t))
-    # channels are [q | k | v], each head-major
-    q, k, v = (ad.reshape(ad.narrow(qkv, 1, i, 1), (n, p.heads, d, t)) for i in range(3))
-    # scores[key, query] from a scaled q (not scaled t*t scores): softmax overwrites them
-    # down each column, and v @ att lands in [n, H, d, t]
-    scores = ad.matmul(ad.transpose(k, (0, 1, 3, 2)), ad.scale(q, 1.0 / np.sqrt(d)))
-    att = ad.softmax(scores, axis=-2, out=scores)
-    return ad.pointwise(ad.reshape(ad.matmul(v, att), (n, c, hh, ww)), p.proj_w, p.proj_b)
-
-
 def attention_block(x: Var, p: AttentionParams) -> Var:
     if x.data.ndim != 4:
         raise PreconditionError(f"attention input must be [n, c, h, w], got {x.data.shape}")
     c = x.data.shape[1]
     if c != p.channels:
         raise PreconditionError(f"attention input channels {c} != params channels {p.channels}")
-    x = ad.add(x, _attend(ad.layer_norm(x, p.ln1_g, p.ln1_b), p))
+    qkv = ad.pointwise(ad.layer_norm(x, p.ln1_g, p.ln1_b), p.qkv_w, p.qkv_b)
+    x = ad.add(x, ad.pointwise(ad.attention(qkv, p.heads), p.proj_w, p.proj_b))
 
     h2 = ad.layer_norm(x, p.ln2_g, p.ln2_b)
     m = ad.pointwise(ad.gelu(ad.pointwise(h2, p.mlp1_w, p.mlp1_b)), p.mlp2_w, p.mlp2_b)

@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     pairs = [(f"pair-{pair}", 224, bench.PAIR_WARMUP, bench.PAIR_ITERS) for pair in M.ISO_PAIRS]
     for name, res, warmup, iters in [fusion, *pairs]:
         ep = experiments.add_parser(name, parents=[seeded])
-        ep.add_argument("--threads", type=int, default=None, help="EFFMOD_THREADS or usable CPUs")
+        ep.add_argument("--threads", type=int, default=None, help="default: usable CPUs")
         ep.add_argument("--iters", type=int, default=iters)
         ep.add_argument("--warmup", type=int, default=warmup)
         if name == "fusion":

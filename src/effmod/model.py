@@ -2,9 +2,9 @@
 
 Hierarchy: stem conv (k7 s4, padded kernel // 2 per side) -> 4 stages at 1/4,
 1/8, 1/16, 1/32 of the input, joined by k3 s2 pad1 downsampling convs -> GAP
--> LayerNorm -> linear head. Within a stage every modulation block precedes
-every attention block, and attention only appears in stages 3 and 4 where the
-token count is small.
+-> LayerNorm -> pointwise classifier. Within a stage every modulation block
+precedes every attention block, and attention only appears in stages 3 and 4
+where the token count is small.
 
 Isotropic: patchify conv (k14 s14) -> depth identical blocks at one width ->
 same head. Used for the parameter-matched modulation-vs-MBConv pairs.
@@ -467,12 +467,12 @@ def forward_features(model: Model, x, training: bool = False, seed: int = 0, ste
 
 
 def model_forward(model: Model, x, training: bool = False, seed: int = 0, step: int = 0) -> Var:
-    """Run the network: forward_features, then GAP -> LayerNorm -> linear; returns logits."""
+    """Run the network: forward_features, then GAP -> LayerNorm -> pointwise classifier on
+    the [n, c, 1, 1] map; returns logits [n, classes]."""
     h = ad.global_avg_pool(forward_features(model, x, training, seed, step))
-    n, c = h.data.shape[0], h.data.shape[1]
-    h = ad.reshape(h, (n, c))
     h = ad.layer_norm(h, model.head_norm_g, model.head_norm_b)
-    return ad.linear(h, model.head_w, model.head_b)
+    h = ad.pointwise(h, model.head_w, model.head_b)
+    return ad.reshape(h, h.data.shape[:2])
 
 
 def stage_resolutions(model: Model, input_res) -> list:

@@ -358,29 +358,55 @@ def test_fuse_modulate_gradients_mode_invariant():
     assert grads["repeat"][1].tobytes() == grads["reshape"][1].tobytes()
 
 
+def test_op_attention():
+    """Heads 1 and 2, one position (t = 1) and more positions than head dims (t > d)."""
+    for heads in (1, 2):
+        for h, w in ((1, 1), (2, 3)):
+            shape = (2, 6 * heads, h, w)  # d = 2
+            s = _weighted((2, 2 * heads, h, w))
+            check_op(
+                {"qkv": RNG.normal(size=shape)},
+                lambda lv, heads=heads, s=s: s(ad.attention(lv["qkv"], heads)),
+            )
+    with pytest.raises(PreconditionError):
+        ad.attention(ad.Var(RNG.normal(size=(1, 9, 2, 2))), 2)
+
+
+def _composed_attention(qkv, heads):
+    """Attention composed from reshape, narrow, transpose, scale, matmul and softmax nodes."""
+    n, c3, hh, ww = qkv.data.shape
+    d, t = c3 // (3 * heads), hh * ww
+    r = ad.reshape(qkv, (n, 3, heads, d, t))
+    q, k, v = (ad.reshape(ad.narrow(r, 1, i, 1), (n, heads, d, t)) for i in range(3))
+    scores = ad.matmul(ad.transpose(k, (0, 1, 3, 2)), ad.scale(q, 1.0 / np.sqrt(d)))
+    return ad.reshape(ad.matmul(v, ad.softmax(scores, axis=-2)), (n, c3 // 3, hh, ww))
+
+
+def test_attention_node_matches_the_composed_ops():
+    for heads, shape in ((1, (2, 6, 1, 1)), (2, (2, 24, 3, 4)), (4, (1, 48, 2, 5))):
+        qkv_data = RNG.normal(size=shape)
+        seed = RNG.normal(size=(shape[0], shape[1] // 3) + shape[2:])
+        got = {}
+        for name, f in (("node", ad.attention), ("composed", _composed_attention)):
+            qkv = ad.Var(qkv_data.copy())
+            y = f(qkv, heads)
+            ad.backward(y, seed=seed)
+            got[name] = (y.data, qkv.grad)
+        for a, b in zip(got["node"], got["composed"]):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("axis", [-1, -2], ids=["last", "second-last"])
-def test_softmax_writes_into_out_only_under_no_grad(axis, dtype):
-    x_data = RNG.normal(size=(2, 3, 5, 5)).astype(dtype)
-    seed = RNG.normal(size=x_data.shape).astype(dtype)
-    want = K.softmax(x_data, axis=axis)
+def test_attention_keeps_qkv_and_gives_the_taped_bytes_under_no_grad(dtype):
+    """Softmax overwrites the node's own scores, never the qkv map it reads."""
+    qkv_data = RNG.normal(size=(2, 24, 3, 5)).astype(dtype)
+    qkv = ad.Var(qkv_data.copy())
+    taped = ad.attention(qkv, 4).data
+    assert qkv.data.tobytes() == qkv_data.tobytes()
     with ad.no_grad():
-        x = ad.Var(x_data.copy())
-        got = ad.softmax(x, axis, out=x)
-        assert got.data.tobytes() == want.tobytes() and np.shares_memory(got.data, x.data)
-        leaf = ad.Var(x_data.copy())
-        ad.softmax(leaf, axis)  # no out: x is never written
-        assert leaf.data.tobytes() == x_data.tobytes()
-    # with the tape on, out is ignored: the input stays as it was
-    grads = {}
-    for out in (None, "x"):
-        x = ad.Var(x_data.copy())
-        y = ad.softmax(x, axis, out=x if out else None)
-        assert y.data.tobytes() == want.tobytes() and not np.shares_memory(y.data, x.data)
-        assert x.data.tobytes() == x_data.tobytes()
-        ad.backward(y, seed=seed)
-        grads[out] = x.grad.tobytes()
-    assert grads[None] == grads["x"]
+        inferred = ad.attention(qkv, 4).data
+    assert qkv.data.tobytes() == qkv_data.tobytes()
+    assert inferred.dtype == dtype and inferred.tobytes() == taped.tobytes()
 
 
 def _modulate_args(rng, n, c, r, c_out, h, w, dtype):

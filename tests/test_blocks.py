@@ -372,6 +372,25 @@ def test_attention_head_divisibility():
         _run(B.attention_block, RNG.normal(size=(1, 4, 8)), p)
 
 
+def _tape_ops(out):
+    """Op name of every node on the tape that made out, leaves included."""
+    ops, seen, stack = [], set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops.append(node.op)
+            stack.extend(node.parents)
+    return ops
+
+
+def test_attention_block_tape_holds_one_attention_node():
+    p = B.init_attention(RNG, 16, heads=4, dtype=np.float64)
+    ops = _tape_ops(B.attention_block(ad.Var(RNG.normal(size=(2, 16, 3, 3))), p))
+    assert ops.count("attention") == 1
+    assert not {"narrow", "transpose", "scale", "matmul", "softmax"} & set(ops)
+
+
 def test_attention_shape_preserved():
     p = B.init_attention(RNG, 24, heads=8, mlp_ratio=2.0, dtype=np.float64)
     x = RNG.normal(size=(2, 24, 3, 3))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from effmod import autodiff as ad
 from effmod import blocks as B
+from effmod import kernels as K
 from effmod import model as M
 from effmod.analyzer import count_params
 from effmod.ctxmap import context_map
@@ -531,6 +532,19 @@ def test_forward_features_is_the_pre_head_map():
     h = (h - h.mean(axis=1, keepdims=True)) / np.sqrt(h.var(axis=1, keepdims=True) + 1e-6)
     want = (h * m.head_norm_g.data + m.head_norm_b.data) @ m.head_w.data.T + m.head_b.data
     np.testing.assert_allclose(logits, want, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("preset", ["micro", "xxs"])
+def test_pointwise_head_equals_the_pooled_linear_map(preset):
+    """GAP, layer norm over [n, c] and x @ w.T + b give the logits the [n, c, 1, 1] head does."""
+    m = M.build_model(M.build_preset(preset), seed=0, dtype=np.float64)
+    x = RNG.normal(size=(2, 3, 64, 64))
+    with ad.no_grad():
+        feats = M.forward_features(m, x).data
+        logits = M.model_forward(m, x).data
+    h = K.layer_norm(feats.mean(axis=(2, 3)), m.head_norm_g.data, m.head_norm_b.data)
+    want = h @ m.head_w.data.T + m.head_b.data
+    np.testing.assert_allclose(logits, want, rtol=1e-12, atol=1e-12)
 
 
 def test_input_divisibility_follows_stem_and_downsample_strides():
