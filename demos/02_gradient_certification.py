@@ -27,9 +27,9 @@ rep = ad.grad_check(
 print(rep.to_text())
 
 print()
-print("== op-level: layer_norm over the channel axis ==")
+print("== op-level: layer_norm over the channels of (2, 6, 2, 2) ==")
 arrays = {
-    "x": rng.normal(size=(4, 6)),
+    "x": rng.normal(size=(2, 6, 2, 2)),
     "g": rng.normal(size=(6,)),
     "b": rng.normal(size=(6,)),
 }

@@ -26,7 +26,7 @@ from __future__ import annotations
 import io
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class LayerRow:
     params_with_bias: int
     params_no_bias: int
     macs: int
-    stage: int | None = None  # stage index; None for the stem, downsamples and head
 
 
 @dataclass
@@ -60,10 +59,10 @@ class ClosedFormRow:
 
 @dataclass
 class ComplexityReport:
-    rows: list = field(default_factory=list)
-    closed_form: list = field(default_factory=list)
-    input_res: tuple | None = None
-    notes: dict = field(default_factory=dict)
+    rows: list
+    closed_form: list
+    input_res: tuple  # (h, w)
+    notes: dict
 
     @property
     def total_params_with_bias(self) -> int:
@@ -104,13 +103,12 @@ class ComplexityReport:
             f"{'TOTAL':<{width}}  {'':<10}  {self.total_params_with_bias:>12,}  "
             f"{self.total_params_no_bias:>12,}  {self.total_macs:>14,}"
         )
-        if self.input_res is not None:
-            h, w = self.input_res
-            lines.append(
-                f"input {h}x{w}: {self.total_macs / 1e9:.4f} GMACs, "
-                f"{self.total_params_with_bias / 1e6:.4f} M params "
-                f"({self.total_params_no_bias / 1e6:.4f} M without biases/norms)"
-            )
+        h, w = self.input_res
+        lines.append(
+            f"input {h}x{w}: {self.total_macs / 1e9:.4f} GMACs, "
+            f"{self.total_params_with_bias / 1e6:.4f} M params "
+            f"({self.total_params_no_bias / 1e6:.4f} M without biases/norms)"
+        )
         if self.closed_form:
             worst = max(abs(c.delta) for c in self.closed_form)
             lines.append(
@@ -135,14 +133,13 @@ def _kind(shape: tuple) -> str:
     return "dwconv" if shape[1] == 1 else "conv"
 
 
-def _walk(model: Model, input_res: tuple | None) -> tuple:
+def _walk(model: Model, input_res: tuple) -> tuple:
     """(rows, closed-form rows): one row per layer of model.named_parameters().
 
     Every weight with 2 or more dims is used once per output position, so it
     costs out_area * size MACs; 1-D parameters add to the with-bias column only.
-    With input_res None it counts parameters only, and every MAC count is 0.
     """
-    areas = None if input_res is None else [h * w for h, w in stage_resolutions(model, input_res)]
+    areas = [h * w for h, w in stage_resolutions(model, input_res)]
     entries = {
         f"stage{si}.block{bi}": entry
         for si, stage in enumerate(model.stages)
@@ -153,18 +150,15 @@ def _walk(model: Model, input_res: tuple | None) -> tuple:
     walk = itertools.groupby(model.named_parameters(), lambda item: _GROUP.match(item[0])[0])
     for group, params in walk:
         scope, index = _SCOPE.match(group).groups()
-        stage = int(index) if scope == "stage" else None
         # stem and stage S run at stage 0's and S's resolution, downN at stage N+1's
-        if areas is None:
-            area = 0
-        elif scope == "head":
+        if scope == "head":
             area = 1
         else:
             area = areas[0 if scope == "stem" else int(index) + (scope == "down")]
         layers: dict[str, LayerRow] = {}
         for name, v in params:
             layer = _LAYER_TAG.sub("", name)
-            row = layers.setdefault(layer, LayerRow(layer, "affine", 0, 0, 0, stage))
+            row = layers.setdefault(layer, LayerRow(layer, "affine", 0, 0, 0))
             row.params_with_bias += v.data.size
             if v.data.ndim >= 2:
                 row.kind = _kind(v.data.shape)
@@ -176,7 +170,7 @@ def _walk(model: Model, input_res: tuple | None) -> tuple:
             continue
         if entry.kind == "attention":
             c = entry.params.channels
-            rows.append(LayerRow(f"{group}.scores", "matmul", 0, 0, 2 * area * area * c, stage))
+            rows.append(LayerRow(f"{group}.scores", "matmul", 0, 0, 2 * area * area * c))
         elif entry.kind == "efficient_mod":
             closed.append(ClosedFormRow(group, *verify_closed_form(entry.params)))
     return rows, closed
@@ -192,22 +186,14 @@ def _notes(model: Model) -> dict:
     return notes
 
 
-def complexity_report(model: Model, input_res=(224, 224)) -> ComplexityReport:
-    """Per-layer params and MACs for a built model at a given input size."""
-    if isinstance(input_res, int):
-        input_res = (input_res, input_res)
+def complexity_report(model: Model, input_res: tuple) -> ComplexityReport:
+    """Per-layer params and MACs for a built model at an (h, w) input size."""
     check_resolution(total_stride(model), *input_res)
     rows, closed = _walk(model, input_res)
     return ComplexityReport(rows, closed, input_res, _notes(model))
 
 
-def count_params(model: Model) -> ComplexityReport:
-    """Parameter-only report: every MAC count is 0 and no input size applies."""
-    rows, closed = _walk(model, None)
-    return ComplexityReport(rows, closed, None, _notes(model))
-
-
-def count_macs(model: Model, input_res=(224, 224)) -> int:
+def count_macs(model: Model, input_res: tuple) -> int:
     return complexity_report(model, input_res=input_res).total_macs
 
 

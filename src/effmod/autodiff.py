@@ -6,14 +6,18 @@ gradients as it must. Only leaves (Vars without a vjp: parameters and inputs
 the caller wrapped) keep a .grad; an intermediate node passes its cotangent on
 and keeps nothing. A plain ndarray passed where an op accepts one (conv2d's
 input, mul's second operand) is a constant: it is not on the tape and no
-gradient is computed for it. The op set is exactly what the blocks need,
-nothing more. backward() frees the graph as it consumes it, as PyTorch does by
-default: each node drops its parents and vjp closure, and the activations that
-closure saved, once its cotangent has reached its parents. Grads add across
-separate forward passes; a second backward through a freed graph raises.
-modulate (v -> product -> p of the EfficientMod block) keeps v and the product
-on the tape: recomputing the product in the VJP left the micro batch-8 step's
-backward peak at 1.26 MB on a 0.80 MB tape, over the 1.4x the suite pins.
+gradient is computed for it. backward() frees the graph as it consumes it, as
+PyTorch does by default: each node drops its parents and vjp closure, and the
+activations that closure saved, once its cotangent has reached its parents.
+Grads add across separate forward passes; a second backward through a freed
+graph raises. modulate (v -> product -> p of the EfficientMod block) keeps v
+and the product on the tape: recomputing the product in the VJP left the micro
+batch-8 step's backward peak at 1.26 MB on a 0.80 MB tape, over the 1.4x the
+suite pins.
+
+Eight ops have no caller in the package: narrow, transpose, scale, matmul,
+softmax, linear, sub and fuse_modulate. They stay only because perfbench's
+tracer wraps every op by name; ROADMAP item 2(b) deletes them with it.
 
 Gradient certification is two-sided: every analytic rule here is checked
 against central finite differences (grad_check), and the test suite runs that
@@ -88,26 +92,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def backward(out: Var, seed: np.ndarray | None = None) -> None:
-    """Accumulate d(out)/d(leaf) into the .grad of every leaf on the tape.
+def backward(out: Var) -> None:
+    """Accumulate d(out)/d(leaf) into the .grad of every leaf on the tape, seeding with ones.
 
     Leaves are the Vars without a vjp; intermediate nodes keep no .grad.
     Constants (ndarrays an op took in place of a Var) are not on the tape and
-    get no gradient. seed defaults to ones (the usual choice for a scalar
-    loss); a given seed must match the output's shape and dtype. Grads add
-    onto whatever is already in .grad, so zero them between steps. The graph
-    is freed as it is consumed (a node's .data stays readable); a second
-    backward through it raises PreconditionError before any .grad changes.
+    get no gradient. Grads add onto whatever is already in .grad, so zero them
+    between steps. The graph is freed as it is consumed (a node's .data stays
+    readable); a second backward through it raises PreconditionError before
+    any .grad changes.
     """
-    if seed is None:
-        seed = np.ones_like(out.data)
-    else:
-        seed = np.asarray(seed)
-        if seed.shape != out.data.shape or seed.dtype != out.data.dtype:
-            raise PreconditionError(
-                f"seed gradient {seed.shape} {seed.dtype} != output {out.shape} {out.dtype}"
-            )
-
     # Iterative topo sort; tapes for deep models overflow the recursion limit.
     order: list[Var] = []
     seen: set[int] = set()
@@ -127,7 +121,7 @@ def backward(out: Var, seed: np.ndarray | None = None) -> None:
             if id(p) not in seen:
                 stack.append((p, False))
 
-    grads: dict[int, np.ndarray] = {id(out): seed}
+    grads: dict[int, np.ndarray] = {id(out): np.ones_like(out.data)}
     while order:
         node = order.pop()
         g = grads.pop(id(node), None)
@@ -294,11 +288,11 @@ def sigmoid(x: Var) -> Var:
 
 
 def layer_norm(x: Var, gamma: Var, beta: Var) -> Var:
-    """Normalize over axis 1, the channels of an NCHW map or pooled [n, c] features; eps 1e-6."""
-    out = K.layer_norm(x.data, gamma.data, beta.data, axis=1)
+    """Normalize an NCHW map over its channels; eps is K.LN_EPS."""
+    out = K.layer_norm(x.data, gamma.data, beta.data)
 
     def vjp(g):
-        return K.layer_norm_vjp(x.data, gamma.data, g, axis=1)
+        return K.layer_norm_vjp(x.data, gamma.data, g)
 
     return _node(out, "layer_norm", (x, gamma, beta), vjp)
 
@@ -422,6 +416,7 @@ def cross_entropy(logits: Var, labels: np.ndarray) -> Var:
 
 
 FD_EPS = 1e-5  # central-difference step
+REL_ERR_FLOOR = 1e-8  # the smallest denominator of grad_check's relative error
 
 
 def finite_diff_grad(f, x: np.ndarray) -> np.ndarray:
@@ -475,8 +470,8 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def _rel_err(a: np.ndarray, n: np.ndarray, floor: float = 1e-8) -> float:
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+def _rel_err(a: np.ndarray, n: np.ndarray) -> float:
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), REL_ERR_FLOOR)
     return float((np.abs(a - n) / denom).max())
 
 

@@ -247,8 +247,8 @@ def bench_pair_mbconv(
             f"above MAX_ACTIVATIONS = {model.MAX_ACTIVATIONS:,}"
         )
     em, mb = build_iso_pair(pair, seed=seed, dtype=np.float32)
-    p_em = analyzer.count_params(em).total_params_with_bias
-    p_mb = analyzer.count_params(mb).total_params_with_bias
+    p_em = analyzer.complexity_report(em, (input_res, input_res)).total_params_with_bias
+    p_mb = analyzer.complexity_report(mb, (input_res, input_res)).total_params_with_bias
     gap = abs(p_em - p_mb) / max(p_em, p_mb)
     if gap > 0.02:
         raise ConfigError(

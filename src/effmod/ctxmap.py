@@ -21,8 +21,6 @@ from .model import Model, _check_input, forward_features
 
 @dataclass
 class ContextMap:
-    stage: int
-    block: int
     grid: np.ndarray  # [h, w] uint8
     raw_min: float
     raw_max: float
@@ -74,4 +72,4 @@ def context_map(model: Model, image: np.ndarray, stage: int, block: int) -> Cont
         grid = np.round((raw - lo) / (hi - lo) * 255.0).astype(np.uint8)
     else:
         grid = np.zeros_like(raw, dtype=np.uint8)
-    return ContextMap(stage=stage, block=block, grid=grid, raw_min=lo, raw_max=hi)
+    return ContextMap(grid=grid, raw_min=lo, raw_max=hi)

@@ -78,6 +78,7 @@ BAND_BYTES = 512 << 10
 # its product, which keeps the xxs stage-0 conv (c32 56x56 f32) within 0.17 MB of its output.
 TILE_COLS = 14
 TILE_BYTES = 128 << 10
+LN_EPS = 1e-6  # layer_norm's variance regularizer
 
 
 def check_nchw(x: np.ndarray, name: str = "x") -> None:
@@ -155,6 +156,8 @@ def _conv_check(x: np.ndarray, w: np.ndarray, b, spec: ConvSpec):
     if b is not None:
         if b.ndim != 1 or b.shape[0] != c_out:
             raise PreconditionError(f"b: expected shape ({c_out},), got {b.shape}")
+    if w.dtype != x.dtype or b is not None and b.dtype != x.dtype:  # numpy would cast silently
+        raise PreconditionError(f"w/b dtype {w.dtype}/{getattr(b, 'dtype', None)} != x's {x.dtype}")
     oh, ow = spec.out_size(h), spec.out_size(wd)
     if oh < 1:
         raise PreconditionError(f"x: height {h} too small for {spec} (output height {oh})")
@@ -301,7 +304,7 @@ def _dense(x: np.ndarray, w: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np
     win = sliding_window_view(xp, (span, span), axis=(2, 3))[
         :, :, ::s, ::s, i0 * d : i1 * d : d, j0 * d : j1 * d : d
     ]
-    wm = w[:, :, i0:i1, j0:j1].reshape(w.shape[0], -1).astype(x.dtype, copy=False)
+    wm = w[:, :, i0:i1, j0:j1].reshape(w.shape[0], -1)
     out = np.empty((n, w.shape[0], oh, ow), dtype=x.dtype)
     for rs in row_bands(oh, n * wm.shape[1] * ow * x.itemsize):
         # im2col of these output rows over the live kernel rows/columns: [n, c_in*kh*kw, rows*ow]
@@ -314,7 +317,7 @@ def _dense(x: np.ndarray, w: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -> np.ndarray:
     """2-D cross-correlation with zero padding.
 
-    x [n, c_in, h, w], w [c_out, c_in/groups, k, k], optional b [c_out].
+    x [n, c_in, h, w], w [c_out, c_in/groups, k, k], optional b [c_out], one dtype.
     groups=1 is a dense conv and groups=c_in=c_out is depthwise; no other
     group count runs.
     """
@@ -407,7 +410,7 @@ def conv2d_vjp(
 
 
 def pointwise(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, out=None) -> np.ndarray:
-    """Channel-mixing linear map, w [c_out, c_in]; equals conv2d with a 1x1 kernel.
+    """Channel-mixing linear map, w [c_out, c_in] and b in x's dtype; equals a 1x1 conv2d.
 
     One GEMM per image on the NCHW data in place: w @ x viewed as [n, c_in, h*w], into out if given.
     """
@@ -418,8 +421,10 @@ def pointwise(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, out=Non
         )
     if b is not None and b.shape != (w.shape[0],):
         raise PreconditionError(f"b: expected shape ({w.shape[0]},), got {b.shape}")
+    if w.dtype != x.dtype or b is not None and b.dtype != x.dtype:  # numpy would cast silently
+        raise PreconditionError(f"w/b dtype {w.dtype}/{getattr(b, 'dtype', None)} != x's {x.dtype}")
     n, c, h, wd = x.shape
-    shape, dtype = (n, w.shape[0], h, wd), np.result_type(x, w)
+    shape, dtype = (n, w.shape[0], h, wd), x.dtype
     if out is None:
         out = np.empty(shape, dtype)
     elif out.shape != shape or out.dtype != dtype or out.strides[2] != wd * out.strides[3]:
@@ -502,60 +507,42 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _layer_norm_stats(x: np.ndarray, eps: float, axis: int):
-    """(xhat, inv): x standardized over one axis, and the inverse std (keepdims)."""
-    if eps <= 0:
-        raise PreconditionError(f"eps must be > 0, got {eps}")
-    mu = x.mean(axis=axis, keepdims=True)
+def _layer_norm_stats(x: np.ndarray):
+    """(xhat, inv): x standardized over the channel axis, and the inverse std (keepdims)."""
+    mu = x.mean(axis=1, keepdims=True)
     xc = x - mu
-    var = np.mean(xc * xc, axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    var = np.mean(xc * xc, axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     return np.multiply(xc, inv, out=xc), inv
 
 
-def _channel_shape(x: np.ndarray, axis: int) -> list:
-    shape = [1] * x.ndim
-    shape[axis] = x.shape[axis]
-    return shape
-
-
-def layer_norm(
-    x: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    eps: float = 1e-6,
-    axis: int = 1,
-) -> np.ndarray:
-    """Normalize over one axis (default: NCHW channel axis) with affine gamma/beta.
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Normalize an NCHW map over its channels with affine gamma/beta; eps is LN_EPS.
 
     Uses the biased variance. With gamma=1, beta=0 the output has per-position
     mean 0 and variance sigma^2/(sigma^2+eps), i.e. 1 up to the eps regularizer.
     """
-    c = x.shape[axis]
+    check_nchw(x, "x")
+    c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,) or not gamma.dtype == beta.dtype == x.dtype:
         raise PreconditionError(
-            f"gamma/beta: expected shape ({c},) for axis {axis} and dtype {x.dtype}, got "
+            f"gamma/beta: expected shape ({c},) and dtype {x.dtype}, got "
             f"{gamma.shape}/{beta.shape} and {gamma.dtype}/{beta.dtype}"
         )
-    out, _ = _layer_norm_stats(x, eps, axis)
-    shape = _channel_shape(x, axis)
-    out *= gamma.reshape(shape)
-    out += beta.reshape(shape)
+    out, _ = _layer_norm_stats(x)
+    out *= gamma[:, None, None]
+    out += beta[:, None, None]
     return out
 
 
-def layer_norm_vjp(
-    x: np.ndarray, gamma: np.ndarray, grad_out: np.ndarray, eps: float = 1e-6, axis: int = 1
-):
+def layer_norm_vjp(x: np.ndarray, gamma: np.ndarray, grad_out: np.ndarray):
     """Gradients of layer_norm w.r.t. (x, gamma, beta) given the output cotangent."""
-    axis = axis % x.ndim  # the parameter reductions exclude it by index
-    xhat, inv = _layer_norm_stats(x, eps, axis)
-    red = tuple(i for i in range(x.ndim) if i != axis)
-    dgamma = (t := grad_out * xhat).sum(axis=red)  # t: scratch, reused below
-    dbeta = grad_out.sum(axis=red)
-    dx = grad_out * gamma.reshape(_channel_shape(x, axis))
-    m = dx.mean(axis=axis, keepdims=True)
-    mx = np.multiply(dx, xhat, out=t).mean(axis=axis, keepdims=True)
+    xhat, inv = _layer_norm_stats(x)
+    dgamma = (t := grad_out * xhat).sum(axis=(0, 2, 3))  # t: scratch, reused below
+    dbeta = grad_out.sum(axis=(0, 2, 3))
+    dx = grad_out * gamma[:, None, None]
+    m = dx.mean(axis=1, keepdims=True)
+    mx = np.multiply(dx, xhat, out=t).mean(axis=1, keepdims=True)
     dx -= m
     dx -= np.multiply(xhat, mx, out=t)
     dx *= inv

@@ -31,7 +31,7 @@ from . import autodiff as ad
 from . import blocks as B
 from .autodiff import Var
 from .errors import ConfigError, PreconditionError
-from .kernels import ConvSpec
+from .kernels import ConvSpec, check_nchw
 
 DOWN_KERNEL, DOWN_STRIDE, DOWN_PAD = 3, 2, 1
 HEADS = 8  # attention heads in every hierarchical model
@@ -424,7 +424,8 @@ def check_resolution(stride: int, h: int, w: int) -> None:
 
 
 def _check_input(model: Model, x: np.ndarray):
-    if x.ndim != 4 or x.shape[1] != 3:
+    check_nchw(x, "model input")
+    if x.shape[1] != 3:
         raise PreconditionError(f"model input must be [n, 3, h, w], got {x.shape}")
     if x.dtype != model.dtype:
         raise PreconditionError(f"model input is {x.dtype}, the model's parameters {model.dtype}")
@@ -434,15 +435,14 @@ def _check_input(model: Model, x: np.ndarray):
 def forward_features(model: Model, x, training: bool = False, seed: int = 0, step: int = 0) -> Var:
     """Stem, stages and downsamples: the feature map the head pools.
 
-    x is an ndarray or a Var. An ndarray image is a constant, so backward
-    computes no gradient for it; a Var input receives its gradient in .grad.
-    Stochastic-depth draws are keyed by (seed, wrapped-block index, step), so a
-    fixed key reproduces the same drop pattern regardless of batch order.
+    The image x is an ndarray of the model's dtype, a constant: backward
+    computes no gradient for it. Stochastic-depth draws are keyed by (seed,
+    wrapped-block index, step), so a fixed key reproduces the same drop
+    pattern regardless of batch order.
     """
-    data = x.data if isinstance(x, Var) else np.asarray(x)
-    _check_input(model, data)
+    _check_input(model, x)
     stem = model.stem
-    h = ad.conv2d(x if isinstance(x, Var) else data, stem.w, stem.b, stem.spec)
+    h = ad.conv2d(x, stem.w, stem.b, stem.spec)
     layer_idx = 0
     for si, stage in enumerate(model.stages):
         for entry in stage:
@@ -475,9 +475,9 @@ def model_forward(model: Model, x, training: bool = False, seed: int = 0, step: 
     return ad.reshape(h, h.data.shape[:2])
 
 
-def stage_resolutions(model: Model, input_res) -> list:
-    """Spatial size after the stem and after each downsample, by arithmetic."""
-    h, w = (input_res, input_res) if isinstance(input_res, int) else input_res
+def stage_resolutions(model: Model, input_res: tuple) -> list:
+    """Spatial size (h, w) after the stem and after each downsample of an (h, w) input."""
+    h, w = input_res
     h, w = model.stem.spec.out_size(h), model.stem.spec.out_size(w)
     out = [(h, w)]
     for d in model.downs:

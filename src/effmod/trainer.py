@@ -29,6 +29,7 @@ IMG_SIZE = 32
 BAR_JITTER = 2.0  # the bar's offset from the center is uniform in +-BAR_JITTER pixels
 BAR_THICKNESS = 2.5  # a pixel d from the line has intensity clip(BAR_THICKNESS - d, 0, 1)
 EVAL_FRAC = 0.2  # share of a dataset held out for eval
+EVAL_BATCH = 64  # images per eval forward
 
 
 @dataclass
@@ -178,15 +179,15 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
 # ----------------------------------------------------------------- train
 
 
-def _accuracy(model, images, labels, batch_size=64, where: str = "eval") -> float:
+def _accuracy(model, images, labels, where: str = "eval") -> float:
     correct = 0
-    for i in range(0, len(labels), batch_size):
-        xb = images[i : i + batch_size].astype(model.dtype)
+    for i in range(0, len(labels), EVAL_BATCH):
+        xb = images[i : i + EVAL_BATCH].astype(model.dtype)
         with no_grad(), np.errstate(all="ignore"):  # non-finite logits raise below
             logits = M.model_forward(model, xb).data
         if not np.isfinite(logits).all():
             raise NumericalError(f"logits became non-finite ({where})")
-        correct += int((logits.argmax(axis=1) == labels[i : i + batch_size]).sum())
+        correct += int((logits.argmax(axis=1) == labels[i : i + EVAL_BATCH]).sum())
     return correct / len(labels)
 
 
@@ -315,9 +316,9 @@ def paired_csv(histories: dict) -> str:
     return buf.getvalue()
 
 
-def linear_baseline(ds: SyntheticDataset, seed: int = 0) -> float:
-    """Least-squares pixel classifier accuracy; certifies the task is learnable."""
-    (tr_x, tr_y), (ev_x, ev_y) = split_dataset(ds, seed=seed)
+def linear_baseline(ds: SyntheticDataset) -> float:
+    """Least-squares pixel classifier accuracy (seed-0 split); certifies the task is learnable."""
+    (tr_x, tr_y), (ev_x, ev_y) = split_dataset(ds)
     X = tr_x.reshape(len(tr_y), -1).astype(np.float64)
     X = np.hstack([X, np.ones((len(X), 1))])
     Y = np.eye(ds.classes)[tr_y]

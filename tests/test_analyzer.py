@@ -66,7 +66,7 @@ def test_report_totals_are_row_sums():
 def test_report_param_total_matches_model_minus_norm_scale():
     """Every parameter the model walks is accounted in the with-bias column."""
     m = M.build_model(M.build_preset("micro"), seed=0)
-    rep = A.count_params(m)
+    rep = A.complexity_report(m, (32, 32))
     walked = sum(v.data.size for _, v in m.named_parameters())
     assert rep.total_params_with_bias == walked
 
@@ -76,7 +76,7 @@ def test_pointwise_macs_identity():
     spec = M.IsotropicSpec("efficient_mod", 8, 1, 1, dw_kernel=3, patch=4, head=4)
     m = M.build_isotropic(spec, seed=0)
     rep = A.complexity_report(m, input_res=(8, 8))  # 2x2 tokens after patchify
-    pw = [r for r in rep.rows if r.kind == "pointwise" and r.stage is not None]
+    pw = [r for r in rep.rows if r.kind == "pointwise" and r.name.startswith("stage")]
     assert [r.name.split(".")[-1] for r in pw] == ["f", "g", "v", "p"]
     for row in pw:
         assert row.macs == 2 * 2 * row.params_no_bias
@@ -87,7 +87,7 @@ def test_conv_guideline_macs_equal_area_times_params():
     for name in ("micro", "s_conv"):
         m = M.build_model(M.build_preset(name), seed=0)
         rep = A.complexity_report(m, input_res=(64, 64))
-        res = M.stage_resolutions(m, 64)
+        res = M.stage_resolutions(m, (64, 64))
         areas = {"stem": res[0][0] * res[0][1], "head": 1}
         for si in range(4):
             areas[f"stage{si}"] = res[si][0] * res[si][1]
@@ -107,7 +107,7 @@ def test_attention_rows_include_score_macs():
     """Each attention block carries a parameter-free 2*t^2*c score/value row."""
     m = M.build_model(M.build_preset("xxs"), seed=0)
     rep = A.complexity_report(m, input_res=(224, 224))
-    res = M.stage_resolutions(m, 224)
+    res = M.stage_resolutions(m, (224, 224))
     score_rows = [r for r in rep.rows if r.name.endswith(".scores")]
     assert len(score_rows) == 3  # xxs: one in stage 2, two in stage 3
     for r in score_rows:
@@ -122,7 +122,8 @@ def test_attention_rows_include_score_macs():
         maps = [r for r in rep.rows if r.name.startswith(block) and r.kind == "pointwise"]
         assert [r.name[len(block):] for r in maps] == ["qkv", "proj", "mlp1", "mlp2"]
         for r in maps:
-            t = res[r.stage][0] * res[r.stage][1]
+            si = int(r.name[5])
+            t = res[si][0] * res[si][1]
             assert r.macs == t * r.params_no_bias, r.name
 
 
@@ -130,9 +131,9 @@ def test_stage_totals_nondecreasing_all_presets():
     for name in M.PRESETS:
         m = M.build_model(M.build_preset(name), seed=0)
         totals = [0] * 4
-        for r in A.count_params(m).rows:
-            if r.stage is not None:
-                totals[r.stage] += r.params_with_bias
+        for r in A.complexity_report(m, (224, 224)).rows:
+            if r.name.startswith("stage"):
+                totals[int(r.name[5])] += r.params_with_bias
         assert all(b >= a for a, b in zip(totals, totals[1:])), (name, totals)
 
 

@@ -288,23 +288,27 @@ def test_se_reduction_must_divide():
 # ------------------------------------------------------------ attention
 
 
-def _attention_oracle(x, p):
-    """The block from raw kernels in token layout [n, t, c]: h @ w.T, softmax over keys last.
+def _token_layer_norm(z, g, b):
+    """Layer norm over the last axis of [n, t, c] tokens, at the kernels' eps."""
+    mu = z.mean(axis=-1, keepdims=True)
+    var = ((z - mu) ** 2).mean(axis=-1, keepdims=True)
+    return (z - mu) / np.sqrt(var + K.LN_EPS) * g + b
 
-    Parameter files written before the block ran on NCHW maps hold these very
-    weights, so matching this oracle keeps their logits.
-    """
+
+def _attention_oracle(x, p):
+    """The block in token layout [n, t, c]: h @ w.T, softmax over keys last; nothing in it
+    shares the block's NCHW layout or its attention node."""
     n, c, hh, ww = x.shape
     H, d, t = p.heads, c // p.heads, hh * ww
     tok = x.reshape(n, c, t).transpose(0, 2, 1)
-    h = K.layer_norm(tok, p.ln1_g.data, p.ln1_b.data, axis=2)
+    h = _token_layer_norm(tok, p.ln1_g.data, p.ln1_b.data)
     qkv = h @ p.qkv_w.data.T + p.qkv_b.data
     heads = lambda z: z.reshape(n, t, H, d).transpose(0, 2, 1, 3)
     q, k, v = heads(qkv[..., :c]), heads(qkv[..., c : 2 * c]), heads(qkv[..., 2 * c :])
     att = K.softmax(q @ k.transpose(0, 1, 3, 2) / np.sqrt(d), axis=-1)
     y = (att @ v).transpose(0, 2, 1, 3).reshape(n, t, c)
     x1 = tok + y @ p.proj_w.data.T + p.proj_b.data
-    h2 = K.layer_norm(x1, p.ln2_g.data, p.ln2_b.data, axis=2)
+    h2 = _token_layer_norm(x1, p.ln2_g.data, p.ln2_b.data)
     m = K.gelu(h2 @ p.mlp1_w.data.T + p.mlp1_b.data) @ p.mlp2_w.data.T + p.mlp2_b.data
     return (x1 + m).transpose(0, 2, 1).reshape(n, c, hh, ww)
 
@@ -617,3 +621,16 @@ def test_block_kinds_catalog():
         "efficient_mod", "van", "focal", "mbconv", "se",
         "attention", "patch_embed", "residual",
     )
+
+
+def test_readme_block_example_refuses_a_float64_input():
+    """The README's library example: an f64 input to an f32 block raises rather than coming
+    back f64 with mixed-dtype gradients, and the f32 input it uses keeps everything f32."""
+    p = B.init_efficient_mod(np.random.default_rng(0), 64, expansion=6, kernel=7)
+    with pytest.raises(PreconditionError, match="dtype"):
+        B.efficient_mod(ad.Var(np.random.default_rng(1).standard_normal((1, 64, 14, 14))), p)
+    x = np.random.default_rng(1).standard_normal((1, 64, 14, 14), np.float32)
+    y = B.efficient_mod(ad.Var(x), p)
+    ad.backward(ad.sum_all(y))
+    assert y.data.dtype == np.float32
+    assert {v.grad.dtype for v in B.named_params(p).values()} == {np.dtype(np.float32)}

@@ -86,19 +86,18 @@ def matmul_oracle(a, b):
     return out
 
 
-def layer_norm_oracle(x, gamma, beta, eps, axis):
-    """Per-slice mean/variance with python floats, then affine."""
-    axis = axis % x.ndim
-    c = x.shape[axis]
-    moved = np.moveaxis(x, axis, -1)
+def layer_norm_oracle(x, gamma, beta):
+    """Per-position mean/variance over the channels of a map, in python floats, then affine."""
+    c = x.shape[1]
+    moved = np.moveaxis(x, 1, -1)
     out = np.empty_like(moved, dtype=np.float64)
     for idx in np.ndindex(*moved.shape[:-1]):
         row = [float(v) for v in moved[idx]]
         mu = sum(row) / c
         var = sum((v - mu) ** 2 for v in row) / c
-        inv = 1.0 / math.sqrt(var + eps)
+        inv = 1.0 / math.sqrt(var + kernels.LN_EPS)
         out[idx] = [gamma[i] * (row[i] - mu) * inv + beta[i] for i in range(c)]
-    return np.moveaxis(out, -1, axis)
+    return np.moveaxis(out, -1, 1)
 
 
 def softmax_oracle(x, axis):
@@ -503,6 +502,21 @@ def test_pointwise_rejects_bad_weight():
         pointwise(RNG.normal(size=(1, 3, 2, 2)), RNG.normal(size=(4, 5)))
 
 
+def test_a_weight_or_bias_of_another_dtype_raises():
+    """No silent cast: conv2d, its VJP and pointwise refuse a w or b whose dtype is not x's."""
+    x = RNG.normal(size=(1, 4, 5, 5)).astype(np.float32)
+    w32, b32 = RNG.normal(size=(4, 4, 3, 3)).astype(np.float32), np.zeros(4, np.float32)
+    for w, b in ((w32.astype(np.float64), b32), (w32, b32.astype(np.float64))):
+        with pytest.raises(PreconditionError, match="dtype"):
+            conv2d(x, w, b, ConvSpec(3))
+        with pytest.raises(PreconditionError, match="dtype"):
+            pointwise(x, w[:, :, 0, 0], b)
+    with pytest.raises(PreconditionError, match="dtype"):
+        conv2d(x, w32[:, :1].astype(np.float64), None, ConvSpec(3, groups=4))
+    with pytest.raises(PreconditionError, match="dtype"):
+        conv2d_vjp(x, w32.astype(np.float64), ConvSpec(3), np.zeros_like(x))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_pointwise_writes_a_band_of_rows_into_out(dtype):
     x = RNG.normal(size=(2, 5, 6, 4)).astype(dtype)
@@ -590,7 +604,7 @@ def test_f64_elementwise_kernels_equal_the_plain_expressions_bit_for_bit():
     cdf = 0.5 * (1.0 + erf(x * 0.7071067811865476))
     mu = x.mean(axis=1, keepdims=True)
     xc = x - mu
-    inv = 1.0 / np.sqrt(np.mean(xc * xc, axis=1, keepdims=True) + 1e-6)
+    inv = 1.0 / np.sqrt(np.mean(xc * xc, axis=1, keepdims=True) + kernels.LN_EPS)
     xhat = xc * inv
     gx = go * c
     m, mx = gx.mean(axis=1, keepdims=True), (gx * xhat).mean(axis=1, keepdims=True)
@@ -601,7 +615,7 @@ def test_f64_elementwise_kernels_equal_the_plain_expressions_bit_for_bit():
         (layer_norm(x, gamma, beta), c * xhat + beta.reshape(1, 6, 1, 1)),
         (softmax(x, axis=1), np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)),
     ]
-    dx, dgamma, dbeta = layer_norm_vjp(x, gamma, go, 1e-6, 1)
+    dx, dgamma, dbeta = layer_norm_vjp(x, gamma, go)
     pairs += [
         (dx, inv * (gx - m - xhat * mx)),
         (dgamma, (go * xhat).sum(axis=(0, 2, 3))),
@@ -629,8 +643,8 @@ def test_sigmoid_range_and_symmetry():
 
 def test_layer_norm_frozen_example():
     x = np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1, 1)
-    out = layer_norm(x, np.ones(3), np.zeros(3), eps=1e-12)
-    want = np.array([-1.224745, 0.0, 1.224745])
+    out = layer_norm(x, np.ones(3), np.zeros(3))
+    want = np.array([-1.224744, 0.0, 1.224744])  # +-1/sqrt(2/3 + LN_EPS)
     np.testing.assert_allclose(out[0, :, 0, 0], want, rtol=0, atol=1e-6)
 
 
@@ -656,13 +670,13 @@ def test_layer_norm_statistics():
 
 
 def test_layer_norm_matches_loop_oracle():
-    for axis, shape in [(1, (2, 5, 3, 3)), (2, (2, 4, 6)), (-1, (3, 7))]:
+    for shape in [(2, 5, 3, 3), (2, 4, 6, 1), (3, 7, 1, 1)]:
         x = RNG.normal(size=shape) * 2
-        c = shape[axis]
+        c = shape[1]
         gamma = RNG.normal(size=c)
         beta = RNG.normal(size=c)
-        got = layer_norm(x, gamma, beta, eps=1e-6, axis=axis)
-        want = layer_norm_oracle(x, gamma, beta, 1e-6, axis)
+        got = layer_norm(x, gamma, beta)
+        want = layer_norm_oracle(x, gamma, beta)
         assert rel_err(got, want) <= 1e-10
 
 
@@ -681,13 +695,13 @@ def test_layer_norm_vjp_matches_central_differences():
             g[i] = (fp - fm) / (2 * eps)
         return g
 
-    for axis, shape in [(1, (2, 3, 2, 2)), (-1, (3, 4))]:
+    for shape in [(2, 3, 2, 2), (3, 4, 1, 1)]:
         x = RNG.normal(size=shape) * 2
-        c = shape[axis]
+        c = shape[1]
         gamma, beta = RNG.normal(size=c), RNG.normal(size=c)
         go = RNG.normal(size=shape)
-        dx, dgamma, dbeta = layer_norm_vjp(x, gamma, go, 1e-6, axis)
-        f = lambda: float((layer_norm_oracle(x, gamma, beta, 1e-6, axis) * go).sum())
+        dx, dgamma, dbeta = layer_norm_vjp(x, gamma, go)
+        f = lambda: float((layer_norm_oracle(x, gamma, beta) * go).sum())
         for got, a in ((dx, x), (dgamma, gamma), (dbeta, beta)):
             assert got.shape == a.shape
             np.testing.assert_allclose(got, diff(f, a), rtol=1e-6, atol=1e-8)
@@ -696,13 +710,18 @@ def test_layer_norm_vjp_matches_central_differences():
 def test_layer_norm_validates():
     with pytest.raises(PreconditionError):
         layer_norm(RNG.normal(size=(1, 3, 2, 2)), np.ones(4), np.zeros(4))
-    with pytest.raises(PreconditionError):
-        layer_norm(RNG.normal(size=(1, 3, 2, 2)), np.ones(3), np.zeros(3), eps=0.0)
     x32 = RNG.normal(size=(1, 3, 2, 2)).astype(np.float32)
     with pytest.raises(PreconditionError, match="dtype"):
         layer_norm(x32, np.ones(3), np.zeros(3, dtype=np.float32))
     with pytest.raises(PreconditionError, match="dtype"):
         layer_norm(x32, np.ones(3, dtype=np.float32), np.zeros(3))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 3, 4)])
+def test_layer_norm_refuses_a_map_that_is_not_nchw(shape):
+    """An [n, c] or [n, c, t] input would broadcast against gamma[:, None, None] into nonsense."""
+    with pytest.raises(PreconditionError, match="4-D"):
+        layer_norm(RNG.normal(size=shape), np.ones(3), np.zeros(3))
 
 
 # -------------------------------------------------------------- softmax

@@ -13,7 +13,7 @@ from effmod import autodiff as ad
 from effmod import blocks as B
 from effmod import kernels as K
 from effmod import model as M
-from effmod.analyzer import count_params
+from effmod.analyzer import complexity_report
 from effmod.ctxmap import context_map
 from effmod.errors import ConfigError, PreconditionError
 
@@ -286,7 +286,8 @@ def test_weight_count_is_the_analyzers_count(name):
         stage = M.StageSpec(32, 5, attn_blocks=2, expansion_pattern=(1, 2, 3), dw_kernel=5)
         spec = dataclasses.replace(micro, stages=micro.stages[:3] + (stage,), attn_mlp_ratio=1.3)
     model = M.build_model(spec)
-    assert spec.weight_count() == count_params(model).total_params_no_bias
+    side = M.total_stride(model)
+    assert spec.weight_count() == complexity_report(model, (side, side)).total_params_no_bias
 
 
 # ---------------------------------------------------------------- build
@@ -403,17 +404,34 @@ def test_f32_models_stay_f32_through_forward_and_backward():
             assert v.grad.dtype == np.float32, (name, pname)
 
 
-def test_ndarray_image_is_a_constant_with_the_same_parameter_grads():
+def test_ndarray_image_is_a_constant_with_the_same_parameter_grads(monkeypatch):
+    """Only the stem's VJP skips its input gradient, and skipping it leaves every
+    parameter gradient as it is when the input gradient is computed."""
     x = RNG.normal(size=(2, 3, 32, 32))
 
-    def grads(image):
+    def grads():
         m = M.build_model(M.build_preset("micro"), seed=0, dtype=np.float64)
-        ad.backward(ad.sum_all(M.model_forward(m, image)))
+        ad.backward(ad.sum_all(M.model_forward(m, x)))
         return [v.grad.tobytes() for _, v in m.named_parameters()]
 
-    xv = ad.Var(x.copy())
-    assert grads(x) == grads(xv)
-    assert xv.grad is not None and xv.grad.shape == x.shape
+    skipped = grads()
+    asked, vjp = [], K.conv2d_vjp
+
+    def forced(x, w, spec, g, need_bias=True, need_input=True):
+        asked.append(need_input)
+        dx, dw, db = vjp(x, w, spec, g, need_bias, need_input=True)
+        assert dx.shape == x.shape
+        return dx if need_input else None, dw, db
+
+    monkeypatch.setattr(K, "conv2d_vjp", forced)
+    assert grads() == skipped
+    assert asked == [True] * (len(asked) - 1) + [False]  # the stem's VJP runs last
+
+
+def test_model_forward_refuses_a_var_image():
+    m = M.build_model(M.build_preset("micro"), seed=0, dtype=np.float64)
+    with pytest.raises(PreconditionError, match="model input: expected ndarray, got Var"):
+        M.model_forward(m, ad.Var(RNG.normal(size=(1, 3, 32, 32))))
 
 
 def test_forward_input_validation():
@@ -428,7 +446,7 @@ def test_forward_input_validation():
 
 def test_stage_resolutions_s_at_224():
     m = M.build_model(M.build_preset("s"), seed=0)
-    assert M.stage_resolutions(m, 224) == [(56, 56), (28, 28), (14, 14), (7, 7)]
+    assert M.stage_resolutions(m, (224, 224)) == [(56, 56), (28, 28), (14, 14), (7, 7)]
     assert M.stage_resolutions(m, (64, 96)) == [(16, 24), (8, 12), (4, 6), (2, 3)]
 
 
@@ -495,8 +513,6 @@ def test_model_rejects_an_image_of_another_dtype():
         assert m.dtype == dtype
         with pytest.raises(PreconditionError, match=np.dtype(other).name):
             M.model_forward(m, x.astype(other))
-        with pytest.raises(PreconditionError, match=np.dtype(other).name):
-            M.model_forward(m, ad.Var(x.astype(other)))
         assert M.model_forward(m, x.astype(dtype)).data.dtype == dtype
 
 
@@ -536,14 +552,14 @@ def test_forward_features_is_the_pre_head_map():
 
 @pytest.mark.parametrize("preset", ["micro", "xxs"])
 def test_pointwise_head_equals_the_pooled_linear_map(preset):
-    """GAP, layer norm over [n, c] and x @ w.T + b give the logits the [n, c, 1, 1] head does."""
+    """GAP, layer norm and x @ w.T + b on [n, c] give the logits the [n, c, 1, 1] head does."""
     m = M.build_model(M.build_preset(preset), seed=0, dtype=np.float64)
     x = RNG.normal(size=(2, 3, 64, 64))
     with ad.no_grad():
         feats = M.forward_features(m, x).data
         logits = M.model_forward(m, x).data
-    h = K.layer_norm(feats.mean(axis=(2, 3)), m.head_norm_g.data, m.head_norm_b.data)
-    want = h @ m.head_w.data.T + m.head_b.data
+    h = K.layer_norm(feats.mean(axis=(2, 3), keepdims=True), m.head_norm_g.data, m.head_norm_b.data)
+    want = h[:, :, 0, 0] @ m.head_w.data.T + m.head_b.data
     np.testing.assert_allclose(logits, want, rtol=1e-12, atol=1e-12)
 
 
@@ -556,7 +572,7 @@ def test_input_divisibility_follows_stem_and_downsample_strides():
     with pytest.raises(PreconditionError):
         M.model_forward(m, RNG.normal(size=(1, 3, 40, 40)))
     k5 = M.build_model(dataclasses.replace(spec, stem=M.StemSpec(5, 4)), seed=0)
-    assert M.stage_resolutions(k5, 32)[0] == (8, 8)  # the stem pads kernel // 2
+    assert M.stage_resolutions(k5, (32, 32))[0] == (8, 8)  # the stem pads kernel // 2
 
 
 def test_combine_sum_changes_forward_not_params():
