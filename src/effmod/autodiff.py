@@ -13,7 +13,9 @@ Grads add across separate forward passes; a second backward through a freed
 graph raises. modulate (v -> product -> p of the EfficientMod block) keeps v
 and the product on the tape: recomputing the product in the VJP left the micro
 batch-8 step's backward peak at 1.26 MB on a 0.80 MB tape, over the 1.4x the
-suite pins.
+suite pins. add_scaled (x + y * s, the layer-scaled residual) keeps y and s
+but never y * s. add, sub, mul and add_scaled refuse operands of two dtypes
+rather than promote.
 
 Eight ops have no caller in the package: narrow, transpose, scale, matmul,
 softmax, linear, sub and fuse_modulate. They stay only because perfbench's
@@ -145,7 +147,13 @@ def backward(out: Var) -> None:
 # ---------------------------------------------------------------- basic ops
 
 
+def _one_dtype(op: str, a: np.ndarray, b: np.ndarray) -> None:
+    if a.dtype != b.dtype:  # numpy would promote silently, and leave the leaf a grad of b's dtype
+        raise PreconditionError(f"{op}: operands mix dtypes {a.dtype} and {b.dtype}")
+
+
 def add(a: Var, b: Var) -> Var:
+    _one_dtype("add", a.data, b.data)
     out = a.data + b.data
     return _node(
         out,
@@ -156,6 +164,7 @@ def add(a: Var, b: Var) -> Var:
 
 
 def sub(a: Var, b: Var) -> Var:
+    _one_dtype("sub", a.data, b.data)
     out = a.data - b.data
     return _node(
         out,
@@ -168,7 +177,10 @@ def sub(a: Var, b: Var) -> Var:
 def mul(a: Var, b: Var | np.ndarray) -> Var:
     """Elementwise product; an ndarray b is a constant, so only a gets a gradient."""
     if not isinstance(b, Var):
+        b = np.asarray(b)
+        _one_dtype("mul", a.data, b)
         return _node(a.data * b, "mul", (a,), lambda g: (_unbroadcast(g * b, a.data.shape),))
+    _one_dtype("mul", a.data, b.data)
     out = a.data * b.data
     return _node(
         out,
@@ -178,6 +190,21 @@ def mul(a: Var, b: Var | np.ndarray) -> Var:
             _unbroadcast(g * b.data, a.data.shape),
             _unbroadcast(g * a.data, b.data.shape),
         ),
+    )
+
+
+def add_scaled(x: Var, y: Var, s: Var) -> Var:
+    """x + y * s for x and y of one shape and a scale s that broadcasts to it. The node
+    keeps y and s, never y * s, which is the output's own buffer."""
+    _one_dtype("add_scaled", x.data, y.data)
+    _one_dtype("add_scaled", y.data, s.data)
+    out = y.data * s.data
+    out += x.data
+    return _node(
+        out,
+        "add_scaled",
+        (x, y, s),
+        lambda g: (g, g * s.data, _unbroadcast(g * y.data, s.data.shape)),
     )
 
 

@@ -451,15 +451,14 @@ def residual_apply(
         raise PreconditionError(
             f"residual branch shape {branch.data.shape} != input shape {x.data.shape}"
         )
-    c = branch.data.shape[1]
-    scaled = ad.mul(branch, ad.reshape(wrap.layer_scale, (1, c, 1, 1)))
+    s = ad.reshape(wrap.layer_scale, (1, branch.data.shape[1], 1, 1))
     if training and wrap.drop_path_prob > 0.0:
         if rng is None:
             raise PreconditionError("stochastic depth in training mode needs an rng")
         p = wrap.drop_path_prob
         keep = (rng.random(x.data.shape[0]) >= p).astype(x.data.dtype) / (1.0 - p)
-        scaled = ad.mul(scaled, keep.reshape(-1, 1, 1, 1))
-    return ad.add(x, scaled)
+        s = ad.mul(s, keep.reshape(-1, 1, 1, 1))  # the mask scales [n, c, 1, 1], not the map
+    return ad.add_scaled(x, branch, s)
 
 
 # ------------------------------------------------------------ gradcheck

@@ -75,12 +75,12 @@ def gen_dataset(seed: int, n: int = 512, classes: int = 4, noise: float = 0.05) 
     return SyntheticDataset(seed=seed, images=images, labels=labels.astype(np.int64))
 
 
-def split_dataset(ds: SyntheticDataset, seed: int = 0):
-    """Deterministic train/eval split of one dataset, EVAL_FRAC of it for eval."""
+def split_dataset(ds: SyntheticDataset, seed: int):
+    """Deterministic train/eval split of one dataset, EVAL_FRAC of it for eval, as
+    (train_idx, eval_idx) into ds: callers gather each batch, so no split copy is made."""
     idx = np.random.default_rng((seed, ds.seed)).permutation(ds.n)
     n_eval = max(1, int(round(ds.n * EVAL_FRAC)))
-    ev, tr = idx[:n_eval], idx[n_eval:]
-    return (ds.images[tr], ds.labels[tr]), (ds.images[ev], ds.labels[ev])
+    return idx[n_eval:], idx[:n_eval]
 
 
 # ---------------------------------------------------------------- history
@@ -179,16 +179,17 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
 # ----------------------------------------------------------------- train
 
 
-def _accuracy(model, images, labels, where: str = "eval") -> float:
+def _accuracy(model, ds: SyntheticDataset, idx: np.ndarray, where: str) -> float:
     correct = 0
-    for i in range(0, len(labels), EVAL_BATCH):
-        xb = images[i : i + EVAL_BATCH].astype(model.dtype)
+    for i in range(0, len(idx), EVAL_BATCH):
+        sel = idx[i : i + EVAL_BATCH]
+        xb = ds.images[sel].astype(model.dtype, copy=False)
         with no_grad(), np.errstate(all="ignore"):  # non-finite logits raise below
             logits = M.model_forward(model, xb).data
         if not np.isfinite(logits).all():
             raise NumericalError(f"logits became non-finite ({where})")
-        correct += int((logits.argmax(axis=1) == labels[i : i + EVAL_BATCH]).sum())
-    return correct / len(labels)
+        correct += int((logits.argmax(axis=1) == ds.labels[sel]).sum())
+    return correct / len(idx)
 
 
 def train(
@@ -212,16 +213,16 @@ def train(
     for name, v in (("lr", lr), ("weight_decay", weight_decay)):
         if not 0 <= v < np.inf:
             raise ConfigError(f"{name} must be finite and >= 0, got {v}")
-    (tr_x, tr_y), (ev_x, ev_y) = split_dataset(dataset, seed=seed)
+    tr_idx, ev_idx = split_dataset(dataset, seed)
     opt = AdamW(model.named_parameters(), weight_decay=weight_decay)
-    n_train = len(tr_y)
+    n_train = len(tr_idx)
     steps_per_epoch = (n_train + batch_size - 1) // batch_size
     total_steps = epochs * steps_per_epoch
     order_rng = np.random.default_rng((seed, 1))
     history = TrainHistory(
         hyperparams={
             "epochs": epochs, "lr": lr, "weight_decay": weight_decay, "seed": seed,
-            "batch_size": batch_size, "n_train": n_train, "n_eval": len(ev_y),
+            "batch_size": batch_size, "n_train": n_train, "n_eval": len(ev_idx),
             "optimizer": f"adamw({AdamW.b1},{AdamW.b2})", "schedule": "cosine",
             "combine": model.combine,
         },
@@ -232,9 +233,9 @@ def train(
         loss_sum = 0.0
         correct = 0
         for bi in range(steps_per_epoch):
-            sel = order[bi * batch_size : (bi + 1) * batch_size]
-            xb = tr_x[sel].astype(model.dtype)
-            yb = tr_y[sel]
+            sel = tr_idx[order[bi * batch_size : (bi + 1) * batch_size]]
+            xb = dataset.images[sel].astype(model.dtype, copy=False)
+            yb = dataset.labels[sel]
             logits = M.model_forward(model, xb, training=True, seed=seed, step=step)
             loss = ad.cross_entropy(logits, yb)
             loss_val = float(loss.data)
@@ -253,7 +254,7 @@ def train(
             epoch=epoch,
             train_loss=loss_sum / n_train,
             train_acc=correct / n_train,
-            eval_acc=_accuracy(model, ev_x, ev_y, where=f"eval after epoch {epoch}, lr {lr:.3e}"),
+            eval_acc=_accuracy(model, dataset, ev_idx, f"eval after epoch {epoch}, lr {lr:.3e}"),
         )
         history.epochs.append(stats)
         if log is not None:
@@ -318,12 +319,12 @@ def paired_csv(histories: dict) -> str:
 
 def linear_baseline(ds: SyntheticDataset) -> float:
     """Least-squares pixel classifier accuracy (seed-0 split); certifies the task is learnable."""
-    (tr_x, tr_y), (ev_x, ev_y) = split_dataset(ds)
-    X = tr_x.reshape(len(tr_y), -1).astype(np.float64)
+    tr, ev = split_dataset(ds, 0)
+    X = ds.images[tr].reshape(len(tr), -1).astype(np.float64)
     X = np.hstack([X, np.ones((len(X), 1))])
-    Y = np.eye(ds.classes)[tr_y]
+    Y = np.eye(ds.classes)[ds.labels[tr]]
     W, *_ = np.linalg.lstsq(X, Y, rcond=None)
-    Xe = ev_x.reshape(len(ev_y), -1).astype(np.float64)
+    Xe = ds.images[ev].reshape(len(ev), -1).astype(np.float64)
     Xe = np.hstack([Xe, np.ones((len(Xe), 1))])
     pred = (Xe @ W).argmax(axis=1)
-    return float((pred == ev_y).mean())
+    return float((pred == ds.labels[ev]).mean())

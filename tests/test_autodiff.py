@@ -218,6 +218,32 @@ def test_op_add_sub_mul_broadcast():
     )
 
 
+def test_op_add_scaled():
+    """x + y * s with a per-channel [1, c, 1, 1] scale and a per-sample [n, c, 1, 1] one."""
+    s = _weighted((2, 3, 4, 5))
+    for s_shape in ((1, 3, 1, 1), (2, 3, 1, 1)):
+        arrays = {"x": RNG.normal(size=(2, 3, 4, 5)), "y": RNG.normal(size=(2, 3, 4, 5)),
+                  "s": RNG.normal(size=s_shape)}
+        check_op(arrays, lambda lv: s(ad.add_scaled(lv["x"], lv["y"], lv["s"])))
+        x, y, sc = arrays["x"], arrays["y"], arrays["s"]
+        assert ad.add_scaled(*map(ad.Var, (x, y, sc))).data.tobytes() == (x + y * sc).tobytes()
+
+
+def test_mixed_dtypes_raise_instead_of_promoting():
+    f32, f64 = np.ones((2, 3, 1, 1), np.float32), np.ones((2, 3, 1, 1))
+    a = ad.Var(f32)
+    for op, args in [
+        (ad.mul, (a, f64)),
+        (ad.mul, (a, ad.Var(f64))),
+        (ad.add, (a, ad.Var(f64))),
+        (ad.add_scaled, (a, ad.Var(f64), ad.Var(f64))),
+        (ad.add_scaled, (a, a, ad.Var(f64))),
+    ]:
+        with pytest.raises(PreconditionError, match="mix dtypes float32 and float64"):
+            op(*args)
+    assert a.grad is None
+
+
 def test_op_shape_moves():
     s = _weighted((3, 8))
     check_op(

@@ -525,6 +525,29 @@ def test_drop_path_mask_is_a_constant_with_the_same_parameter_grads():
     assert grads(out) == grads(ref)
 
 
+def test_drop_path_gradients_match_central_differences():
+    """At p = 0.3 survivors scale by 1/0.7, not by an exact 2 as at p = 0.5, through the
+    mask folded into the [n, c, 1, 1] scale; a fixed rng draws the same mask each call."""
+    c, n, prob = 3, 5, 0.3
+    keep = np.random.default_rng(3).random(n) >= prob
+    assert keep.any() and not keep.all()
+    inner = B.init_efficient_mod(RNG, c, expansion=2, kernel=3, std=B.GC_STD, dtype=np.float64)
+    wrap = B.init_residual_wrap(c, layer_scale_init=0.5, drop_path_prob=prob, dtype=np.float64)
+    arrays = {"x": RNG.normal(size=(n, c, 4, 4))}
+    arrays.update({f"inner.{k}": v.data for k, v in B.named_params(inner).items()})
+    arrays.update({f"wrap.{k}": v.data for k, v in B.named_params(wrap).items()})
+
+    def f(lv):
+        q = B.bind_params(inner, lv, prefix="inner.")
+        wq = B.bind_params(wrap, lv, prefix="wrap.")
+        return B.residual_apply(
+            lv["x"], _effmod_inner(q), wq, training=True, rng=np.random.default_rng(3)
+        )
+
+    rep = ad.grad_check(f, arrays, tol=1e-5)
+    assert rep.passed, rep.to_text()
+
+
 def test_residual_train_mode_needs_rng():
     wrap = B.init_residual_wrap(3, drop_path_prob=0.5, dtype=np.float64)
     p = B.init_efficient_mod(RNG, 3, expansion=1, kernel=3, dtype=np.float64)

@@ -5,7 +5,8 @@ in kernels, autodiff, blocks, model or trainer that would break
 perfbench/run.py fails here first. The benchmark's traced runs also fail
 unless the forward MACs its span counters see equal analyzer.count_macs and
 the span self times add up; the second test runs both checks on small inputs.
-The last test pins the infer-xxs workload's traced peak allocation.
+The last two tests pin the traced peak allocation of the infer-xxs and
+train-micro workloads.
 """
 
 import pathlib
@@ -65,3 +66,17 @@ def test_infer_xxs_peak_alloc_stays_under_2_5_mb(monkeypatch):
     w = workloads.InferXXS(1)
     w.setup()
     assert workloads.peak_alloc_bytes(w) <= 2.5e6
+
+
+def test_train_micro_peak_alloc_stays_under_5_9_mb(monkeypatch):
+    """The benchmark's own probe: one f64 batch-32 step and one eval pass on 40 images.
+
+    train gathers each batch by index instead of copying its split (0.49 MB of
+    images), and each residual keeps its branch and scale, not their product.
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    w = workloads.TrainMicro(1)
+    w.setup()
+    assert workloads.peak_alloc_bytes(w) <= 5.9e6

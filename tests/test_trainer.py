@@ -1,5 +1,7 @@
 """Training loop: data generation, optimizer semantics, reproducibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,15 +49,13 @@ def test_dataset_size_is_checked_against_the_activation_budget(monkeypatch):
 
 def test_split_deterministic_and_disjoint():
     ds = T.gen_dataset(1, n=80)
-    (tr_x, tr_y), (ev_x, ev_y) = T.split_dataset(ds, seed=2)
-    (tr_x2, _), (ev_x2, _) = T.split_dataset(ds, seed=2)
-    assert tr_x.tobytes() == tr_x2.tobytes()
-    assert ev_x.tobytes() == ev_x2.tobytes()
-    assert len(tr_y) == 64 and len(ev_y) == 16  # EVAL_FRAC = 0.2
-    # recover indices by matching rows; train and eval must not overlap
-    flat = {ds.images[i].tobytes(): i for i in range(ds.n)}
-    tr_idx = {flat[row.tobytes()] for row in tr_x}
-    ev_idx = {flat[row.tobytes()] for row in ev_x}
+    tr, ev = T.split_dataset(ds, 2)
+    tr2, ev2 = T.split_dataset(ds, 2)
+    assert tr.tobytes() == tr2.tobytes()
+    assert ev.tobytes() == ev2.tobytes()
+    assert len(tr) == 64 and len(ev) == 16  # EVAL_FRAC = 0.2
+    # train and eval must not overlap
+    tr_idx, ev_idx = set(tr.tolist()), set(ev.tolist())
     assert not (tr_idx & ev_idx)
     assert len(tr_idx | ev_idx) == 80
 
@@ -67,8 +67,30 @@ def test_training_and_eval_cast_images_to_the_model_dtype():
     hist = T.train(m, ds, epochs=1, seed=0)
     assert np.isfinite(hist.epochs[0].train_loss)
     assert all(v.data.dtype == np.float32 for _, v in m.named_parameters())
-    (_, _), (ev_x, ev_y) = T.split_dataset(ds, seed=0)
-    assert T._accuracy(m, ev_x, ev_y) == hist.final_eval_acc
+    _, ev = T.split_dataset(ds, 0)
+    assert T._accuracy(m, ds, ev, "eval") == hist.final_eval_acc
+
+
+def test_train_peak_does_not_grow_with_the_dataset():
+    """train gathers each batch from the dataset by index: 4x the images, at the same
+    batch and eval-batch shapes, adds index arrays to the traced peak, not a copy of
+    the images."""
+
+    def peak(n):
+        ds = T.gen_dataset(0, n=n)
+        m = M.build_model(M.build_preset("micro"), seed=0, dtype=np.float64)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            T.train(m, ds, epochs=1, seed=0)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    # 256 train + 64 eval images against 1,024 + 256: full batches of 32 and 64 in both
+    added = (1280 - 320) * 3 * T.IMG_SIZE**2 * 4
+    assert peak(1280) - peak(320) < 0.1 * added
 
 
 def test_linear_baseline_clears_noiseless_task():
@@ -251,8 +273,8 @@ def test_history_csv_format():
 def test_eval_accuracy_is_pure():
     model = M.build_model(M.build_preset("micro"), seed=0, dtype=np.float64)
     ds = T.gen_dataset(0, n=32)
-    a = T._accuracy(model, ds.images, ds.labels)
-    b = T._accuracy(model, ds.images, ds.labels)
+    a = T._accuracy(model, ds, np.arange(ds.n), "eval")
+    b = T._accuracy(model, ds, np.arange(ds.n), "eval")
     assert a == b
 
 
