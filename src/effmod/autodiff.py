@@ -11,11 +11,13 @@ PyTorch does by default: each node drops its parents and vjp closure, and the
 activations that closure saved, once its cotangent has reached its parents.
 Grads add across separate forward passes; a second backward through a freed
 graph raises. modulate (v -> product -> p of the EfficientMod block) keeps v
-and the product on the tape: recomputing the product in the VJP left the micro
-batch-8 step's backward peak at 1.26 MB on a 0.80 MB tape, over the 1.4x the
-suite pins. add_scaled (x + y * s, the layer-scaled residual) keeps y and s
-but never y * s. add, sub, mul and add_scaled refuse operands of two dtypes
-rather than promote.
+but not the product, which its VJP remakes for dp_w alone (Chen et al. 2016).
+The VJP never holds the remade product and its cotangent at once, and v goes
+once it has been scaled into dctx's summands, so the micro batch-8 step's
+backward peaks at 1.02 MB on a 0.74 MB tape, within the 1.4x the suite pins.
+add_scaled (x + y * s, the layer-scaled residual) keeps y and s but never
+y * s. add, sub, mul and add_scaled refuse operands of two dtypes rather than
+promote.
 
 Eight ops have no caller in the package: narrow, transpose, scale, matmul,
 softmax, linear, sub and fuse_modulate. They stay only because perfbench's
@@ -386,7 +388,8 @@ def fuse_modulate(ctx: Var, v: Var, mode: str = "reshape", combine: str = "mul")
 
 def modulate(ctx: Var, x: Var, v_w, v_b, p_w, p_b, mode="reshape", combine="mul") -> Var:
     """p(fuse_modulate(ctx, v(x))) for pointwise maps v, p. Under no_grad each row band
-    (K.row_bands) of v is made, overwritten by its product and projected; taped, one band."""
+    (K.row_bands) of v is made, overwritten by its product and projected. Taped, it is one
+    band and the node keeps v, not the product: the VJP remakes that for dp_w alone."""
     xd, rc, taped = x.data, v_w.data.shape[0], _grad_enabled
     n, _, h, w = xd.shape
     bands = [slice(0, h)] if taped else K.row_bands(h, n * rc * w * xd.itemsize)
@@ -399,14 +402,28 @@ def modulate(ctx: Var, x: Var, v_w, v_b, p_w, p_b, mode="reshape", combine="mul"
         K.pointwise(prod, p_w.data, getattr(p_b, "data", None), out=out[:, :, rs])
     inputs = (ctx, x, v_w, v_b, p_w, p_b)
 
-    def vjp(g):  # runs once: each saved array and cotangent goes after its last use
-        nonlocal v, prod
-        g, dpw, dpb = K.pointwise_vjp(prod, p_w.data, g)
+    def vjp(g):  # runs once: v and the remade product each go after their last read
+        nonlocal v
+        c, op = ctx.data.shape[1], np.multiply if combine == "mul" else np.add
+        # Remake the product as the operand np.tensordot hands np.dot, so dp_w keeps its
+        # bits: a view of the product itself at n == 1, else a [n, h, w, rc] copy.
+        prod = np.empty_like(v) if n == 1 else np.empty((n, h, w, rc), v.dtype).transpose(0, 3, 1, 2)
+        for i in range(0, rc, c):  # one r-slice at a time
+            prod[:, i : i + c] = op(v[:, i : i + c], ctx.data)
+        dpw = np.tensordot(g, prod, axes=([0, 2, 3], [0, 2, 3]))
         prod = None
-        dctx, g = K.fuse_modulate_vjp(ctx.data, v, combine, g)
-        v = None
-        dx, dvw, dvb = K.pointwise_vjp(x.data, v_w.data, g)
-        return tuple(d for d, q in zip((dctx, dx, dvw, dvb, dpw, dpb), inputs) if q is not None)
+        dprod = np.matmul(p_w.data.T, g.reshape(n, -1, h * w)).reshape(v.shape)
+        d5 = dprod.reshape(n, -1, c, h, w)
+        if combine == "sum":
+            v, dctx = None, d5.sum(axis=1)
+        else:
+            v *= dprod  # v's last read: dctx sums v * dprod over the r-slices
+            v, dctx = None, v.reshape(d5.shape).sum(axis=1)
+            for i in range(d5.shape[1]):  # per r-slice: a broadcast over r buffers a whole map
+                d5[:, i] *= ctx.data
+        dx, dvw, dvb = K.pointwise_vjp(xd, v_w.data, dprod)
+        grads = (dctx, dx, dvw, dvb, dpw, g.sum(axis=(0, 2, 3)))
+        return tuple(d for d, q in zip(grads, inputs) if q is not None)
 
     return _node(out, "modulate", tuple(q for q in inputs if q is not None), vjp)
 
@@ -422,11 +439,17 @@ def global_avg_pool(x: Var) -> Var:
 
 
 def cross_entropy(logits: Var, labels: np.ndarray) -> Var:
-    """Mean softmax cross-entropy from raw logits [n, k] and int labels [n]."""
-    z = logits.data
+    """Mean softmax cross-entropy from raw logits [n, k] and int labels [n] in [0, k)."""
+    z, labels = logits.data, np.asarray(labels)
     if z.ndim != 2:
         raise PreconditionError(f"logits: expected [n, classes], got {z.shape}")
-    n = z.shape[0]
+    n, k = z.shape
+    # numpy would score a label of -1 as the last class and end a label >= k in an IndexError
+    bad = labels.shape != (n,) or labels.dtype.kind not in "iu"
+    if bad or n and not 0 <= labels.min() <= labels.max() < k:
+        raise PreconditionError(
+            f"labels: expected {n} ints in [0, {k}), got {labels.dtype} {labels.shape}"
+        )
     zmax = z.max(axis=1, keepdims=True)
     lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
     loss = np.asarray((lse - z[np.arange(n), labels]).mean())

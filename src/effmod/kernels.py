@@ -437,8 +437,8 @@ def pointwise(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, out=Non
 
 def pointwise_vjp(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray):
     n, c_out, h, wd = grad_out.shape
+    dw = np.tensordot(grad_out, x, axes=([0, 2, 3], [0, 2, 3]))  # first: its copies go before dx
     dx = np.matmul(w.T, grad_out.reshape(n, c_out, h * wd)).reshape(x.shape)
-    dw = np.tensordot(grad_out, x, axes=([0, 2, 3], [0, 2, 3]))
     db = grad_out.sum(axis=(0, 2, 3))
     return dx, dw, db
 

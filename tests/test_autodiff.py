@@ -346,6 +346,17 @@ def test_op_cross_entropy():
     assert np.isfinite(loss.data)
 
 
+@pytest.mark.parametrize(
+    "labels", [[0, 2, -1], [0, 2, 4], [0, 2], [0.0, 2.0, 1.0]],
+    ids=["negative", "past-the-classes", "wrong-length", "float"],
+)
+def test_cross_entropy_refuses_labels_that_are_not_n_ints_in_range(labels):
+    """A label of -1 would score the last class; the others would end in an IndexError."""
+    z = ad.Var(RNG.normal(size=(3, 4)))
+    with pytest.raises(PreconditionError, match=r"labels: expected 3 ints in \[0, 4\)"):
+        ad.cross_entropy(z, np.array(labels))
+
+
 def test_fuse_modulate_gradients_mode_invariant():
     """Both fusion routes must agree in the backward pass bit for bit."""
     ctx_data = RNG.normal(size=(2, 3, 4, 4))
@@ -443,21 +454,45 @@ def test_modulate_bands_match_the_unbanded_composition(monkeypatch, combine, dty
             assert rel_err(got["reshape"], want) <= tol, (n, budget)
 
 
-def test_modulate_on_the_tape_is_one_band_and_equals_its_three_ops(monkeypatch):
+@pytest.mark.parametrize("combine", ["mul", "sum"])
+@pytest.mark.parametrize("mode", ["reshape", "repeat"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [2, 1])
+def test_modulate_on_the_tape_is_one_band_and_equals_its_three_ops(
+    monkeypatch, n, dtype, mode, combine
+):
     """With the tape on the node is one band whatever the budget, and its value and
-    gradients equal those of its three ops as separate nodes."""
+    gradients equal those of its three ops as separate nodes. The VJP remakes the
+    product in the layout np.tensordot hands np.dot, which at n == 1 is a view of the
+    product rather than a copy."""
     monkeypatch.setattr(K, "BAND_BYTES", 1)
-    arrays = _modulate_args(np.random.default_rng(4), 2, 3, 2, 4, 5, 4, np.float64)
-    seed = RNG.normal(size=(2, 4, 5, 4))
+    arrays = _modulate_args(np.random.default_rng(4), n, 3, 2, 4, 5, 4, dtype)
+    seed = np.random.default_rng(5).normal(size=(n, 4, 5, 4)).astype(dtype)
     one, three = [ad.Var(a.copy()) for a in arrays], [ad.Var(a.copy()) for a in arrays]
-    y = ad.modulate(*one)
+    y = ad.modulate(*one, mode, combine)
     ctx, x, v_w, v_b, p_w, p_b = three
-    y3 = ad.pointwise(ad.fuse_modulate(ctx, ad.pointwise(x, v_w, v_b)), p_w, p_b)
+    y3 = ad.pointwise(ad.fuse_modulate(ctx, ad.pointwise(x, v_w, v_b), mode, combine), p_w, p_b)
     assert y.data.tobytes() == y3.data.tobytes()
     ad.backward(ad.sum_all(ad.mul(y, seed)))
     ad.backward(ad.sum_all(ad.mul(y3, seed)))
     for a, b in zip(one, three):
         assert a.grad.tobytes() == b.grad.tobytes()
+
+
+def test_modulate_tape_keeps_v_not_the_product():
+    """A taped modulate retains its output and v; the VJP remakes the r*c product,
+    so the node holds less than one more r*c map on top of those two."""
+    n, c, r, c_out, h, w = 2, 8, 4, 8, 8, 8
+    rng = np.random.default_rng(6)
+    arrays = [ad.Var(a) for a in _modulate_args(rng, n, c, r, c_out, h, w, np.float64)]
+    rc_map = n * r * c * h * w * 8
+    tracemalloc.start()
+    try:
+        y = ad.modulate(*arrays)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained - y.data.nbytes - rc_map < rc_map, retained
 
 
 def test_grad_check_report_fields():

@@ -68,15 +68,18 @@ def test_infer_xxs_peak_alloc_stays_under_2_5_mb(monkeypatch):
     assert workloads.peak_alloc_bytes(w) <= 2.5e6
 
 
-def test_train_micro_peak_alloc_stays_under_5_9_mb(monkeypatch):
+def test_train_micro_peak_alloc_stays_under_4_95_mb(monkeypatch):
     """The benchmark's own probe: one f64 batch-32 step and one eval pass on 40 images.
 
     train gathers each batch by index instead of copying its split (0.49 MB of
-    images), and each residual keeps its branch and scale, not their product.
+    images), each residual keeps its branch and scale, not their product, and
+    autodiff.modulate keeps v but not the modulation product, which its VJP
+    remakes. The peak then sits in stage 1's value-map VJP inside modulate
+    (stage1.block0, 4.81 MB): v's cotangent and tensordot's transposed copy of it.
     """
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
     w = workloads.TrainMicro(1)
     w.setup()
-    assert workloads.peak_alloc_bytes(w) <= 5.9e6
+    assert workloads.peak_alloc_bytes(w) <= 4.95e6
