@@ -16,24 +16,18 @@ rng = np.random.default_rng(0)
 print("== op-level: conv2d with bias, 3x3 depthwise on (2, 3, 6, 6) ==")
 from effmod.kernels import ConvSpec
 
-arrays = {
-    "x": rng.normal(size=(2, 3, 6, 6)),
-    "w": rng.normal(size=(3, 1, 3, 3)),
-    "b": rng.normal(size=(3,)),
-}
-rep = ad.grad_check(
-    lambda v: ad.conv2d(v["x"], v["w"], v["b"], ConvSpec(3, groups=3)), arrays
-)
+x = ad.Var(rng.normal(size=(2, 3, 6, 6)))
+w = ad.Var(rng.normal(size=(3, 1, 3, 3)))
+b = ad.Var(rng.normal(size=(3,)))
+rep = ad.grad_check(lambda: ad.conv2d(x, w, b, ConvSpec(3, groups=3)), {"x": x, "w": w, "b": b})
 print(rep.to_text())
 
 print()
 print("== op-level: layer_norm over the channels of (2, 6, 2, 2) ==")
-arrays = {
-    "x": rng.normal(size=(2, 6, 2, 2)),
-    "g": rng.normal(size=(6,)),
-    "b": rng.normal(size=(6,)),
-}
-rep = ad.grad_check(lambda v: ad.layer_norm(v["x"], v["g"], v["b"]), arrays)
+x = ad.Var(rng.normal(size=(2, 6, 2, 2)))
+g = ad.Var(rng.normal(size=(6,)))
+b = ad.Var(rng.normal(size=(6,)))
+rep = ad.grad_check(lambda: ad.layer_norm(x, g, b), {"x": x, "g": g, "b": b})
 print(rep.to_text())
 
 print()

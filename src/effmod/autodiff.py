@@ -17,7 +17,7 @@ once it has been scaled into dctx's summands, so the micro batch-8 step's
 backward peaks at 1.02 MB on a 0.74 MB tape, within the 1.4x the suite pins.
 add_scaled (x + y * s, the layer-scaled residual) keeps y and s but never
 y * s. add, sub, mul and add_scaled refuse operands of two dtypes rather than
-promote.
+promote, as the kernels under the block ops do: a cotangent has its node's dtype.
 
 Eight ops have no caller in the package: narrow, transpose, scale, matmul,
 softmax, linear, sub and fuse_modulate. They stay only because perfbench's
@@ -303,8 +303,8 @@ def linear(x: Var, w: Var, b: Var | None = None) -> Var:
 def gelu(x: Var) -> Var:
     out = K.gelu(x.data)
 
-    def vjp(g):  # g * gelu'(x), in place when g has x's dtype
-        d = K.gelu_grad(x.data).astype(np.result_type(x.data, g), copy=False)
+    def vjp(g):  # g * gelu'(x), in place: g has x's dtype
+        d = K.gelu_grad(x.data)
         d *= g
         return (d,)
 
@@ -363,7 +363,7 @@ def attention(qkv: Var, heads: int) -> Var:
 
     def vjp(g):
         g = g.reshape(v.shape)
-        dqkv = np.empty((n, 3) + v.shape[1:], np.result_type(qkv.data, g))
+        dqkv = np.empty((n, 3) + v.shape[1:], qkv.data.dtype)
         dq, dk, dv = dqkv.swapaxes(0, 1)
         np.matmul(g, att.swapaxes(-1, -2), out=dv)
         da = np.matmul(v.swapaxes(-1, -2), g)  # softmax backward in place, times s
@@ -525,34 +525,33 @@ def _rel_err(a: np.ndarray, n: np.ndarray) -> float:
     return float((np.abs(a - n) / denom).max())
 
 
-def grad_check(f, arrays: dict, tol: float = 1e-5) -> GradCheckReport:
+def grad_check(f, leaves: dict, tol: float = 1e-5) -> GradCheckReport:
     """Certify tape gradients of f against central differences, leaf by leaf.
 
-    f maps a dict of Vars to a Var (summed internally if non-scalar). arrays
-    holds the float64 leaf values; every leaf is perturbed.
+    f takes no arguments and builds a Var (summed if non-scalar) from the leaf Vars in
+    leaves, whose .grad it overwrites. Each leaf's .data is perturbed in place and restored:
+    it must be a writeable C-contiguous float64 array, so that no copy takes the perturbation.
     """
-    arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
-    leaves = {k: Var(v.copy()) for k, v in arrays.items()}
-    out = f(leaves)
-    y = out if out.data.ndim == 0 else sum_all(out)
-    backward(y)
+    for name, v in leaves.items():
+        if v.op != "leaf":
+            raise PreconditionError(f"{name}: a {v.op} node has tape parents; pass a leaf")
+        a = v.data
+        if a.dtype != np.float64 or not (a.flags.c_contiguous and a.flags.writeable):
+            raise PreconditionError(
+                f"{name}: want a writeable C-contiguous float64 array, got {a.dtype} {a.shape}"
+            )
+    for v in leaves.values():
+        v.grad = None
+    out = f()
+    backward(out if out.data.ndim == 0 else sum_all(out))
+
+    def scalar_eval(_):  # finite_diff_grad perturbs a leaf's own data, which f reads
+        with no_grad():
+            return float(f().data.sum())
 
     report = GradCheckReport(tol=tol)
-    for name in arrays:
-        analytic = leaves[name].grad
-        if analytic is None:
-            analytic = np.zeros_like(arrays[name])
-
-        def scalar_eval(arr, _name=name):
-            vs = {k: Var(v) for k, v in arrays.items()}
-            vs[_name] = Var(arr)
-            with no_grad():
-                o = f(vs)
-            return float(o.data.sum())
-
-        numeric = finite_diff_grad(scalar_eval, arrays[name])
-        err = _rel_err(analytic, numeric)
-        report.rows.append(
-            GradCheckRow(name=name, max_rel_err=err, size=arrays[name].size, ok=err < tol)
-        )
+    for name, v in leaves.items():
+        analytic = np.zeros_like(v.data) if v.grad is None else v.grad
+        err = _rel_err(analytic, finite_diff_grad(scalar_eval, v.data))
+        report.rows.append(GradCheckRow(name=name, max_rel_err=err, size=v.data.size, ok=err < tol))
     return report

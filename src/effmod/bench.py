@@ -28,7 +28,7 @@ from . import analyzer, model
 from .autodiff import Var, no_grad
 from .blocks import efficient_mod, init_efficient_mod
 from .errors import ConfigError, NumericalError
-from .model import ISO_PAIRS, ISO_SPECS, build_iso_pair, check_resolution, model_forward
+from .model import ISO_PAIRS, ISO_SPECS, build_isotropic, check_resolution, model_forward
 
 DEFAULT_WARMUP = 50
 DEFAULT_ITERS = 4000
@@ -246,14 +246,14 @@ def bench_pair_mbconv(
             f"pair {pair} at res {input_res}: the widest activation has {widest:,} elements, "
             f"above MAX_ACTIVATIONS = {model.MAX_ACTIVATIONS:,}"
         )
-    em, mb = build_iso_pair(pair, seed=seed, dtype=np.float32)
-    p_em = analyzer.complexity_report(em, (input_res, input_res)).total_params_with_bias
-    p_mb = analyzer.complexity_report(mb, (input_res, input_res)).total_params_with_bias
-    gap = abs(p_em - p_mb) / max(p_em, p_mb)
+    models = {spec.block: build_isotropic(spec, seed=seed, dtype=np.float32) for spec in specs}
+    res = (input_res, input_res)
+    params = [analyzer.complexity_report(m, res).total_params_with_bias for m in models.values()]
+    gap = abs(params[0] - params[1]) / max(params)
     if gap > 0.02:
         raise ConfigError(
             f"pair {pair}: parameter totals differ by {gap * 100:.2f}% (> 2%): "
-            f"{p_em:,} vs {p_mb:,}"
+            f"{params[0]:,} vs {params[1]:,}"
         )
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1, 3, input_res, input_res), dtype=np.float32)
@@ -263,11 +263,12 @@ def bench_pair_mbconv(
             return model_forward(m, x).data
 
     results = {}
-    for name, m in (("efficient_mod", em), ("mbconv", mb)):
+    for name, m in models.items():
         if not np.isfinite(forward(m)).all():
             raise NumericalError(f"pair {pair}: {name} probe produced non-finite logits")
         results[name] = bench(lambda: forward(m), f"{pair}-{name}", warmup, iters, threads, x.shape)
-    note = f"params efficient_mod {p_em:,}, mbconv {p_mb:,} (gap {gap * 100:.2f}%)"
+    counts = ", ".join(f"{name} {n:,}" for name, n in zip(models, params))
+    note = f"params {counts} (gap {gap * 100:.2f}%)"
     return PairBenchResult(f"pair {pair}", results, note)
 
 

@@ -7,8 +7,8 @@ focal-style multi-level gated context, the inverted bottleneck (MBConv),
 squeeze-and-excitation, and a vanilla pre-norm attention block.
 
 Parameters live in small dataclasses holding Var leaves, so one forward pass
-threads the tape through both the block and its wrapper. named_params /
-bind_params give a stable flat view used by gradcheck and Model.named_parameters.
+threads the tape through both the block and its wrapper. named_params gives a
+stable flat view of them, used by gradcheck and Model.named_parameters.
 """
 
 from __future__ import annotations
@@ -67,22 +67,6 @@ def _collect(v, name, out):
     elif isinstance(v, tuple):
         for i, item in enumerate(v):
             _collect(item, f"{name}.{i}", out)
-
-
-def bind_params(obj, mapping: dict, prefix: str = ""):
-    """Rebuild a params dataclass with Vars taken from mapping by path."""
-    kwargs = {}
-    for f in dataclasses.fields(obj):
-        kwargs[f.name] = _bind(getattr(obj, f.name), f"{prefix}{f.name}", mapping)
-    return type(obj)(**kwargs)
-
-
-def _bind(v, name, mapping):
-    if isinstance(v, Var):
-        return mapping[name]
-    if isinstance(v, tuple):
-        return tuple(_bind(item, f"{name}.{i}", mapping) for i, item in enumerate(v))
-    return v
 
 
 # --------------------------------------------------------- efficient mod
@@ -500,14 +484,13 @@ _GC_TABLE = {
 
 
 def _gc_table(kind: str, case: int, rng):
-    """Gradcheck arrays (x, then the parameters by path) and the block as a function of
-    them; the parameters are drawn from rng before x."""
+    """Gradcheck leaves (x, then the parameters by path) and the block over them; the
+    parameters are drawn from rng before x."""
     init, block, cases = _GC_TABLE[kind]
     c, n, h, w, kwargs = cases[case]
     p = init(rng, c, std=GC_STD, dtype=np.float64, **kwargs)
-    arrays = {"x": rng.normal(0, 1, (n, c, h, w))}
-    arrays.update({name: v.data for name, v in named_params(p).items()})
-    return arrays, lambda lv: block(lv["x"], bind_params(p, lv))
+    x = Var(rng.normal(0, 1, (n, c, h, w)))
+    return {"x": x, **named_params(p)}, lambda: block(x, p)
 
 
 def _gc_patch_embed(case: int, rng):
@@ -517,12 +500,10 @@ def _gc_patch_embed(case: int, rng):
         (3, 5, 7, 4, 3, 11),
         (1, 4, 2, 2, 0, 6),
     ][case]
-    arrays = {
-        "x": rng.normal(0, 1, (1, c_in, res, res)),
-        "w": rng.normal(0, 0.1, (c_out, c_in, k, k)),
-        "b": rng.normal(0, 0.1, (c_out,)),
-    }
-    return arrays, lambda lv: ad.conv2d(lv["x"], lv["w"], lv["b"], ConvSpec(k, s, padding=pad))
+    x = Var(rng.normal(0, 1, (1, c_in, res, res)))
+    w = Var(rng.normal(0, 0.1, (c_out, c_in, k, k)))
+    b = Var(rng.normal(0, 0.1, (c_out,)))
+    return {"x": x, "w": w, "b": b}, lambda: ad.conv2d(x, w, b, ConvSpec(k, s, padding=pad))
 
 
 def _gc_residual(case: int, rng):
@@ -530,16 +511,9 @@ def _gc_residual(case: int, rng):
     c, r, k, n, h, w = [(3, 2, 3, 1, 5, 5), (4, 1, 3, 2, 4, 4), (2, 3, 5, 1, 6, 3)][case]
     inner = init_efficient_mod(rng, c, expansion=r, kernel=k, std=GC_STD, dtype=np.float64)
     wrap = init_residual_wrap(c, layer_scale_init=0.5, dtype=np.float64)
-    arrays = {"x": rng.normal(0, 1, (n, c, h, w))}
-    arrays.update({f"inner.{k2}": v.data for k2, v in named_params(inner).items()})
-    arrays.update({f"wrap.{k2}": v.data for k2, v in named_params(wrap).items()})
-
-    def f(lv):
-        q = bind_params(inner, lv, prefix="inner.")
-        wq = bind_params(wrap, lv, prefix="wrap.")
-        return residual_apply(lv["x"], lambda h_: efficient_mod(h_, q), wq, training=False)
-
-    return arrays, f
+    x = Var(rng.normal(0, 1, (n, c, h, w)))
+    leaves = {"x": x, **named_params(inner, "inner."), **named_params(wrap, "wrap.")}
+    return leaves, lambda: residual_apply(x, lambda h_: efficient_mod(h_, inner), wrap)
 
 
 _GC_BUILDERS = {
@@ -563,5 +537,5 @@ def block_grad_check(
     if not 0 < tol < np.inf:  # a NaN or negative tolerance fails every case
         raise ConfigError(f"tol must be positive and finite, got {tol}")
     rng = np.random.default_rng((seed, BLOCK_KINDS.index(kind), case))
-    arrays, f = _GC_BUILDERS[kind](case, rng)
-    return ad.grad_check(f, arrays, tol=tol)
+    leaves, f = _GC_BUILDERS[kind](case, rng)
+    return ad.grad_check(f, leaves, tol=tol)

@@ -585,8 +585,8 @@ def fuse_modulate(
     `effmod bench fusion`. Both routes are bit-identical; the ablation test
     depends on that. combine="sum" is the additive-variant
     hook used by the fusion ablation (default "mul" is the modulation product).
-    The result is written into out when one is given: a C-contiguous array of
-    v's shape and the result dtype, which may be v itself (each element of v
+    ctx and v share one dtype. The result is written into out when one is given:
+    a C-contiguous array of v's shape and dtype, which may be v itself (each element of v
     is read only by the write to the same element).
     """
     check_nchw(ctx, "ctx")
@@ -602,8 +602,9 @@ def fuse_modulate(
         raise ConfigError(f"mode must be 'repeat' or 'reshape', got {mode!r}")
     if combine not in ("mul", "sum"):
         raise ConfigError(f"combine must be 'mul' or 'sum', got {combine!r}")
-    r = v.shape[1] // c
-    dtype = np.result_type(ctx, v)
+    if ctx.dtype != v.dtype:  # numpy would promote silently
+        raise PreconditionError(f"fuse_modulate: ctx and v mix dtypes {ctx.dtype} and {v.dtype}")
+    r, dtype = v.shape[1] // c, v.dtype
     if out is None:
         out = np.empty(v.shape, dtype)  # not empty_like: a non-C v would give a non-C out
     elif out.shape != v.shape or out.dtype != dtype or not out.flags.c_contiguous:

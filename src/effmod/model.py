@@ -191,10 +191,6 @@ def build_preset(name: str) -> ModelSpec:
 # ------------------------------------------------------------------ JSON
 
 
-def spec_to_json(spec: ModelSpec) -> str:
-    return json.dumps(dataclasses.asdict(spec), indent=2)
-
-
 def _as_int(v, what: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{what} must be an integer, got {v!r}")
@@ -393,17 +389,6 @@ def build_isotropic(spec: IsotropicSpec, seed: int = 0, dtype=np.float32) -> Mod
     block = (spec.block, {"expansion": spec.expansion, "kernel": spec.dw_kernel})
     plan = [(spec.dim, [block] * spec.depth)]
     return _assemble(spec, (spec.patch, spec.patch, 0), plan, seed, dtype, "mul")
-
-
-def build_iso_pair(pair: str, seed: int = 0, dtype=np.float32):
-    """The (EfficientMod, MBConv) models of one equal-parameter isotropic pair."""
-    if pair not in ISO_PAIRS:
-        raise ConfigError(f"unknown isotropic pair {pair!r}; choose from {sorted(ISO_PAIRS)}")
-    a, b = ISO_PAIRS[pair]
-    return (
-        build_isotropic(ISO_SPECS[a], seed=seed, dtype=dtype),
-        build_isotropic(ISO_SPECS[b], seed=seed, dtype=dtype),
-    )
 
 
 # -------------------------------------------------------------- forward

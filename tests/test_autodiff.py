@@ -198,7 +198,8 @@ def _weighted(out_shape):
 
 
 def check_op(arrays: dict, f, tol=1e-5):
-    rep = ad.grad_check(f, arrays, tol=tol)
+    leaves = {k: ad.Var(np.array(v, dtype=np.float64)) for k, v in arrays.items()}
+    rep = ad.grad_check(lambda: f(leaves), leaves, tol=tol)
     assert rep.passed, rep.to_text()
 
 
@@ -231,13 +232,14 @@ def test_op_add_scaled():
 
 def test_mixed_dtypes_raise_instead_of_promoting():
     f32, f64 = np.ones((2, 3, 1, 1), np.float32), np.ones((2, 3, 1, 1))
-    a = ad.Var(f32)
+    a, w = ad.Var(f32), ad.Var(np.ones((3, 3)))
     for op, args in [
         (ad.mul, (a, f64)),
         (ad.mul, (a, ad.Var(f64))),
         (ad.add, (a, ad.Var(f64))),
         (ad.add_scaled, (a, ad.Var(f64), ad.Var(f64))),
         (ad.add_scaled, (a, a, ad.Var(f64))),
+        (ad.modulate, (a, ad.Var(f64), w, None, w, None)),  # an f32 ctx into f64 v
     ]:
         with pytest.raises(PreconditionError, match="mix dtypes float32 and float64"):
             op(*args)
@@ -496,10 +498,35 @@ def test_modulate_tape_keeps_v_not_the_product():
 
 
 def test_grad_check_report_fields():
-    rep = ad.grad_check(
-        lambda lv: ad.sum_all(ad.mul(lv["x"], lv["x"])), {"x": RNG.normal(size=(2, 2))}
-    )
+    x = ad.Var(RNG.normal(size=(2, 2)))
+    rep = ad.grad_check(lambda: ad.sum_all(ad.mul(x, x)), {"x": x})
     assert rep.passed
     assert rep.rows[0].name == "x"
     assert rep.rows[0].size == 4
     assert "PASS" in rep.to_text()
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (lambda v: ad.Var(v.data.astype(np.float32)), "C-contiguous float64"),
+        (lambda v: ad.Var(v.data.reshape(3, 2).T), "C-contiguous float64"),
+        (lambda v: ad.reshape(v, (2, 3)), "tape parents"),
+    ],
+    ids=["float32", "transposed", "non-leaf"],
+)
+def test_grad_check_refuses_a_leaf_it_cannot_perturb_in_place(bad, match):
+    """A float32 or transposed leaf would be perturbed through a copy f never reads, and f
+    remakes a non-leaf's data; grad_check raises before f runs or any leaf changes."""
+    ok, odd = ad.Var(RNG.normal(size=(2, 3))), bad(ad.Var(RNG.normal(size=(2, 3))))
+    leaves, calls = {"ok": ok, "odd": odd}, []
+    for v in leaves.values():
+        v.grad = np.ones(v.shape, v.dtype)
+
+    def state():
+        return [(v.data.tobytes(), v.grad.tobytes()) for v in leaves.values()]
+
+    before = state()
+    with pytest.raises(PreconditionError, match=match):
+        ad.grad_check(lambda: calls.append(1) or ad.add(ok, odd), leaves)
+    assert not calls and state() == before

@@ -277,7 +277,7 @@ def test_fusion_bench_checks_its_flags_before_building(monkeypatch, flags):
 @pytest.mark.parametrize("res, widest", [(14, 7 * 196 * 1), (28, 7 * 196 * 4)])
 def test_pair_bench_budget_boundary(monkeypatch, res, widest):
     """iso-196-11's widest map is MBConv's 196*7 channels at (res/14)^2 tokens."""
-    monkeypatch.setattr(bn, "build_iso_pair", _refuse_building)
+    monkeypatch.setattr(bn, "build_isotropic", _refuse_building)
     monkeypatch.setattr(M, "MAX_ACTIVATIONS", widest)
     with pytest.raises(_Built):
         bn.bench_pair_mbconv("iso-196-11", input_res=res, warmup=0, iters=1, threads=1)

@@ -533,18 +533,15 @@ def test_drop_path_gradients_match_central_differences():
     assert keep.any() and not keep.all()
     inner = B.init_efficient_mod(RNG, c, expansion=2, kernel=3, std=B.GC_STD, dtype=np.float64)
     wrap = B.init_residual_wrap(c, layer_scale_init=0.5, drop_path_prob=prob, dtype=np.float64)
-    arrays = {"x": RNG.normal(size=(n, c, 4, 4))}
-    arrays.update({f"inner.{k}": v.data for k, v in B.named_params(inner).items()})
-    arrays.update({f"wrap.{k}": v.data for k, v in B.named_params(wrap).items()})
+    x = ad.Var(RNG.normal(size=(n, c, 4, 4)))
+    leaves = {"x": x, **B.named_params(inner, "inner."), **B.named_params(wrap, "wrap.")}
 
-    def f(lv):
-        q = B.bind_params(inner, lv, prefix="inner.")
-        wq = B.bind_params(wrap, lv, prefix="wrap.")
+    def f():
         return B.residual_apply(
-            lv["x"], _effmod_inner(q), wq, training=True, rng=np.random.default_rng(3)
+            x, _effmod_inner(inner), wrap, training=True, rng=np.random.default_rng(3)
         )
 
-    rep = ad.grad_check(f, arrays, tol=1e-5)
+    rep = ad.grad_check(f, leaves, tol=1e-5)
     assert rep.passed, rep.to_text()
 
 
@@ -628,14 +625,24 @@ def test_init_layer_draws_the_weight_and_zeros_its_bias(dtype):
     assert none is None and w2.data.tobytes() == want.tobytes()
 
 
-def test_named_params_bind_round_trip():
-    p = B.init_efficient_mod(RNG, 3, expansion=2, kernel=3, dtype=np.float64)
-    names = B.named_params(p)
-    assert "f_w" in names and "dw_w" in names and "p_w" in names
-    replaced = {k: ad.Var(v.data + 1.0) for k, v in names.items()}
-    bound = B.bind_params(p, replaced)
-    np.testing.assert_array_equal(bound.f_w.data, p.f_w.data + 1.0)
-    assert bound.kernel == p.kernel and bound.expansion == p.expansion
+def test_block_grad_check_restores_every_leaf(monkeypatch):
+    """grad_check perturbs the block's own parameters in place: after it, every leaf of
+    every kind holds the bytes it held before, under the names named_params gives."""
+    seen, real = [], ad.grad_check
+
+    def spy(f, leaves, tol):
+        seen.append((leaves, {k: v.data.copy() for k, v in leaves.items()}))
+        return real(f, leaves, tol=tol)
+
+    monkeypatch.setattr(ad, "grad_check", spy)
+    for kind in B.BLOCK_KINDS:
+        assert B.block_grad_check(kind).passed, kind
+    assert len(seen) == len(B.BLOCK_KINDS)
+    for kind, (leaves, before) in zip(B.BLOCK_KINDS, seen):
+        assert list(leaves)[0] == "x", kind
+        for name, v in leaves.items():
+            assert v.data.tobytes() == before[name].tobytes(), (kind, name)
+    assert {"f_w", "dw_w", "p_w"} <= set(seen[0][0])  # efficient_mod, the first kind
 
 
 def test_block_kinds_catalog():

@@ -14,6 +14,7 @@ from effmod import model as M
 from effmod.blocks import BLOCK_KINDS, GC_CASES
 from effmod.ctxmap import context_map
 from effmod.pnm import read_pnm, write_pgm
+from test_model import spec_json
 
 
 def run(argv, capsys):
@@ -51,7 +52,7 @@ def test_malformed_spec_file_is_config_error(tmp_path, capsys):
 
 
 def test_spec_files_past_python_limits_are_config_errors(tmp_path, capsys):
-    doc = json.loads(M.spec_to_json(M.build_preset("micro")))
+    doc = json.loads(spec_json(M.build_preset("micro")))
     for name, data in (
         ("deep", b"[" * 100_000),
         ("long_int", b'{"head": ' + b"1" * 5000 + b"}"),
@@ -173,7 +174,7 @@ def test_bench_rejects_sizes_below_one(argv, capsys):
 )
 def test_bench_pair_checks_its_flags_before_building(flags, monkeypatch, capsys):
     built = []
-    monkeypatch.setattr(cli.bench, "build_iso_pair", lambda *a, **k: built.append(a))
+    monkeypatch.setattr(cli.bench, "build_isotropic", lambda *a, **k: built.append(a))
     code, out, err = run(["bench", "pair-iso-196-11", "--iters", "1"] + flags, capsys)
     assert code == 3 and built == []
     assert err.startswith("error: config:") and err.count("\n") == 1
@@ -229,7 +230,7 @@ def test_analyze_micro_stdout_and_csv(tmp_path, capsys):
 
 def test_analyze_accepts_json_spec(tmp_path, capsys):
     spec_path = tmp_path / "m.json"
-    spec_path.write_text(M.spec_to_json(M.build_preset("micro")))
+    spec_path.write_text(spec_json(M.build_preset("micro")))
     code, out, _ = run(["analyze", str(spec_path), "--res", "32"], capsys)
     assert code == 0
     assert "TOTAL" in out
@@ -579,7 +580,7 @@ def _argv(draw):
 
 def _write_cli_inputs():
     """Spec files and images in the working directory, for the names _GRAMMAR draws."""
-    micro = json.loads(M.spec_to_json(M.build_preset("micro")))
+    micro = json.loads(spec_json(M.build_preset("micro")))
     micro["stages"][3]["attn_blocks"] = 1  # so the MLP ratio sizes a block
     docs = {"spec.json": micro, "mlp.json": dict(micro, attn_mlp_ratio=1e307)}
     for key, value in (("dim", 10**400), ("dw_kernel", 100_001)):

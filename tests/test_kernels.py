@@ -503,7 +503,8 @@ def test_pointwise_rejects_bad_weight():
 
 
 def test_a_weight_or_bias_of_another_dtype_raises():
-    """No silent cast: conv2d, its VJP and pointwise refuse a w or b whose dtype is not x's."""
+    """No silent cast: conv2d, its VJP and pointwise refuse a w or b whose dtype is not x's,
+    and fuse_modulate a ctx whose dtype is not v's."""
     x = RNG.normal(size=(1, 4, 5, 5)).astype(np.float32)
     w32, b32 = RNG.normal(size=(4, 4, 3, 3)).astype(np.float32), np.zeros(4, np.float32)
     for w, b in ((w32.astype(np.float64), b32), (w32, b32.astype(np.float64))):
@@ -515,6 +516,8 @@ def test_a_weight_or_bias_of_another_dtype_raises():
         conv2d(x, w32[:, :1].astype(np.float64), None, ConvSpec(3, groups=4))
     with pytest.raises(PreconditionError, match="dtype"):
         conv2d_vjp(x, w32.astype(np.float64), ConvSpec(3), np.zeros_like(x))
+    with pytest.raises(PreconditionError, match="dtype"):
+        fuse_modulate(x, x.astype(np.float64))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effmod import autodiff as ad
+from effmod import bench as bn
 from effmod import blocks as B
 from effmod import kernels as K
 from effmod import model as M
@@ -101,15 +102,20 @@ def test_validate_rejects_bad_specs():
 # ----------------------------------------------------------------- JSON
 
 
+def spec_json(spec) -> str:
+    """A spec as the JSON document spec_from_json reads."""
+    return json.dumps(dataclasses.asdict(spec), indent=2)
+
+
 def test_json_round_trip_all_presets():
     for name in M.PRESETS:
         spec = M.build_preset(name)
-        again = M.spec_from_json(M.spec_to_json(spec))
+        again = M.spec_from_json(spec_json(spec))
         assert again == spec
 
 
 def test_json_unknown_keys_rejected_each_level():
-    doc = json.loads(M.spec_to_json(M.build_preset("micro")))
+    doc = json.loads(spec_json(M.build_preset("micro")))
     top = dict(doc, flavor="spicy")
     with pytest.raises(ConfigError, match="flavor"):
         M.spec_from_json(json.dumps(top))
@@ -145,7 +151,7 @@ def test_json_unknown_keys_rejected_each_level():
 
 
 def test_json_missing_required_keys():
-    doc = json.loads(M.spec_to_json(M.build_preset("micro")))
+    doc = json.loads(spec_json(M.build_preset("micro")))
     for key in ("stem", "stages", "head"):
         trimmed = {k: v for k, v in doc.items() if k != key}
         with pytest.raises(ConfigError, match=key):
@@ -163,7 +169,7 @@ def test_json_malformed_reports_position():
 
 
 def test_json_wrong_stage_count():
-    doc = json.loads(M.spec_to_json(M.build_preset("micro")))
+    doc = json.loads(spec_json(M.build_preset("micro")))
     doc["stages"] = doc["stages"][:2]
     with pytest.raises(ConfigError, match="4"):
         M.spec_from_json(json.dumps(doc))
@@ -177,7 +183,7 @@ def test_json_wrong_stage_count():
         "[" * 100_000,  # nested past the recursion limit
         '{"head": ' + "1" * 5000 + "}",  # an integer past Python's 4300-digit string limit
         # an integer past the float range in a float field
-        M.spec_to_json(dataclasses.replace(M.build_preset("micro"), drop_path_rate=10**400)),
+        spec_json(dataclasses.replace(M.build_preset("micro"), drop_path_rate=10**400)),
     ],
     ids=["deep_nesting", "long_integer", "integer_float_field"],
 )
@@ -223,7 +229,7 @@ def _json_paths(doc, prefix=()):
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(M.PRESETS)), data=st.data())
 def test_json_mutated_spec_parses_or_raises_config_error(name, data):
-    doc = json.loads(M.spec_to_json(M.build_preset(name)))
+    doc = json.loads(spec_json(M.build_preset(name)))
     for _ in range(data.draw(st.integers(1, 3))):
         path = data.draw(st.sampled_from(list(_json_paths(doc))))
         parent = doc
@@ -240,11 +246,11 @@ def test_json_absent_keys_take_the_dataclass_defaults():
     doc = {"stem": {}, "stages": [{"dim": 8, "mod_blocks": 1}] * 4, "head": 4}
     spec = M.spec_from_json(json.dumps(doc))
     assert spec == M.ModelSpec(M.StemSpec(), (M.StageSpec(8, 1),) * 4, head=4)
-    assert set(json.loads(M.spec_to_json(spec))) == {f.name for f in dataclasses.fields(spec)}
+    assert set(json.loads(spec_json(spec))) == {f.name for f in dataclasses.fields(spec)}
 
 
 def test_json_errors_name_the_path():
-    doc = json.loads(M.spec_to_json(M.build_preset("micro")))
+    doc = json.loads(spec_json(M.build_preset("micro")))
     doc["stages"][1]["expansion_pattern"] = [4, "x"]
     with pytest.raises(ConfigError, match=r"stages\[1\]\.expansion_pattern\[1\]"):
         M.spec_from_json(json.dumps(doc))
@@ -260,7 +266,7 @@ def test_json_errors_name_the_path():
     ids=["dim", "dw_kernel", "attn_mlp_ratio"],
 )
 def test_spec_above_the_weight_cap_is_config_error_without_allocating(path, value):
-    doc = json.loads(M.spec_to_json(M.build_preset("micro")))
+    doc = json.loads(spec_json(M.build_preset("micro")))
     doc["stages"][3]["attn_blocks"] = 1  # so the MLP ratio sizes a block
     target = doc
     for key in path[:-1]:
@@ -604,7 +610,7 @@ def test_iso_catalog_and_pair_build():
     for a, b in M.ISO_PAIRS.values():
         assert a in M.ISO_SPECS and b in M.ISO_SPECS
     with pytest.raises(ConfigError):
-        M.build_iso_pair("iso-1-1")
+        bn.bench_pair_mbconv("iso-1-1")
 
 
 def test_iso_spec_validation():
