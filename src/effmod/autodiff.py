@@ -15,6 +15,8 @@ but not the product, which its VJP remakes for dp_w alone (Chen et al. 2016).
 The VJP never holds the remade product and its cotangent at once, and v goes
 once it has been scaled into dctx's summands, so the micro batch-8 step's
 backward peaks at 1.02 MB on a 0.74 MB tape, within the 1.4x the suite pins.
+Under no_grad, modulate consumes ctx: when the output fits ctx's buffer it is
+written there, so the caller must not read ctx afterwards.
 add_scaled (x + y * s, the layer-scaled residual) keeps y and s but never
 y * s. add, sub, mul and add_scaled refuse operands of two dtypes rather than
 promote, as the kernels under the block ops do: a cotangent has its node's dtype.
@@ -388,17 +390,22 @@ def fuse_modulate(ctx: Var, v: Var, mode: str = "reshape", combine: str = "mul")
 
 def modulate(ctx: Var, x: Var, v_w, v_b, p_w, p_b, mode="reshape", combine="mul") -> Var:
     """p(fuse_modulate(ctx, v(x))) for pointwise maps v, p. Under no_grad each row band
-    (K.row_bands) of v is made, overwritten by its product and projected. Taped, it is one
-    band and the node keeps v, not the product: the VJP remakes that for dp_w alone."""
-    xd, rc, taped = x.data, v_w.data.shape[0], _grad_enabled
+    (K.row_bands) of v is made, overwritten by its product and projected; the projection is
+    written into ctx.data when that is a writeable C-contiguous array of the output's shape and
+    dtype (band rs of ctx is overwritten after its product has read it), so ctx is consumed.
+    Taped, it is one band into a fresh output, and the node keeps v, not the product: the VJP
+    remakes that for dp_w alone."""
+    xd, cd, rc, taped = x.data, ctx.data, v_w.data.shape[0], _grad_enabled
     n, _, h, w = xd.shape
     bands = [slice(0, h)] if taped else K.row_bands(h, n * rc * w * xd.itemsize)
     buf = np.empty(n * rc * bands[0].stop * w, xd.dtype)
-    out = np.empty((n, p_w.data.shape[0], h, w), xd.dtype)
+    shape, f = (n, p_w.data.shape[0], h, w), cd.flags
+    fits = cd.shape == shape and cd.dtype == xd.dtype and f.writeable and f.c_contiguous
+    out = cd if fits and not taped else np.empty(shape, xd.dtype)
     for rs in bands:
         band = buf[: n * rc * (rs.stop - rs.start) * w].reshape(n, rc, -1, w)
         v = K.pointwise(xd[:, :, rs], v_w.data, getattr(v_b, "data", None), out=band)
-        prod = K.fuse_modulate(ctx.data[:, :, rs], v, mode, combine, out=None if taped else v)
+        prod = K.fuse_modulate(cd[:, :, rs], v, mode, combine, out=None if taped else v)
         K.pointwise(prod, p_w.data, getattr(p_b, "data", None), out=out[:, :, rs])
     inputs = (ctx, x, v_w, v_b, p_w, p_b)
 

@@ -5,7 +5,8 @@ wall times from a monotonic clock. Reported stats are computed from the stored
 sample vector, so they are independent of arrival order. A coefficient of
 variation above 20% flags the result as unstable. Benchmarked callables must
 be bit-deterministic: every iteration's output is hashed and compared against
-the first, and a mismatch aborts the run.
+the first, and a mismatch aborts the run. The process's minor page faults over
+the timed loop are reported per iteration, not gated.
 
 Thread budget: the explicit value, else the CPUs the process may run on. When
 threadpoolctl is importable the budget is enforced for real by limiting the
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import resource
 import time
 import tracemalloc
 from contextlib import nullcontext
@@ -68,6 +70,7 @@ class BenchResult:
     shape: tuple | None = None
     output_hash: str = ""
     peak_alloc_mb: float = 0.0  # tracemalloc peak of one untimed call, after the warmup
+    minor_faults: float = 0.0  # minor page faults per timed iteration (getrusage), not gated
 
     def __post_init__(self):
         if len(self.samples_ms) == 0:
@@ -89,7 +92,8 @@ class BenchResult:
             f"p50 {self.p50_ms:.4f}, p90 {self.p90_ms:.4f} "
             f"({self.iters} iters, {self.warmup} warmup, {self.threads} threads "
             f"{'enforced' if self.threads_enforced else 'requested, not enforced'}), "
-            f"peak alloc {self.peak_alloc_mb:.3f} MB{flag}"
+            f"peak alloc {self.peak_alloc_mb:.3f} MB, "
+            f"{self.minor_faults:.1f} minor faults/iter{flag}"
         )
 
 
@@ -145,6 +149,7 @@ def bench(
         finally:
             tracemalloc.stop()
         ref_hash = _hash_output(out)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for i in range(iters):
             t0 = time.perf_counter_ns()
             out = fn()
@@ -157,9 +162,10 @@ def bench(
                         f"{label or 'bench'}: nondeterministic output at iteration {i} "
                         f"(hash {h[:12]} != {ref_hash[:12]})"
                     )
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return BenchResult(
         label, samples.tolist(), warmup, n_threads, threads_enforced=_HAVE_TPC, shape=shape,
-        output_hash=ref_hash, peak_alloc_mb=peak / 1e6,
+        output_hash=ref_hash, peak_alloc_mb=peak / 1e6, minor_faults=faults / iters,
     )
 
 
@@ -275,14 +281,14 @@ def bench_pair_mbconv(
 def bench_csv(results) -> str:
     """CSV rows for a list of BenchResult."""
     lines = [
-        "label,mean_ms,std_ms,p50_ms,p90_ms,cv,unstable,peak_alloc_mb,warmup,iters,threads,"
-        "threads_enforced,shape"
+        "label,mean_ms,std_ms,p50_ms,p90_ms,cv,unstable,peak_alloc_mb,minor_faults,warmup,iters,"
+        "threads,threads_enforced,shape"
     ]
     for r in results:
         shape = "x".join(str(s) for s in r.shape) if r.shape else ""
         lines.append(
             f"{r.label},{r.mean_ms:.6f},{r.std_ms:.6f},{r.p50_ms:.6f},{r.p90_ms:.6f},"
-            f"{r.cv:.4f},{int(r.unstable)},{r.peak_alloc_mb:.6f},{r.warmup},{r.iters},{r.threads},"
-            f"{int(r.threads_enforced)},{shape}"
+            f"{r.cv:.4f},{int(r.unstable)},{r.peak_alloc_mb:.6f},{r.minor_faults:.2f},{r.warmup},"
+            f"{r.iters},{r.threads},{int(r.threads_enforced)},{shape}"
         )
     return "\n".join(lines) + "\n"

@@ -43,7 +43,8 @@ kernel with pad 3 has 9 live taps at a 2x2 input, 1 at 1x1).
   im2col of a sliding_window_view of the padded input into the result one band
   of output rows at a time (row_bands), so the xxs stem's 147 x 3136 patch
   matrix (1.84 MB in f32; whole, it put the f32 224x224 inference peak at
-  2.88 MB) never exists whole. A map that fits is one band. The VJP stays a tap
+  2.88 MB) never exists whole. Every band is copied into one band buffer, so
+  two bands never live at once. A map that fits is one band. The VJP stays a tap
   loop of small GEMMs on an [h, w, n, c] copy: a one-GEMM VJP holds the whole
   patch matrix and its cotangent during backward, and took the micro training
   step (batch 32, f64) from 13.0 to 17.7 MB peak.
@@ -51,10 +52,13 @@ No other group count has a route: _conv_check refuses it.
 
 Elementwise kernels work in place on the arrays they allocate. scipy's erf costs
 ~14 ns an element in f32 as in f64, so float32 gelu and gelu_grad use Abramowitz
-& Stegun 7.1.26 on numpy ufuncs in two x-sized arrays (gelu_grad adds x clamped
-at +-40), 3x faster; against f64 math.erf their max |error| is 4.7e-7 and 3.4e-7
-(scipy f32: 4.5e-7, 1.4e-7). float64 stays on scipy, at f64 rounding, as the
-1e-13 oracles need. Both clamp x at +-40 where a product would meet inf * 0, so
+& Stegun 7.1.26 on numpy ufuncs, 3x faster; against f64 math.erf their max
+|error| is 4.7e-7 and 3.4e-7 (scipy f32: 4.5e-7, 1.4e-7). gelu runs the pipeline
+over flat chunks of TILE_BYTES into its output with one chunk of scratch, so it
+holds no second x-sized array and each pass stays in cache; every element keeps
+the bits of the whole-array pipeline. gelu_grad holds two x-sized arrays (and x
+clamped at +-40). float64 stays on scipy, at f64 rounding, as the 1e-13 oracles
+need. Both clamp x at +-40 where a product would meet inf * 0, so
 gelu(-inf) = 0 and gelu_grad(+-inf) = 1, 0; every finite result is unchanged.
 """
 
@@ -71,11 +75,11 @@ from .errors import ConfigError, PreconditionError
 
 FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
-# Largest band of _dense's im2col and autodiff.modulate's value map: on the xxs f32 224x224
-# forward (2 cores) 256 KiB also peaks at 2.41 MB, but runs 3-5% slower; no bands, 0-3% faster.
+# Largest band of _dense's im2col and autodiff.modulate's value map.
 BAND_BYTES = 512 << 10
-# The depthwise tile route (module docstring): output columns per tile, and the largest block of
-# its product, which keeps the xxs stage-0 conv (c32 56x56 f32) within 0.17 MB of its output.
+# Output columns per tile of the depthwise tile route (module docstring), and the largest
+# scratch block a kernel keeps beside its output: the tile route's product block, which keeps
+# the xxs stage-0 conv (c32 56x56 f32) within 0.17 MB of its output, and f32 gelu's chunk.
 TILE_COLS = 14
 TILE_BYTES = 128 << 10
 LN_EPS = 1e-6  # layer_norm's variance regularizer
@@ -306,9 +310,13 @@ def _dense(x: np.ndarray, w: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np
     ]
     wm = w[:, :, i0:i1, j0:j1].reshape(w.shape[0], -1)
     out = np.empty((n, w.shape[0], oh, ow), dtype=x.dtype)
-    for rs in row_bands(oh, n * wm.shape[1] * ow * x.itemsize):
+    bands = row_bands(oh, n * wm.shape[1] * ow * x.itemsize)
+    buf = np.empty(n * wm.shape[1] * bands[0].stop * ow, dtype=x.dtype)  # every band's im2col
+    for rs in bands:
         # im2col of these output rows over the live kernel rows/columns: [n, c_in*kh*kw, rows*ow]
-        patches = np.ascontiguousarray(win[:, :, rs].transpose(0, 1, 4, 5, 2, 3))
+        band = win[:, :, rs].transpose(0, 1, 4, 5, 2, 3)
+        patches = buf[: band.size].reshape(band.shape)
+        np.copyto(patches, band)
         cols = (rs.stop - rs.start) * ow
         np.matmul(wm, patches.reshape(n, -1, cols), out=out[:, :, rs].reshape(n, -1, cols))
     return out
@@ -450,15 +458,17 @@ _GELU_CLAMP = 40.0
 _AS_P, _AS_A = 0.3275911, (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)
 
 
-def _one_plus_erf(x: np.ndarray):
-    """(1 + erf(x / sqrt(2)), exp(-x*x/2) if float32 else None): see the module docstring."""
+def _one_plus_erf(x: np.ndarray, s=None, t=None):
+    """(1 + erf(x / sqrt(2)), exp(-x*x/2) if float32 else None): see the module docstring.
+
+    A float32 result is written into s and the exp into t when they are given."""
     if x.dtype != np.float32 or x.ndim == 0:  # 0-d results are scalars, with no out=
         return 1.0 + erf(x * _INV_SQRT2), None
-    t = np.abs(x)
+    t = np.abs(x, out=t)
     t *= _AS_P * _INV_SQRT2
     t += 1.0
     np.reciprocal(t, out=t)
-    s = t * _AS_A[0]
+    s = np.multiply(t, _AS_A[0], out=s)
     for a in _AS_A[1:]:  # Horner from a5: s = a1 t + ... + a5 t^5
         s += a
         s *= t
@@ -470,8 +480,22 @@ def _one_plus_erf(x: np.ndarray):
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2))). Odd-symmetric up to the linear term."""
-    s, e = _one_plus_erf(x)
+    """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2))). Odd-symmetric up to the linear term.
+
+    float32 runs in flat chunks of TILE_BYTES into one output, with one chunk of scratch."""
+    if x.dtype != np.float32 or x.ndim == 0:
+        return _gelu(x, *_one_plus_erf(x))
+    out, xf = np.empty(x.shape, x.dtype), x.reshape(-1)
+    step = TILE_BYTES // x.itemsize
+    t = np.empty(min(step, x.size), x.dtype)
+    for i in range(0, x.size, step):
+        xc = xf[i : i + step]
+        _gelu(xc, *_one_plus_erf(xc, out.reshape(-1)[i : i + step], t[: xc.size]))
+    return out
+
+
+def _gelu(x: np.ndarray, s, e) -> np.ndarray:
+    """gelu(x) from s = 1 + erf(x / sqrt(2)), in place in s; e is scratch or None."""
     # 1 + erf is exactly 0 below -40 in both dtypes: the clamp changes only -inf (0, not 0 * -inf)
     e = np.maximum(x, -_GELU_CLAMP, out=e)
     e *= 0.5

@@ -448,12 +448,39 @@ def test_modulate_bands_match_the_unbanded_composition(monkeypatch, combine, dty
             assert [b.stop - b.start for b in K.row_bands(h, row)] == sizes
             got = {}
             for mode in ("repeat", "reshape"):
-                with ad.no_grad():
-                    y = ad.modulate(*map(ad.Var, (ctx, x, v_w, v_b, p_w, p_b)), mode, combine)
+                with ad.no_grad():  # modulate writes into the ctx it is handed: a fresh one each
+                    args = map(ad.Var, (ctx.copy(), x, v_w, v_b, p_w, p_b))
+                    y = ad.modulate(*args, mode, combine)
                 got[mode] = y.data
             assert got["repeat"].tobytes() == got["reshape"].tobytes()
             assert got["reshape"].dtype == dtype
             assert rel_err(got["reshape"], want) <= tol, (n, budget)
+
+
+@pytest.mark.parametrize("combine", ["mul", "sum"])
+def test_modulate_under_no_grad_writes_into_the_ctx_it_consumes(combine):
+    """With c_out == c the projection lands in ctx's own buffer, band after band, and equals
+    the three kernels' result bit for bit. A taped call, a read-only ctx and c_out != c leave
+    ctx's bytes alone and get a fresh output."""
+    rng = np.random.default_rng(7)
+    ctx, x, v_w, v_b, p_w, p_b = _modulate_args(rng, 2, 3, 4, 3, 5, 6, np.float32)
+    prod = K.fuse_modulate(ctx, K.pointwise(x, v_w, v_b), combine=combine)
+    wide_w, wide_b = np.tile(p_w, (2, 1)), np.tile(p_b, 2)  # c_out = 2c
+
+    def run(c, p_w=p_w, p_b=p_b):
+        got = ad.modulate(*map(ad.Var, (c, x, v_w, v_b, p_w, p_b)), combine=combine).data
+        assert got.tobytes() == K.pointwise(prod, p_w, p_b).tobytes()
+        return got
+
+    consumed, read_only = ctx.copy(), ctx.copy()
+    read_only.flags.writeable = False
+    with ad.no_grad():
+        assert np.shares_memory(run(consumed), consumed)
+        fresh = [(read_only, run(read_only)), (c := ctx.copy(), run(c, wide_w, wide_b))]
+    fresh.append((c := ctx.copy(), run(c)))  # taped
+    for c, y in fresh:
+        assert not np.shares_memory(y, c)
+        assert c.tobytes() == ctx.tobytes()
 
 
 @pytest.mark.parametrize("combine", ["mul", "sum"])

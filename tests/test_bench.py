@@ -112,6 +112,15 @@ def test_bench_records_the_peak_allocation_of_one_untimed_call():
     assert bn.bench(lambda: None, warmup=0, iters=1, threads=1).peak_alloc_mb < 0.01
 
 
+def test_bench_counts_the_minor_page_faults_of_the_timed_loop():
+    """A fresh 64 MiB array is mapped, so faulted in, on every call; a no-op faults in nothing."""
+    filled = bn.bench(lambda: np.ones(8 << 20), warmup=1, iters=2, threads=1)
+    idle = bn.bench(lambda: None, warmup=1, iters=2, threads=1)
+    assert filled.minor_faults > idle.minor_faults
+    assert f", {filled.minor_faults:.1f} minor faults/iter" in filled.summary()
+    assert bn.bench_csv([filled]).split("\n")[1].split(",")[8] == f"{filled.minor_faults:.2f}"
+
+
 def test_pair_summary_reports_the_peak_ratio():
     results = {
         name: bn.BenchResult(name, [ms], peak_alloc_mb=mb)
@@ -158,8 +167,8 @@ def test_bench_csv_layout():
     text = bn.bench_csv([a, b])
     lines = text.strip().split("\n")
     assert lines[0] == (
-        "label,mean_ms,std_ms,p50_ms,p90_ms,cv,unstable,peak_alloc_mb,warmup,iters,threads,"
-        "threads_enforced,shape"
+        "label,mean_ms,std_ms,p50_ms,p90_ms,cv,unstable,peak_alloc_mb,minor_faults,warmup,iters,"
+        "threads,threads_enforced,shape"
     )
     assert lines[1].startswith("a,1.5")
     assert len(lines) == 3
@@ -216,7 +225,7 @@ def test_bench_result_stores_no_statistic_of_its_samples():
     stored = {f.name for f in dataclasses.fields(bn.BenchResult)}
     assert stored == {
         "label", "samples_ms", "warmup", "threads", "threads_enforced", "shape", "output_hash",
-        "peak_alloc_mb",
+        "peak_alloc_mb", "minor_faults",
     }
     res = bn.BenchResult("r", [4.0, 1.0, 3.0, 2.0])
     assert (res.iters, res.mean_ms, res.p50_ms) == (4, 2.5, 2.5)

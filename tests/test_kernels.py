@@ -291,6 +291,21 @@ def test_depthwise_tiles_allocate_little_beyond_the_output():
     assert peak <= out.nbytes + 0.25e6
 
 
+def test_dense_stem_keeps_one_im2col_band():
+    """The xxs stem (k7 s4 pad 3, c32, batch-1 f32 224x224) fills one band buffer for every
+    row band: the padded input, the output and one band, not two bands at once (2.03 MB)."""
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((1, 3, 224, 224), dtype=np.float32)
+    w = rng.standard_normal((32, 3, 7, 7), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        out = conv2d(x, w, None, ConvSpec(7, stride=4, padding=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 230 * 230 * 4 + out.nbytes + kernels.BAND_BYTES + 0.02e6
+
+
 def test_conv_same_padding_preserves_shape():
     for k, d in [(3, 1), (5, 1), (7, 1), (7, 3), (5, 2)]:
         x = RNG.normal(size=(1, 2, 16, 16))
@@ -582,6 +597,45 @@ def test_gelu_f32_matches_f64_oracle():
     for got, ref in ((gelu(x), want), (gelu_grad(x), want_grad)):
         assert got.dtype == np.float32
         assert (np.abs(got - ref) <= bound).all(), np.abs(got - ref).max()
+
+
+def _gelu_f32_whole(x):
+    """The float32 Abramowitz & Stegun 7.1.26 gelu as whole-array expressions; 0-d: scipy's erf."""
+    from scipy.special import erf
+
+    if x.ndim == 0:
+        return (1.0 + erf(x * 0.7071067811865476)) * (np.maximum(x, -40.0) * 0.5)
+    t = np.reciprocal(np.abs(x) * (0.3275911 * 0.7071067811865476) + 1.0)
+    s = t * 1.061405429
+    for a in (-1.453152027, 1.421413741, -0.284496736, 0.254829592):
+        s = (s + a) * t
+    s = np.copysign(1.0 - s * np.exp(np.square(x) * -0.5), x) + 1.0
+    return s * (np.maximum(x, -40.0) * 0.5)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 32, 56, 56), (3, 12_347), (1,), ()], ids=["stage0", "ragged", "one", "0-d"]
+)
+def test_gelu_f32_chunks_equal_the_whole_array_formula(shape):
+    """f32 gelu runs in flat chunks of TILE_BYTES; every element keeps its whole-array bits."""
+    x = (np.random.default_rng(9).standard_normal(shape) * 4).astype(np.float32)
+    if x.size > 3:
+        x.reshape(-1)[:3] = [np.inf, -np.inf, np.nan]
+    got, want = gelu(x), _gelu_f32_whole(x)
+    assert np.shape(got) == shape and got.dtype == np.float32
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_gelu_f32_keeps_one_chunk_of_scratch():
+    """A stage-0 map (0.40 MB) holds its output and one TILE_BYTES chunk, not a second map."""
+    x = np.random.default_rng(10).standard_normal((1, 32, 56, 56), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        out = gelu(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + kernels.TILE_BYTES + 0.01e6
 
 
 def test_gelu_f32_keeps_inf_and_nan():

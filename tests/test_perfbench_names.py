@@ -57,8 +57,9 @@ def test_infer_xxs_peak_alloc_stays_under_2_5_mb(monkeypatch):
     """The benchmark's own probe of one f32 224x224 no_grad forward.
 
     The r*c value map and the stem's im2col run in row bands, attention's
-    softmax overwrites its scores and the depthwise convs run in tiles; the
-    peak then sits at autodiff.modulate's value-map band (2.22 MB).
+    softmax overwrites its scores, the depthwise convs run in tiles, f32 gelu
+    in chunks, and a no_grad modulate writes into the ctx it consumes; the
+    peak then sits in stage 0's modulate, at its value-map band (1.82 MB).
     """
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
