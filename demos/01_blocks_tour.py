@@ -27,10 +27,10 @@ for name, out in [("efficient_mod", mod), ("van", van), ("focal ctx", focal),
 print()
 print("== degenerate modulation: r=1, identity projections, unit 1x1 depthwise ==")
 c = 4
-eye = lambda: ad.Var(np.eye(c))
+eye, zero = lambda: ad.Var(np.eye(c)), lambda: ad.Var(np.zeros(c))
 ident = B.EfficientModParams(
-    f_w=eye(), f_b=None, dw_w=ad.Var(np.ones((c, 1, 1, 1))), dw_b=None,
-    g_w=eye(), g_b=None, v_w=eye(), v_b=None, p_w=eye(), p_b=None,
+    f_w=eye(), f_b=zero(), dw_w=ad.Var(np.ones((c, 1, 1, 1))), dw_b=zero(),
+    g_w=eye(), g_b=zero(), v_w=eye(), v_b=zero(), p_w=eye(), p_b=zero(),
     kernel=1, expansion=1,
 )
 z = rng.normal(size=(1, c, 5, 5))
@@ -40,7 +40,7 @@ print(f"  max |block(x) - gelu(x)*x| = {np.abs(got - K.gelu(z) * z).max():.2e}")
 
 print()
 print("== VAN context receptive field: 5x5 then 7x7 dilated by 3 ==")
-p = B.init_van(rng, 2, bias=False, dtype=np.float64)
+p = B.init_van(rng, 2, dtype=np.float64)
 impulse = np.zeros((1, 2, 25, 25))
 impulse[:, :, 12, 12] = 1.0
 with ad.no_grad():

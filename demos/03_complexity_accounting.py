@@ -13,7 +13,7 @@ print("== closed form: params = 2(r+1)C^2 + k^2 C, MACs = H*W*params ==")
 rng = np.random.default_rng(0)
 for c, r, k in [(1, 1, 1), (64, 6, 7), (144, 6, 7)]:
     params, macs = A.closed_form_block_complexity(c, r, k, 14, 14)
-    built = B.init_efficient_mod(rng, c, expansion=r, kernel=k, bias=False)
+    built = B.init_efficient_mod(rng, c, expansion=r, kernel=k)
     counted, formula = A.verify_closed_form(built)
     print(
         f"  C={c:<4} r={r} k={k}: formula {formula:>9,}  counted {counted:>9,}  "

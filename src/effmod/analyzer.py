@@ -198,7 +198,7 @@ def count_macs(model: Model, input_res: tuple) -> int:
 
 
 def closed_form_block_complexity(c: int, r: int, k: int, h: int, w: int) -> tuple:
-    """(params, macs) of one channel-preserving modulation block, no biases.
+    """(params, macs) of one modulation block, weights only (biases are 1-D and not counted).
 
     params = 2(r+1)c^2 + k^2 c: f and g are c x c, v is rc x c, p is c x rc,
     the depthwise adds k^2 c. macs = h*w*params because every weight is used
@@ -213,8 +213,6 @@ def closed_form_block_complexity(c: int, r: int, k: int, h: int, w: int) -> tupl
 def verify_closed_form(params: B.EfficientModParams) -> tuple:
     """Counted no-bias params of a built block vs the closed form; exact match."""
     c, k, r = params.channels, params.kernel, params.expansion
-    if params.out_channels != c:
-        raise ConfigError("closed form applies to channel-preserving blocks only")
     counted = sum(v.data.size for v in B.named_params(params).values() if v.data.ndim >= 2)
     formula, _ = closed_form_block_complexity(c, r, k, 1, 1)
     return counted, formula
@@ -223,23 +221,6 @@ def verify_closed_form(params: B.EfficientModParams) -> tuple:
 # ---------------------------------------------------------- degree probe
 
 MAX_PROBE_LAYERS = 12
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_degree(p: list) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i] != 0:
-            return i
-    return 0
 
 
 def degree_trajectory(layers: int, seed: int = 0) -> list:
@@ -256,15 +237,12 @@ def degree_trajectory(layers: int, seed: int = 0) -> list:
             f"layers={layers} above cap {MAX_PROBE_LAYERS} (coefficients explode as 2^l)"
         )
     rng = np.random.default_rng(seed)
-    p = [0, 1]  # x_0
-    degrees = [_poly_degree(p)]
+    p = np.array([0, 1], dtype=object)  # x_0; object arrays keep exact Python-int coefficients
+    degrees = [1]
     for _ in range(layers):
-        a = int(rng.integers(1, 10))
-        sq = _poly_mul(p, p)
-        nxt = [a * c for c in sq]
-        for i, c in enumerate(p):
-            nxt[i] += c
+        nxt = np.convolve(p, p) * int(rng.integers(1, 10))
+        nxt[: p.size] += p
         p = nxt
-        degrees.append(_poly_degree(p))
+        degrees.append(int(np.flatnonzero(p)[-1]))
     return degrees
 

@@ -260,26 +260,22 @@ def sum_all(a: Var) -> Var:
 # ----------------------------------------------------------- neural-net ops
 
 
-def conv2d(x: Var | np.ndarray, w: Var, b: Var | None, spec: K.ConvSpec) -> Var:
+def conv2d(x: Var | np.ndarray, w: Var, b: Var, spec: K.ConvSpec) -> Var:
     """Convolution node; an ndarray x is a constant, so the VJP skips its gradient."""
     need_input = isinstance(x, Var)
     xd = x.data if need_input else x
-    out = K.conv2d(xd, w.data, None if b is None else b.data, spec)
-    parents = tuple(p for p in (x if need_input else None, w, b) if p is not None)
+    out = K.conv2d(xd, w.data, b.data, spec)
 
     def vjp(g):
-        grads = K.conv2d_vjp(
-            xd, w.data, spec, g, need_bias=b is not None, need_input=need_input
-        )
-        return tuple(d for d in grads if d is not None)
+        dx, dw, db = K.conv2d_vjp(xd, w.data, spec, g, need_input=need_input)
+        return (dx, dw, db) if need_input else (dw, db)
 
-    return _node(out, "conv2d", parents, vjp)
+    return _node(out, "conv2d", (x, w, b) if need_input else (w, b), vjp)
 
 
-def pointwise(x: Var, w: Var, b: Var | None = None) -> Var:
-    out = K.pointwise(x.data, w.data, None if b is None else b.data)
-    if b is None:  # each closure holds only x and w: the tape keeps every one
-        return _node(out, "pointwise", (x, w), lambda g: K.pointwise_vjp(x.data, w.data, g)[:2])
+def pointwise(x: Var, w: Var, b: Var) -> Var:
+    out = K.pointwise(x.data, w.data, b.data)
+    # each closure holds only x and w: the tape keeps every one
     return _node(out, "pointwise", (x, w, b), lambda g: K.pointwise_vjp(x.data, w.data, g))
 
 
@@ -404,10 +400,9 @@ def modulate(ctx: Var, x: Var, v_w, v_b, p_w, p_b, mode="reshape", combine="mul"
     out = cd if fits and not taped else np.empty(shape, xd.dtype)
     for rs in bands:
         band = buf[: n * rc * (rs.stop - rs.start) * w].reshape(n, rc, -1, w)
-        v = K.pointwise(xd[:, :, rs], v_w.data, getattr(v_b, "data", None), out=band)
+        v = K.pointwise(xd[:, :, rs], v_w.data, v_b.data, out=band)
         prod = K.fuse_modulate(cd[:, :, rs], v, mode, combine, out=None if taped else v)
-        K.pointwise(prod, p_w.data, getattr(p_b, "data", None), out=out[:, :, rs])
-    inputs = (ctx, x, v_w, v_b, p_w, p_b)
+        K.pointwise(prod, p_w.data, p_b.data, out=out[:, :, rs])
 
     def vjp(g):  # runs once: v and the remade product each go after their last read
         nonlocal v
@@ -429,10 +424,9 @@ def modulate(ctx: Var, x: Var, v_w, v_b, p_w, p_b, mode="reshape", combine="mul"
             for i in range(d5.shape[1]):  # per r-slice: a broadcast over r buffers a whole map
                 d5[:, i] *= ctx.data
         dx, dvw, dvb = K.pointwise_vjp(xd, v_w.data, dprod)
-        grads = (dctx, dx, dvw, dvb, dpw, g.sum(axis=(0, 2, 3)))
-        return tuple(d for d, q in zip(grads, inputs) if q is not None)
+        return dctx, dx, dvw, dvb, dpw, g.sum(axis=(0, 2, 3))
 
-    return _node(out, "modulate", tuple(q for q in inputs if q is not None), vjp)
+    return _node(out, "modulate", (ctx, x, v_w, v_b, p_w, p_b), vjp)
 
 
 def global_avg_pool(x: Var) -> Var:

@@ -3,7 +3,8 @@
 Runs an image through the model up to one modulation block and captures that
 block's context output (computed on its post-norm input), reduced to a
 grayscale grid: channel mean, then min-max normalized to 0..255. A constant
-map (e.g. zero input through a bias-free model) normalizes to all zeros.
+map (e.g. zero input through a freshly built model, whose biases are all
+zero) normalizes to all zeros.
 """
 
 from __future__ import annotations

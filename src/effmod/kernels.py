@@ -397,14 +397,13 @@ def conv2d_vjp(
     w: np.ndarray,
     spec: ConvSpec,
     grad_out: np.ndarray,
-    need_bias: bool = True,
     need_input: bool = True,
 ):
     """Gradients (dx, dw, db) of conv2d given the output cotangent.
 
     dx is None when need_input is False (x is a constant, such as the input
-    image) and db is None when need_bias is False; every route then skips that
-    work. dw and db do not depend on either flag, bit for bit.
+    image); every route then skips that work. dw and db do not depend on the
+    flag, bit for bit.
     """
     oh, ow = _conv_check(x, w, None, spec)
     if grad_out.shape != (x.shape[0], w.shape[0], oh, ow):
@@ -413,7 +412,7 @@ def conv2d_vjp(
         )
     route = _dense_vjp if spec.groups == 1 else _depthwise_vjp
     dx, dw = route(x, w, spec, grad_out, need_input)
-    db = grad_out.sum(axis=(0, 2, 3)) if need_bias else None
+    db = grad_out.sum(axis=(0, 2, 3))
     return None if dx is None else np.ascontiguousarray(dx), dw, db
 
 

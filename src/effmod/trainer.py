@@ -47,9 +47,17 @@ class SyntheticDataset:
         return int(self.labels.max()) + 1
 
 
+def _check_counts(**counts) -> None:
+    """Each named count must be a positive int; a bool or a float is refused too."""
+    for name, v in counts.items():
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise ConfigError(f"{name} must be a positive int, got {v!r}")
+
+
 def gen_dataset(seed: int, n: int = 512, classes: int = 4, noise: float = 0.05) -> SyntheticDataset:
     """Balanced oriented-bar images; class k is a bar at angle k*180/classes deg, offset
     by up to BAR_JITTER and BAR_THICKNESS wide, plus white noise of std noise."""
+    _check_counts(n=n, classes=classes)
     if n < classes or n % classes != 0:
         raise ConfigError(f"n={n} must be a positive multiple of classes={classes}")
     if n * 3 * IMG_SIZE**2 > M.MAX_ACTIVATIONS:  # before anything is allocated
@@ -208,8 +216,7 @@ def train(
     dataset seed). Raises NumericalError with step and lr context if the loss
     or the eval logits go non-finite.
     """
-    if epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {epochs}")
+    _check_counts(epochs=epochs, batch_size=batch_size)
     for name, v in (("lr", lr), ("weight_decay", weight_decay)):
         if not 0 <= v < np.inf:
             raise ConfigError(f"{name} must be finite and >= 0, got {v}")

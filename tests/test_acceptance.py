@@ -42,7 +42,7 @@ def test_criterion_01_closed_form_parameter_identity():
     for c in (8, 16, 64):
         for r in (1, 4, 6):
             for k in (3, 5, 7):
-                p = B.init_efficient_mod(rng, c, expansion=r, kernel=k, bias=False)
+                p = B.init_efficient_mod(rng, c, expansion=r, kernel=k)
                 counted, formula = A.verify_closed_form(p)
                 assert counted == formula == 2 * (r + 1) * c * c + k * k * c, (c, r, k)
                 checked += 1
@@ -91,14 +91,9 @@ def test_criterion_04_fusion_bit_equivalence():
         n = int(rng.integers(1, 3))
         h, w = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         combine = str(rng.choice(["mul", "sum"]))
-        bias = bool(rng.integers(0, 2))
-        c_out = int(rng.integers(1, 5))
-        params = B.init_efficient_mod(
-            rng, c, c_out=c_out, expansion=r, kernel=k, bias=bias,
-            std=0.5, dtype=np.float64,
-        )
+        params = B.init_efficient_mod(rng, c, expansion=r, kernel=k, std=0.5, dtype=np.float64)
         x = rng.normal(size=(n, c, h, w))
-        weight = rng.normal(size=(n, c_out, h, w))
+        weight = rng.normal(size=(n, c, h, w))
         grabs = {}
         for mode in ("repeat", "reshape"):
             p = copy.deepcopy(params)

@@ -37,15 +37,9 @@ def test_closed_form_rejects_nonpositive():
 @pytest.mark.parametrize("r", [1, 4, 6])
 @pytest.mark.parametrize("k", [3, 5, 7])
 def test_verify_closed_form_matches_built_blocks(c, r, k):
-    p = B.init_efficient_mod(RNG, c, expansion=r, kernel=k, bias=False)
+    p = B.init_efficient_mod(RNG, c, expansion=r, kernel=k)
     counted, formula = A.verify_closed_form(p)
     assert counted == formula == 2 * (r + 1) * c * c + k * k * c
-
-
-def test_verify_closed_form_needs_channel_preserving():
-    p = B.init_efficient_mod(RNG, 8, c_out=4, expansion=2, kernel=3)
-    with pytest.raises(ConfigError):
-        A.verify_closed_form(p)
 
 
 # -------------------------------------------------------------- reports

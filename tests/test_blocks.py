@@ -32,7 +32,7 @@ def _d(v):
 
 
 def test_efficient_mod_zero_input_gives_zeros():
-    p = B.init_efficient_mod(RNG, 4, expansion=2, kernel=3, bias=False, dtype=np.float64)
+    p = B.init_efficient_mod(RNG, 4, expansion=2, kernel=3, dtype=np.float64)
     out = _run(B.efficient_mod, np.zeros((1, 4, 6, 6)), p)
     assert not out.any()
 
@@ -41,12 +41,6 @@ def test_efficient_mod_shape_contract():
     p = B.init_efficient_mod(RNG, 64, expansion=6, kernel=7, dtype=np.float32)
     out = _run(B.efficient_mod, RNG.normal(size=(1, 64, 14, 14)).astype(np.float32), p)
     assert out.shape == (1, 64, 14, 14)
-
-
-def test_efficient_mod_channel_change():
-    p = B.init_efficient_mod(RNG, 6, c_out=3, expansion=2, kernel=3, dtype=np.float64)
-    out = _run(B.efficient_mod, RNG.normal(size=(2, 6, 5, 5)), p)
-    assert out.shape == (2, 3, 5, 5)
 
 
 def test_efficient_mod_composition_oracle():
@@ -64,13 +58,13 @@ def test_efficient_mod_composition_oracle():
 def test_efficient_mod_identity_params_degenerate_to_gated_gelu():
     """r=1, identity projections, unit 1x1 depthwise -> y = gelu(x) * x."""
     c = 3
-    eye = lambda: ad.Var(np.eye(c))
+    eye, zero = lambda: ad.Var(np.eye(c)), lambda: ad.Var(np.zeros(c))
     p = B.EfficientModParams(
-        f_w=eye(), f_b=None,
-        dw_w=ad.Var(np.ones((c, 1, 1, 1))), dw_b=None,
-        g_w=eye(), g_b=None,
-        v_w=eye(), v_b=None,
-        p_w=eye(), p_b=None,
+        f_w=eye(), f_b=zero(),
+        dw_w=ad.Var(np.ones((c, 1, 1, 1))), dw_b=zero(),
+        g_w=eye(), g_b=zero(),
+        v_w=eye(), v_b=zero(),
+        p_w=eye(), p_b=zero(),
         kernel=1, expansion=1,
     )
     x = RNG.normal(size=(1, c, 4, 4))
@@ -130,7 +124,7 @@ def test_efficient_mod_rejects_bad_config():
 
 
 def test_van_zero_input_gives_zeros():
-    p = B.init_van(RNG, 3, bias=False, dtype=np.float64)
+    p = B.init_van(RNG, 3, dtype=np.float64)
     assert not _run(B.van_block, np.zeros((1, 3, 12, 12)), p).any()
 
 
@@ -142,7 +136,7 @@ def test_van_shape_preserved():
 def test_van_context_impulse_support_radius_11():
     """5x5 then dilated-7 depthwise: support radius (5-1)/2 + 3*(7-1)/2 = 11."""
     c, size, mid = 2, 25, 12
-    p = B.init_van(RNG, c, bias=False, dtype=np.float64)
+    p = B.init_van(RNG, c, dtype=np.float64)
     h = np.zeros((1, c, size, size))
     h[:, :, mid, mid] = 1.0
     with ad.no_grad():
@@ -172,7 +166,7 @@ def test_van_composition_oracle():
 
 
 def test_focal_zero_input_gives_zeros():
-    p = B.init_focal(RNG, 3, kernels=(3, 5), bias=False, dtype=np.float64)
+    p = B.init_focal(RNG, 3, kernels=(3, 5), dtype=np.float64)
     with ad.no_grad():
         out = B.focal_ctx(ad.Var(np.zeros((1, 3, 8, 8))), p).data
     assert not out.any()
@@ -226,14 +220,14 @@ def test_focal_kernel_validation():
 
 
 def test_mbconv_zero_input_gives_zeros():
-    p = B.init_mbconv(RNG, 4, bias=False, dtype=np.float64)
+    p = B.init_mbconv(RNG, 4, dtype=np.float64)
     assert not _run(B.mbconv_block, np.zeros((1, 4, 6, 6)), p).any()
 
 
 def test_mbconv_param_count_64_6_3():
-    """2*6*64^2 + 9*6*64 weight elements, no bias."""
-    p = B.init_mbconv(RNG, 64, expansion=6, kernel=3, bias=False)
-    total = sum(v.data.size for v in B.named_params(p).values())
+    """2*6*64^2 + 9*6*64 weight elements, biases (1-D) not counted."""
+    p = B.init_mbconv(RNG, 64, expansion=6, kernel=3)
+    total = sum(v.data.size for v in B.named_params(p).values() if v.data.ndim >= 2)
     assert total == 52_608
     assert total == 2 * 6 * 64**2 + 3**2 * 6 * 64
 
@@ -257,7 +251,7 @@ def test_mbconv_depthwise_runs_at_expanded_width():
 
 
 def test_se_zero_w2_halves_input():
-    p = B.init_se(RNG, 4, reduction=2, bias=False, dtype=np.float64)
+    p = B.init_se(RNG, 4, reduction=2, dtype=np.float64)
     p.w2.data = np.zeros_like(p.w2.data)
     x = RNG.normal(size=(2, 4, 3, 3))
     np.testing.assert_allclose(_run(B.se_block, x, p), 0.5 * x, rtol=1e-15)
@@ -581,7 +575,7 @@ def test_patch_embed_zero_input():
     w = ad.Var(RNG.normal(size=(2, 3, 4, 4)))
     spec = ConvSpec(4, stride=4, padding=0)
     with ad.no_grad():
-        out = ad.conv2d(ad.Var(np.zeros((1, 3, 16, 16))), w, None, spec).data
+        out = ad.conv2d(ad.Var(np.zeros((1, 3, 16, 16))), w, ad.Var(np.zeros(2)), spec).data
     assert not out.any()
 
 
@@ -621,8 +615,6 @@ def test_init_layer_draws_the_weight_and_zeros_its_bias(dtype):
     want = B.trunc_normal(np.random.default_rng(3), (5, 2, 3, 3), 0.1, dtype)
     assert w.data.dtype == dtype and w.data.tobytes() == want.tobytes()
     assert b.data.dtype == dtype and b.data.shape == (5,) and not b.data.any()
-    w2, none = B.init_layer(np.random.default_rng(3), (5, 2, 3, 3), 0.1, dtype, bias=False)
-    assert none is None and w2.data.tobytes() == want.tobytes()
 
 
 def test_block_grad_check_restores_every_leaf(monkeypatch):
@@ -643,6 +635,16 @@ def test_block_grad_check_restores_every_leaf(monkeypatch):
         for name, v in leaves.items():
             assert v.data.tobytes() == before[name].tobytes(), (kind, name)
     assert {"f_w", "dw_w", "p_w"} <= set(seen[0][0])  # efficient_mod, the first kind
+
+
+@pytest.mark.parametrize("case", range(B.GC_CASES))
+def test_attention_grad_check_certifies_its_biases_but_the_key_bias(case):
+    """Attention is certified with its projection and MLP biases; only qkv_b, whose key part
+    is a flat direction of the softmax, is left out."""
+    rep = B.block_grad_check("attention", case)
+    names = {r.name for r in rep.rows}
+    assert {"proj_b", "mlp1_b", "mlp2_b"} <= names and "qkv_b" not in names
+    assert rep.passed, rep.to_text()
 
 
 def test_block_kinds_catalog():

@@ -350,7 +350,7 @@ def test_conv_refuses_groups_other_than_dense_and_depthwise(c_in, groups, c_out)
     with pytest.raises(PreconditionError, match=f"groups={groups}"):
         conv2d_vjp(x, w, spec, np.ones((1, c_out, 6, 6)))
     with pytest.raises(PreconditionError, match=f"groups={groups}"):
-        ad.conv2d(ad.Var(x), ad.Var(w), None, spec)
+        ad.conv2d(ad.Var(x), ad.Var(w), ad.Var(np.zeros(c_out)), spec)
 
 
 def test_conv_input_too_small_rejected():
@@ -364,7 +364,7 @@ def test_conv_vjp_matches_finite_differences():
     w = RNG.normal(size=(3, 2, 3, 3))
     spec = ConvSpec(3)
     go = RNG.normal(size=(1, 3, 5, 5))
-    dx, dw, db = conv2d_vjp(x, w, spec, go, need_bias=True)
+    dx, dw, db = conv2d_vjp(x, w, spec, go)
     eps = 1e-6
 
     def loss(xx, ww, bb):
@@ -462,14 +462,14 @@ def test_conv_vjp_sweep_matches_central_differences(monkeypatch):
     for x, w, b, spec in _conv_vjp_sweep_cases(150) + _tiled_vjp_sweep_cases(40):
         seen.add((spec.kernel, spec.stride, spec.dilation, spec.groups > 1, spec.padding is None))
         go = rng.normal(size=conv2d(x, w, b, spec).shape)
-        grads = conv2d_vjp(x, w, spec, go, need_bias=True)
+        grads = conv2d_vjp(x, w, spec, go)
         if spec.groups == x.shape[1] == w.shape[0]:
             h, wd = x.shape[2:]
             depthwise[routes[-1]] |= {
                 f"stride{spec.stride}", f"dilation{spec.dilation}", "h!=w" if h != wd else "",
                 "dead tap" if _has_dead_tap(spec, h) or _has_dead_tap(spec, wd) else "",
             }
-        dx, dw, db = conv2d_vjp(x, w, spec, go, need_bias=True, need_input=False)
+        dx, dw, db = conv2d_vjp(x, w, spec, go, need_input=False)
         assert dx is None
         assert dw.tobytes() == grads[1].tobytes() and db.tobytes() == grads[2].tobytes()
         args = [x, w, b]

@@ -423,9 +423,9 @@ def test_ndarray_image_is_a_constant_with_the_same_parameter_grads(monkeypatch):
     skipped = grads()
     asked, vjp = [], K.conv2d_vjp
 
-    def forced(x, w, spec, g, need_bias=True, need_input=True):
+    def forced(x, w, spec, g, need_input=True):
         asked.append(need_input)
-        dx, dw, db = vjp(x, w, spec, g, need_bias, need_input=True)
+        dx, dw, db = vjp(x, w, spec, g, need_input=True)
         assert dx.shape == x.shape
         return dx if need_input else None, dw, db
 

@@ -290,6 +290,29 @@ def test_train_rejects_zero_epochs():
         T.train(model, T.gen_dataset(0, n=16), epochs=0)
 
 
+@pytest.mark.parametrize("kw", [
+    {"batch_size": 0}, {"batch_size": -4}, {"batch_size": 2.5}, {"batch_size": True},
+    {"epochs": -1}, {"epochs": 1.5},
+])
+def test_train_refuses_sizes_that_are_not_positive_ints(kw):
+    """A zero batch divided by zero, a negative one trained zero steps silently and a float one
+    raised TypeError; each is now a ConfigError naming the argument, before any step."""
+    model = M.build_model(M.build_preset("micro"), seed=0, dtype=np.float64)
+    before = [v.data.tobytes() for _, v in model.named_parameters()]
+    name = next(iter(kw))
+    with pytest.raises(ConfigError, match=f"{name} must be a positive int"):
+        T.train(model, T.gen_dataset(0, n=8), **{"epochs": 1, **kw})
+    assert [v.data.tobytes() for _, v in model.named_parameters()] == before
+
+
+@pytest.mark.parametrize("kw", [{"classes": 0}, {"classes": -2}, {"classes": 2.0}, {"n": 8.0},
+                                {"n": 0, "classes": 1}])
+def test_dataset_refuses_counts_that_are_not_positive_ints(kw):
+    name = "n" if "n" in kw else "classes"
+    with pytest.raises(ConfigError, match=f"{name} must be a positive int"):
+        T.gen_dataset(0, **{"n": 8, **kw})
+
+
 # ------------------------------------------------------------- ablation
 
 
