@@ -18,8 +18,8 @@ backward peaks at 1.02 MB on a 0.74 MB tape, within the 1.4x the suite pins.
 Under no_grad, modulate consumes ctx: when the output fits ctx's buffer it is
 written there, so the caller must not read ctx afterwards.
 add_scaled (x + y * s, the layer-scaled residual) keeps y and s but never
-y * s. add, sub, mul and add_scaled refuse operands of two dtypes rather than
-promote, as the kernels under the block ops do: a cotangent has its node's dtype.
+y * s. add, sub, mul, add_scaled, linear and matmul refuse mixed dtypes rather
+than promote, as the kernels under the block ops do: a cotangent has its node's dtype.
 
 Eight ops have no caller in the package: narrow, transpose, scale, matmul,
 softmax, linear, sub and fuse_modulate. They stay only because perfbench's
@@ -101,12 +101,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 def backward(out: Var) -> None:
     """Accumulate d(out)/d(leaf) into the .grad of every leaf on the tape, seeding with ones.
 
-    Leaves are the Vars without a vjp; intermediate nodes keep no .grad.
-    Constants (ndarrays an op took in place of a Var) are not on the tape and
-    get no gradient. Grads add onto whatever is already in .grad, so zero them
-    between steps. The graph is freed as it is consumed (a node's .data stays
-    readable); a second backward through it raises PreconditionError before
-    any .grad changes.
+    Leaves are the Vars without a vjp; intermediate nodes keep no .grad. Every vjp
+    returns one cotangent per parent, so every node on the tape gets one. Constants
+    (ndarrays an op took in place of a Var) are not on the tape and get no gradient.
+    Grads add onto whatever is already in .grad, so zero them between steps. The
+    graph is freed as it is consumed (a node's .data stays readable); a second
+    backward through it raises PreconditionError before any .grad changes.
     """
     # Iterative topo sort; tapes for deep models overflow the recursion limit.
     order: list[Var] = []
@@ -130,18 +130,14 @@ def backward(out: Var) -> None:
     grads: dict[int, np.ndarray] = {id(out): np.ones_like(out.data)}
     while order:
         node = order.pop()
-        g = grads.pop(id(node), None)
+        g = grads.pop(id(node))
         # Free the node before its vjp runs: the closure and what it saved go at the next pop.
         parents, vjp = node.parents, node._vjp
         node.parents, node._vjp = (), None
-        if g is None:
-            continue
         if vjp is None:
             node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(parents, vjp(g)):
-            if pg is None:
-                continue
             if id(parent) in grads:
                 grads[id(parent)] = grads[id(parent)] + pg
             else:
@@ -279,23 +275,21 @@ def pointwise(x: Var, w: Var, b: Var) -> Var:
     return _node(out, "pointwise", (x, w, b), lambda g: K.pointwise_vjp(x.data, w.data, g))
 
 
-def linear(x: Var, w: Var, b: Var | None = None) -> Var:
-    """Last-axis linear map, w [out, in]."""
+def linear(x: Var, w: Var, b: Var) -> Var:
+    """Last-axis linear map, w [out, in], plus b [out]."""
     if x.data.shape[-1] != w.data.shape[1]:
         raise PreconditionError(
             f"linear: input feature dim {x.data.shape[-1]} != weight in-dim {w.data.shape[1]}"
         )
-    out = x.data @ w.data.T
-    if b is not None:
-        out = out + b.data
+    _one_dtype("linear", x.data, w.data)
+    _one_dtype("linear", x.data, b.data)
+    out = x.data @ w.data.T + b.data
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
-        dx, dw = g @ w.data, np.tensordot(g, x.data, axes=(lead, lead))
-        return (dx, dw) if b is None else (dx, dw, g.sum(axis=lead))
+        return g @ w.data, np.tensordot(g, x.data, axes=(lead, lead)), g.sum(axis=lead)
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _node(out, "linear", parents, vjp)
+    return _node(out, "linear", (x, w, b), vjp)
 
 
 def gelu(x: Var) -> Var:
@@ -335,6 +329,7 @@ def softmax(x: Var, axis: int = -1) -> Var:
 
 
 def matmul(a: Var, b: Var) -> Var:
+    _one_dtype("matmul", a.data, b.data)
     out = K.batched_matmul(a.data, b.data)
 
     def vjp(g):

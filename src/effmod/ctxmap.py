@@ -62,6 +62,13 @@ def context_map(model: Model, image: np.ndarray, stage: int, block: int) -> Cont
         stages=model.stages[:stage] + [entries[:block]],
         downs=model.downs[:stage],
     )
+    convs, res = [model.stem, *prefix.downs], M.stage_resolutions(prefix, shape[2:])
+    for s, (conv, blocks, (sh, sw)) in enumerate(zip(convs, prefix.stages, res)):
+        dim, t = conv.w.data.shape[0], sh * sw  # the map; each attention's qkv, scores and MLP
+        attn = [e.params for e in blocks if e.kind == "attention"]
+        most = t * max([dim] + [max(3 * dim, p.heads * t, p.mlp1_w.data.shape[0]) for p in attn])
+        if most > M.MAX_ACTIVATIONS:  # an xxs stage 2 at 2048x2048 would score 8.6 GB of f32
+            raise ConfigError(f"stage {s}: {most:,} elements > MAX_ACTIVATIONS = {M.MAX_ACTIVATIONS:,}")
     wrap = entries[block].wrap
     with ad.no_grad():
         h = forward_features(prefix, img)

@@ -137,7 +137,7 @@ class ConvSpec:
         return (size + 2 * self.pad - span) // self.stride + 1
 
 
-def _conv_check(x: np.ndarray, w: np.ndarray, b, spec: ConvSpec):
+def _conv_check(x: np.ndarray, w: np.ndarray, spec: ConvSpec):
     check_nchw(x, "x")
     if w.ndim != 4:
         raise PreconditionError(f"w: expected 4-D [c_out, c_in/g, k, k], got {w.shape}")
@@ -157,11 +157,8 @@ def _conv_check(x: np.ndarray, w: np.ndarray, b, spec: ConvSpec):
         raise PreconditionError(
             f"w: input-channel dim {c_in_g} does not match x channels/groups = {c_in // g}"
         )
-    if b is not None:
-        if b.ndim != 1 or b.shape[0] != c_out:
-            raise PreconditionError(f"b: expected shape ({c_out},), got {b.shape}")
-    if w.dtype != x.dtype or b is not None and b.dtype != x.dtype:  # numpy would cast silently
-        raise PreconditionError(f"w/b dtype {w.dtype}/{getattr(b, 'dtype', None)} != x's {x.dtype}")
+    if w.dtype != x.dtype:  # numpy would cast silently
+        raise PreconditionError(f"w dtype {w.dtype} != x's {x.dtype}")
     oh, ow = spec.out_size(h), spec.out_size(wd)
     if oh < 1:
         raise PreconditionError(f"x: height {h} too small for {spec} (output height {oh})")
@@ -322,18 +319,19 @@ def _dense(x: np.ndarray, w: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np
     return out
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -> np.ndarray:
-    """2-D cross-correlation with zero padding.
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """2-D cross-correlation with zero padding, plus a per-channel bias.
 
-    x [n, c_in, h, w], w [c_out, c_in/groups, k, k], optional b [c_out], one dtype.
+    x [n, c_in, h, w], w [c_out, c_in/groups, k, k], b [c_out], one dtype.
     groups=1 is a dense conv and groups=c_in=c_out is depthwise; no other
     group count runs.
     """
-    oh, ow = _conv_check(x, w, b, spec)
+    oh, ow = _conv_check(x, w, spec)
+    if b.shape != (w.shape[0],) or b.dtype != x.dtype:  # numpy would broadcast or cast silently
+        raise PreconditionError(f"b: want shape ({w.shape[0]},) dtype {x.dtype}, got {b.shape} {b.dtype}")
     route = _dense if spec.groups == 1 else _depthwise
     out = route(x, w, spec, oh, ow)
-    if b is not None:
-        out += b[None, :, None, None]
+    out += b[None, :, None, None]
     return out
 
 
@@ -405,7 +403,7 @@ def conv2d_vjp(
     image); every route then skips that work. dw and db do not depend on the
     flag, bit for bit.
     """
-    oh, ow = _conv_check(x, w, None, spec)
+    oh, ow = _conv_check(x, w, spec)
     if grad_out.shape != (x.shape[0], w.shape[0], oh, ow):
         raise PreconditionError(
             f"grad_out: expected {(x.shape[0], w.shape[0], oh, ow)}, got {grad_out.shape}"
@@ -416,7 +414,7 @@ def conv2d_vjp(
     return None if dx is None else np.ascontiguousarray(dx), dw, db
 
 
-def pointwise(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, out=None) -> np.ndarray:
+def pointwise(x: np.ndarray, w: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """Channel-mixing linear map, w [c_out, c_in] and b in x's dtype; equals a 1x1 conv2d.
 
     One GEMM per image on the NCHW data in place: w @ x viewed as [n, c_in, h*w], into out if given.
@@ -426,10 +424,10 @@ def pointwise(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, out=Non
         raise PreconditionError(
             f"w: expected [c_out, {x.shape[1]}], got {w.shape}"
         )
-    if b is not None and b.shape != (w.shape[0],):
-        raise PreconditionError(f"b: expected shape ({w.shape[0]},), got {b.shape}")
-    if w.dtype != x.dtype or b is not None and b.dtype != x.dtype:  # numpy would cast silently
-        raise PreconditionError(f"w/b dtype {w.dtype}/{getattr(b, 'dtype', None)} != x's {x.dtype}")
+    if w.dtype != x.dtype:  # numpy would cast silently
+        raise PreconditionError(f"w dtype {w.dtype} != x's {x.dtype}")
+    if b.shape != (w.shape[0],) or b.dtype != x.dtype:  # numpy would broadcast or cast silently
+        raise PreconditionError(f"b: want shape ({w.shape[0]},) dtype {x.dtype}, got {b.shape} {b.dtype}")
     n, c, h, wd = x.shape
     shape, dtype = (n, w.shape[0], h, wd), x.dtype
     if out is None:
@@ -437,8 +435,7 @@ def pointwise(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, out=Non
     elif out.shape != shape or out.dtype != dtype or out.strides[2] != wd * out.strides[3]:
         raise PreconditionError(f"out: want {dtype} {shape}, got {out.dtype} {out.shape}{out.strides}")
     np.matmul(w, x.reshape(n, c, h * wd), out=out.reshape(n, -1, h * wd))
-    if b is not None:
-        out += b[:, None, None]
+    out += b[:, None, None]
     return out
 
 

@@ -178,8 +178,6 @@ class AdamW:
 
 
 def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
-    if total_steps <= 0:
-        return base_lr
     frac = min(step / total_steps, 1.0)
     return float(base_lr * 0.5 * (1.0 + np.cos(np.pi * frac)))  # a numpy scalar would promote f32
 
@@ -221,8 +219,10 @@ def train(
         if not 0 <= v < np.inf:
             raise ConfigError(f"{name} must be finite and >= 0, got {v}")
     tr_idx, ev_idx = split_dataset(dataset, seed)
-    opt = AdamW(model.named_parameters(), weight_decay=weight_decay)
     n_train = len(tr_idx)
+    if not n_train:
+        raise ConfigError(f"a {dataset.n}-image dataset leaves no training image after the eval split")
+    opt = AdamW(model.named_parameters(), weight_decay=weight_decay)
     steps_per_epoch = (n_train + batch_size - 1) // batch_size
     total_steps = epochs * steps_per_epoch
     order_rng = np.random.default_rng((seed, 1))

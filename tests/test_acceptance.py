@@ -143,7 +143,7 @@ def test_criterion_06_kernel_oracles_200_cases_each():
         h, w = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         x = rng.normal(size=(n, c_in, h, w))
         wt = rng.normal(size=(c_out, c_in // groups, k, k))
-        b = rng.normal(size=(c_out,)) if rng.integers(0, 2) else None
+        b = rng.normal(size=(c_out,)) if rng.integers(0, 2) else np.zeros(c_out)
         spec = ConvSpec(k, stride=stride, dilation=dilation, groups=groups)
         got = K.conv2d(x, wt, b, spec)
         want = conv2d_oracle(x, wt, b, stride=stride, dilation=dilation,

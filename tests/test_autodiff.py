@@ -233,6 +233,7 @@ def test_op_add_scaled():
 def test_mixed_dtypes_raise_instead_of_promoting():
     f32, f64 = np.ones((2, 3, 1, 1), np.float32), np.ones((2, 3, 1, 1))
     a, w, b = ad.Var(f32), ad.Var(np.ones((3, 3))), ad.Var(np.zeros(3))
+    rows = ad.Var(np.ones((2, 3), np.float32))
     for op, args in [
         (ad.mul, (a, f64)),
         (ad.mul, (a, ad.Var(f64))),
@@ -240,6 +241,9 @@ def test_mixed_dtypes_raise_instead_of_promoting():
         (ad.add_scaled, (a, ad.Var(f64), ad.Var(f64))),
         (ad.add_scaled, (a, a, ad.Var(f64))),
         (ad.modulate, (a, ad.Var(f64), w, b, w, b)),  # an f32 ctx into f64 v
+        (ad.linear, (rows, w, b)),
+        (ad.linear, (rows, ad.Var(w.data.astype(np.float32)), b)),
+        (ad.matmul, (rows, w)),
     ]:
         with pytest.raises(PreconditionError, match="mix dtypes float32 and float64"):
             op(*args)

@@ -6,7 +6,9 @@ package kernels. Frozen constants were computed once from those oracles (or
 closed forms) and are asserted directly.
 """
 
+import ast
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -64,8 +66,7 @@ def conv2d_oracle(x, w, b, stride=1, dilation=1, groups=1, pad=0):
                                        oj * stride + kj * dilation]
                                     * w[co, ci, ki, kj]
                                 )
-                    if b is not None:
-                        acc += b[co]
+                    acc += b[co]
                     out[ni, co, oi, oj] = acc
     return out
 
@@ -123,7 +124,7 @@ def rel_err(a, b):
 def test_conv_ones_same_padding():
     x = np.ones((1, 1, 3, 3))
     w = np.ones((1, 1, 3, 3))
-    out = conv2d(x, w, None, ConvSpec(3))
+    out = conv2d(x, w, np.zeros(1), ConvSpec(3))
     expected = np.array([[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]])
     np.testing.assert_array_equal(out[0, 0], expected)
 
@@ -131,13 +132,13 @@ def test_conv_ones_same_padding():
 def test_conv_identity_1x1():
     x = RNG.normal(size=(2, 3, 5, 5))
     w = np.eye(3).reshape(3, 3, 1, 1)
-    out = conv2d(x, w, None, ConvSpec(1))
+    out = conv2d(x, w, np.zeros(3), ConvSpec(1))
     np.testing.assert_allclose(out, x, rtol=0, atol=1e-15)
 
 
 def test_conv_zero_input():
     w = RNG.normal(size=(4, 2, 3, 3))
-    out = conv2d(np.zeros((1, 2, 6, 6)), w, None, ConvSpec(3))
+    out = conv2d(np.zeros((1, 2, 6, 6)), w, np.zeros(4), ConvSpec(3))
     assert not out.any()
 
 
@@ -210,7 +211,7 @@ def _conv_case(case, rng=RNG):
     w = rng.normal(
         size=(case["c_out"], case["c_in"] // case["groups"], case["k"], case["k"])
     ).astype(dtype)
-    b = rng.normal(size=case["c_out"]).astype(dtype) if case["bias"] else None
+    b = rng.normal(size=case["c_out"]).astype(dtype) if case["bias"] else np.zeros(case["c_out"], dtype)
     return x, w, b, spec
 
 
@@ -280,11 +281,11 @@ def test_depthwise_tiles_allocate_little_beyond_the_output():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((1, 32, 56, 56), dtype=np.float32)
     w = rng.standard_normal((32, 1, 7, 7), dtype=np.float32)
-    spec = ConvSpec(7, groups=32)
-    conv2d(x, w, None, spec)  # fills the tile plan's cache
+    b, spec = np.zeros(32, np.float32), ConvSpec(7, groups=32)
+    conv2d(x, w, b, spec)  # fills the tile plan's cache
     tracemalloc.start()
     try:
-        out = conv2d(x, w, None, spec)
+        out = conv2d(x, w, b, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -297,9 +298,10 @@ def test_dense_stem_keeps_one_im2col_band():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((1, 3, 224, 224), dtype=np.float32)
     w = rng.standard_normal((32, 3, 7, 7), dtype=np.float32)
+    b = np.zeros(32, np.float32)
     tracemalloc.start()
     try:
-        out = conv2d(x, w, None, ConvSpec(7, stride=4, padding=3))
+        out = conv2d(x, w, b, ConvSpec(7, stride=4, padding=3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -310,7 +312,7 @@ def test_conv_same_padding_preserves_shape():
     for k, d in [(3, 1), (5, 1), (7, 1), (7, 3), (5, 2)]:
         x = RNG.normal(size=(1, 2, 16, 16))
         w = RNG.normal(size=(2, 2, k, k))
-        out = conv2d(x, w, None, ConvSpec(k, dilation=d))
+        out = conv2d(x, w, np.zeros(2), ConvSpec(k, dilation=d))
         assert out.shape == x.shape, (k, d)
 
 
@@ -322,8 +324,8 @@ def test_conv_even_kernel_same_padding_rejected():
 def test_conv_explicit_even_kernel_ok():
     x = RNG.normal(size=(1, 1, 8, 8))
     w = RNG.normal(size=(1, 1, 2, 2))
-    out = conv2d(x, w, None, ConvSpec(2, stride=2, padding=0))
-    want = conv2d_oracle(x, w, None, stride=2, pad=0)
+    out = conv2d(x, w, np.zeros(1), ConvSpec(2, stride=2, padding=0))
+    want = conv2d_oracle(x, w, np.zeros(1), stride=2, pad=0)
     assert rel_err(out, want) <= 1e-10
 
 
@@ -331,11 +333,11 @@ def test_conv_shape_errors_name_dimension():
     x = RNG.normal(size=(1, 3, 6, 6))
     w = RNG.normal(size=(4, 2, 3, 3))
     with pytest.raises(PreconditionError, match="channel"):
-        conv2d(x, w, None, ConvSpec(3))
+        conv2d(x, w, np.zeros(4), ConvSpec(3))
     with pytest.raises(PreconditionError, match="kernel"):
-        conv2d(x, RNG.normal(size=(4, 3, 5, 5)), None, ConvSpec(3))
+        conv2d(x, RNG.normal(size=(4, 3, 5, 5)), np.zeros(4), ConvSpec(3))
     with pytest.raises(PreconditionError, match="4-D"):
-        conv2d(x[0], w, None, ConvSpec(3))
+        conv2d(x[0], w, np.zeros(4), ConvSpec(3))
 
 
 @pytest.mark.parametrize(
@@ -346,7 +348,7 @@ def test_conv_refuses_groups_other_than_dense_and_depthwise(c_in, groups, c_out)
     w = RNG.normal(size=(c_out, c_in // groups, 3, 3))
     spec = ConvSpec(3, groups=groups)
     with pytest.raises(PreconditionError, match=f"groups={groups}"):
-        conv2d(x, w, None, spec)
+        conv2d(x, w, np.zeros(c_out), spec)
     with pytest.raises(PreconditionError, match=f"groups={groups}"):
         conv2d_vjp(x, w, spec, np.ones((1, c_out, 6, 6)))
     with pytest.raises(PreconditionError, match=f"groups={groups}"):
@@ -356,7 +358,7 @@ def test_conv_refuses_groups_other_than_dense_and_depthwise(c_in, groups, c_out)
 def test_conv_input_too_small_rejected():
     x = RNG.normal(size=(1, 1, 3, 3))
     with pytest.raises(PreconditionError):
-        conv2d(x, np.ones((1, 1, 5, 5)), None, ConvSpec(5, padding=0))
+        conv2d(x, np.ones((1, 1, 5, 5)), np.zeros(1), ConvSpec(5, padding=0))
 
 
 def test_conv_vjp_matches_finite_differences():
@@ -498,7 +500,7 @@ def test_pointwise_equals_1x1_conv():
     wide = RNG.normal(size=(3, 10, 6, 9))
     cases = [
         (RNG.normal(size=(2, 5, 4, 4)), b),
-        (RNG.normal(size=(3, 5, 3, 6)), None),  # n > 1, h != w, no bias
+        (RNG.normal(size=(3, 5, 3, 6)), np.zeros(7)),  # n > 1, h != w, zero bias
         (wide[:, ::2, :, 1::2], b),  # a non-contiguous view
     ]
     for x, bias in cases:
@@ -514,7 +516,7 @@ def test_pointwise_equals_1x1_conv():
 
 def test_pointwise_rejects_bad_weight():
     with pytest.raises(PreconditionError):
-        pointwise(RNG.normal(size=(1, 3, 2, 2)), RNG.normal(size=(4, 5)))
+        pointwise(RNG.normal(size=(1, 3, 2, 2)), RNG.normal(size=(4, 5)), np.zeros(4))
 
 
 def test_a_weight_or_bias_of_another_dtype_raises():
@@ -528,11 +530,30 @@ def test_a_weight_or_bias_of_another_dtype_raises():
         with pytest.raises(PreconditionError, match="dtype"):
             pointwise(x, w[:, :, 0, 0], b)
     with pytest.raises(PreconditionError, match="dtype"):
-        conv2d(x, w32[:, :1].astype(np.float64), None, ConvSpec(3, groups=4))
+        conv2d(x, w32[:, :1].astype(np.float64), b32, ConvSpec(3, groups=4))
     with pytest.raises(PreconditionError, match="dtype"):
         conv2d_vjp(x, w32.astype(np.float64), ConvSpec(3), np.zeros_like(x))
     with pytest.raises(PreconditionError, match="dtype"):
         fuse_modulate(x, x.astype(np.float64))
+
+
+def test_every_bias_parameter_is_required():
+    """Every layer has its bias: no function in the package takes a b with a default or
+    a None in its annotation."""
+    optional = []
+    for path in sorted(pathlib.Path(kernels.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            defaulted = {p.arg for p in positional[len(positional) - len(a.defaults):]}
+            defaulted |= {p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None}
+            for p in positional + a.kwonlyargs:
+                hint = ast.unparse(p.annotation) if p.annotation else ""
+                if p.arg == "b" and (p.arg in defaulted or "None" in hint or "Optional" in hint):
+                    optional.append(f"{path.name}:{fn.lineno}")
+    assert optional == []
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -556,7 +577,7 @@ def test_pointwise_rejects_a_bad_out():
     }
     for what, out in bad.items():
         with pytest.raises(PreconditionError, match="out:"):
-            pointwise(x, w, out=out)
+            pointwise(x, w, np.zeros(2), out=out)
 
 
 # ------------------------------------------------- gelu, sigmoid, norms

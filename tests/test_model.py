@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from effmod import autodiff as ad
 from effmod import bench as bn
 from effmod import blocks as B
+from effmod import ctxmap
 from effmod import kernels as K
 from effmod import model as M
 from effmod.analyzer import complexity_report
@@ -544,6 +545,39 @@ def test_context_map_must_point_at_modulation():
         context_map(xxs, img, stage=3, block=2)  # index 2 in stage 3 is an attention block
     with pytest.raises(ConfigError):
         context_map(xxs, img, stage=4, block=0)
+
+
+class _Ran(Exception):
+    pass
+
+
+# stage 3 block 0 runs all of stage 2, whose attention block, over t = (h/16)(w/16) tokens,
+# makes [1, 3c, t] qkv, [1, HEADS, t, t] scores and a [1, c * attn_mlp_ratio, t] MLP map
+TINY_ATTN = M.ModelSpec(
+    stem=M.StemSpec(), head=4, attn_mlp_ratio=256.0,
+    stages=tuple(M.StageSpec(8, 1, attn_blocks=int(i == 2)) for i in range(4)),
+)
+
+
+@pytest.mark.parametrize("spec, side, largest", [
+    (M.build_preset("xxs"), 256, M.HEADS * (16 * 16) ** 2),  # scores (8.6 GB at 2048x2048)
+    (TINY_ATTN, 64, 8 * 256 * 4 * 4),  # the MLP map
+], ids=["xxs-scores", "mlp-map"])
+def test_context_map_checks_its_prefix_against_the_activation_budget(
+    monkeypatch, spec, side, largest
+):
+    model, img = M.build_model(spec, seed=0), np.zeros((3, side, side), np.float32)
+
+    def forward(*args):
+        raise _Ran
+
+    monkeypatch.setattr(ctxmap, "forward_features", forward)
+    monkeypatch.setattr(M, "MAX_ACTIVATIONS", largest)
+    with pytest.raises(_Ran):
+        context_map(model, img, stage=3, block=0)
+    monkeypatch.setattr(M, "MAX_ACTIVATIONS", largest - 1)
+    with pytest.raises(ConfigError, match=f"stage 2: {largest:,} elements"):
+        context_map(model, img, stage=3, block=0)
 
 
 def test_forward_features_is_the_pre_head_map():

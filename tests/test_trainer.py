@@ -290,6 +290,14 @@ def test_train_rejects_zero_epochs():
         T.train(model, T.gen_dataset(0, n=16), epochs=0)
 
 
+def test_train_refuses_a_dataset_with_no_training_image(monkeypatch):
+    """One image splits into no train and one eval image: the epoch's mean loss divided by zero."""
+    model = M.build_model(M.build_preset("micro"), seed=0, dtype=np.float64)
+    monkeypatch.setattr(T, "AdamW", None)  # refused before the optimizer is built
+    with pytest.raises(ConfigError, match="1-image dataset leaves no training image"):
+        T.train(model, T.gen_dataset(0, n=1, classes=1), epochs=1)
+
+
 @pytest.mark.parametrize("kw", [
     {"batch_size": 0}, {"batch_size": -4}, {"batch_size": 2.5}, {"batch_size": True},
     {"epochs": -1}, {"epochs": 1.5},
