@@ -27,11 +27,10 @@ for name, out in [("efficient_mod", mod), ("van", van), ("focal ctx", focal),
 print()
 print("== degenerate modulation: r=1, identity projections, unit 1x1 depthwise ==")
 c = 4
-eye, zero = lambda: ad.Var(np.eye(c)), lambda: ad.Var(np.zeros(c))
+eye = lambda: B.Layer(ad.Var(np.eye(c)), ad.Var(np.zeros(c)))
 ident = B.EfficientModParams(
-    f_w=eye(), f_b=zero(), dw_w=ad.Var(np.ones((c, 1, 1, 1))), dw_b=zero(),
-    g_w=eye(), g_b=zero(), v_w=eye(), v_b=zero(), p_w=eye(), p_b=zero(),
-    kernel=1, expansion=1,
+    f=eye(), dw=B.Layer(ad.Var(np.ones((c, 1, 1, 1))), ad.Var(np.zeros(c))),
+    g=eye(), v=eye(), p=eye(), kernel=1, expansion=1,
 )
 z = rng.normal(size=(1, c, 5, 5))
 with ad.no_grad():

@@ -1,8 +1,8 @@
 """Complexity accounting: parameters, multiply-accumulates, closed forms.
 
 Conventions (also in README):
-- One row per layer of model.named_parameters(): a parameter's layer is its
-  name without the trailing _w/_b/_g/_gamma/_beta tag or bare .w/.b.
+- One row per layer of model.named_parameters(): a layer is a parameter name
+  without its trailing .w or .b (every blocks.Layer names its leaves so).
 - params_no_bias counts the parameters with 2 or more dims (conv, depthwise
   and pointwise weights). params_with_bias adds the 1-D ones: biases, norm
   affines and layer scales. Budget comparisons against published totals use
@@ -120,8 +120,8 @@ class ComplexityReport:
 
 # ----------------------------------------------------------------- walk
 
-# A parameter's layer is its name without the trailing weight/bias/affine tag.
-_LAYER_TAG = re.compile(r"_(w|b|g|gamma|beta)$|\.(w|b)$")
+# A parameter's layer is its name without the trailing weight/bias (or gain/shift) tag.
+_LAYER_TAG = re.compile(r"\.(w|b)$")
 # A walk group: one block ("stage2.block0") or one top-level layer ("stem", "down1", "head").
 _GROUP = re.compile(r"stage\d+\.block\d+|[^.]+")
 _SCOPE = re.compile(r"([a-z]+)(\d*)")

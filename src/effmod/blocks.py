@@ -6,9 +6,10 @@ designs it descends from or is compared against: VAN-style gated convolution,
 focal-style multi-level gated context, the inverted bottleneck (MBConv),
 squeeze-and-excitation, and a vanilla pre-norm attention block.
 
-Parameters live in small dataclasses holding Var leaves, so one forward pass
-threads the tape through both the block and its wrapper. named_params gives a
-stable flat view of them, used by gradcheck and Model.named_parameters.
+Parameters live in small dataclasses whose layers are Layer(w, b) pairs of Var
+leaves, so one forward pass threads the tape through both the block and its
+wrapper. named_params gives a stable flat view of them, used by gradcheck and
+Model.named_parameters.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,25 +37,35 @@ def trunc_normal(rng: np.random.Generator, shape, std: float, dtype):
     return out.astype(dtype)
 
 
-def init_layer(rng, shape, std: float, dtype) -> tuple:
-    """One layer's (w, b): w drawn by trunc_normal, b zeros of w's leading dim (every
-    bias here has it). Every layer has its bias; zeros draw nothing from rng."""
-    return Var(trunc_normal(rng, shape, std, dtype)), Var(np.zeros(shape[:1], dtype=dtype))
+class Layer(NamedTuple):
+    """One layer: its weight and its bias (a norm's gain and shift). Ops take *layer."""
+
+    w: Var
+    b: Var
+
+
+def init_layer(rng, shape, std: float, dtype) -> Layer:
+    """w drawn by trunc_normal, b zeros of w's leading dim (every bias here has it).
+    Every layer has its bias; zeros draw nothing from rng."""
+    return Layer(Var(trunc_normal(rng, shape, std, dtype)), Var(np.zeros(shape[:1], dtype=dtype)))
+
+
+def init_norm(c: int, dtype) -> Layer:
+    """A channel norm's affine: gain ones, shift zeros; draws nothing."""
+    return Layer(Var(np.ones((c,), dtype=dtype)), Var(np.zeros((c,), dtype=dtype)))
 
 
 def _init_layers(rng, layers: dict, std: float, dtype) -> dict:
-    """{layer: shape} -> {layer_w: w, layer_b: b}, drawn in table order."""
-    out = {}
-    for name, shape in layers.items():
-        out[f"{name}_w"], out[f"{name}_b"] = init_layer(rng, shape, std, dtype)
-    return out
+    """{layer: shape} -> {layer: Layer}, drawn in table order."""
+    return {name: init_layer(rng, shape, std, dtype) for name, shape in layers.items()}
 
 
 # ------------------------------------------------- parameter introspection
 
 
 def named_params(obj, prefix: str = "") -> dict:
-    """Flatten a params dataclass into {path: Var}; tuples recurse by index."""
+    """Flatten a params dataclass into {path: Var}: a Layer's leaves are path.w and
+    path.b, other tuples recurse by index."""
     out: dict[str, Var] = {}
     for f in dataclasses.fields(obj):
         _collect(getattr(obj, f.name), f"{prefix}{f.name}", out)
@@ -64,7 +76,7 @@ def _collect(v, name, out):
     if isinstance(v, Var):
         out[name] = v
     elif isinstance(v, tuple):
-        for i, item in enumerate(v):
+        for i, item in zip(getattr(v, "_fields", range(len(v))), v):
             _collect(item, f"{name}.{i}", out)
 
 
@@ -80,22 +92,17 @@ class EfficientModParams:
     sits after the depthwise conv; f itself is linear.
     """
 
-    f_w: Var
-    f_b: Var
-    dw_w: Var
-    dw_b: Var
-    g_w: Var
-    g_b: Var
-    v_w: Var
-    v_b: Var
-    p_w: Var
-    p_b: Var
+    f: Layer
+    dw: Layer
+    g: Layer
+    v: Layer
+    p: Layer
     kernel: int = 7
     expansion: int = 6
 
     @property
     def channels(self) -> int:
-        return self.f_w.data.shape[0]
+        return self.f.w.data.shape[0]
 
 
 def init_efficient_mod(
@@ -115,16 +122,16 @@ def init_efficient_mod(
 def efficient_mod_ctx(x: Var, p: EfficientModParams) -> Var:
     """Context branch only: g(gelu(DW_k(f(x)))), channel-preserving."""
     c = p.channels
-    h = ad.pointwise(x, p.f_w, p.f_b)
-    h = ad.conv2d(h, p.dw_w, p.dw_b, ConvSpec(p.kernel, groups=c))
+    h = ad.pointwise(x, *p.f)
+    h = ad.conv2d(h, *p.dw, ConvSpec(p.kernel, groups=c))
     h = ad.gelu(h)
-    return ad.pointwise(h, p.g_w, p.g_b)
+    return ad.pointwise(h, *p.g)
 
 
 def efficient_mod(
     x: Var, p: EfficientModParams, mode: str = "reshape", combine: str = "mul"
 ) -> Var:
-    return ad.modulate(efficient_mod_ctx(x, p), x, p.v_w, p.v_b, p.p_w, p.p_b, mode, combine)
+    return ad.modulate(efficient_mod_ctx(x, p), x, *p.v, *p.p, mode, combine)
 
 
 # ------------------------------------------------------------------- VAN
@@ -139,20 +146,15 @@ class VANParams:
     receptive radius 2 + 9 = 11.
     """
 
-    f_w: Var
-    f_b: Var
-    dw5_w: Var
-    dw5_b: Var
-    dw7_w: Var
-    dw7_b: Var
-    g_w: Var
-    g_b: Var
-    p_w: Var
-    p_b: Var
+    f: Layer
+    dw5: Layer
+    dw7: Layer
+    g: Layer
+    p: Layer
 
     @property
     def channels(self) -> int:
-        return self.f_w.data.shape[0]
+        return self.f.w.data.shape[0]
 
 
 def init_van(rng, c: int, std: float = 0.02, dtype=np.float32) -> VANParams:
@@ -163,14 +165,14 @@ def init_van(rng, c: int, std: float = 0.02, dtype=np.float32) -> VANParams:
 def van_ctx(h: Var, p: VANParams) -> Var:
     """Context over an already-embedded feature: g(DW_7,dil3(DW_5(h)))."""
     c = p.channels
-    u = ad.conv2d(h, p.dw5_w, p.dw5_b, ConvSpec(5, groups=c))
-    u = ad.conv2d(u, p.dw7_w, p.dw7_b, ConvSpec(7, dilation=3, groups=c))
-    return ad.pointwise(u, p.g_w, p.g_b)
+    u = ad.conv2d(h, *p.dw5, ConvSpec(5, groups=c))
+    u = ad.conv2d(u, *p.dw7, ConvSpec(7, dilation=3, groups=c))
+    return ad.pointwise(u, *p.g)
 
 
 def van_block(x: Var, p: VANParams) -> Var:
-    h = ad.gelu(ad.pointwise(x, p.f_w, p.f_b))
-    return ad.pointwise(ad.mul(van_ctx(h, p), h), p.p_w, p.p_b)
+    h = ad.gelu(ad.pointwise(x, *p.f))
+    return ad.pointwise(ad.mul(van_ctx(h, p), h), *p.p)
 
 
 # ----------------------------------------------------------------- focal
@@ -185,17 +187,15 @@ class FocalParams:
     Kernels must be strictly increasing so levels see growing context.
     """
 
-    f_w: Var
-    f_b: Var
-    levels: tuple  # ((dw_w, dw_b), ...) per level
-    gates: tuple  # ((z_w [1,c], z_b [1]), ...) per level
-    g_w: Var
-    g_b: Var
+    f: Layer
+    levels: tuple  # one depthwise Layer per level
+    gates: tuple  # one Layer per level: w [1, c], b [1]
+    g: Layer
     kernels: tuple = (3, 5)
 
     @property
     def channels(self) -> int:
-        return self.f_w.data.shape[0]
+        return self.f.w.data.shape[0]
 
 
 def init_focal(
@@ -215,14 +215,14 @@ def init_focal(
 
 def focal_ctx(x: Var, p: FocalParams) -> Var:
     c = p.channels
-    h = ad.pointwise(x, p.f_w, p.f_b)
+    h = ad.pointwise(x, *p.f)
     acc = None
-    for (dw_w, dw_b), (z_w, z_b), k in zip(p.levels, p.gates, p.kernels):
-        u = ad.gelu(ad.conv2d(h, dw_w, dw_b, ConvSpec(k, groups=c)))
-        gate = ad.pointwise(h, z_w, z_b)  # [n,1,h,w], broadcast over channels
+    for dw, z, k in zip(p.levels, p.gates, p.kernels):
+        u = ad.gelu(ad.conv2d(h, *dw, ConvSpec(k, groups=c)))
+        gate = ad.pointwise(h, *z)  # [n,1,h,w], broadcast over channels
         term = ad.mul(u, gate)
         acc = term if acc is None else ad.add(acc, term)
-    return ad.pointwise(acc, p.g_w, p.g_b)
+    return ad.pointwise(acc, *p.g)
 
 
 # ---------------------------------------------------------------- mbconv
@@ -236,12 +236,9 @@ class MBConvParams:
     squeeze maps back to c. Weights: 2*r*c^2 + k^2*r*c, plus 2*r*c + c biases.
     """
 
-    expand_w: Var
-    expand_b: Var
-    dw_w: Var
-    dw_b: Var
-    squeeze_w: Var
-    squeeze_b: Var
+    expand: Layer
+    dw: Layer
+    squeeze: Layer
     kernel: int = 3
     expansion: int = 6
 
@@ -261,11 +258,11 @@ def init_mbconv(
 
 
 def mbconv_block(x: Var, p: MBConvParams) -> Var:
-    rc = p.expand_w.data.shape[0]
-    h = ad.pointwise(x, p.expand_w, p.expand_b)
-    h = ad.conv2d(h, p.dw_w, p.dw_b, ConvSpec(p.kernel, groups=rc))
+    rc = p.expand.w.data.shape[0]
+    h = ad.pointwise(x, *p.expand)
+    h = ad.conv2d(h, *p.dw, ConvSpec(p.kernel, groups=rc))
     h = ad.gelu(h)
-    return ad.pointwise(h, p.squeeze_w, p.squeeze_b)
+    return ad.pointwise(h, *p.squeeze)
 
 
 # -------------------------------------------------------------------- SE
@@ -273,27 +270,23 @@ def mbconv_block(x: Var, p: MBConvParams) -> Var:
 
 @dataclass
 class SEParams:
-    """Squeeze-and-excitation gate: x * sigmoid(W2 gelu(W1 GAP(x)))."""
+    """Squeeze-and-excitation gate: x * sigmoid(fc2(gelu(fc1(GAP(x)))))."""
 
-    w1: Var
-    b1: Var
-    w2: Var
-    b2: Var
+    fc1: Layer
+    fc2: Layer
 
 
 def init_se(rng, c: int, reduction: int = 4, std: float = 0.02, dtype=np.float32) -> SEParams:
     if reduction < 1 or c % reduction != 0:
         raise ConfigError(f"reduction {reduction} must divide channel count {c}")
     cr = c // reduction
-    w1, b1 = init_layer(rng, (cr, c), std, dtype)
-    w2, b2 = init_layer(rng, (c, cr), std, dtype)
-    return SEParams(w1=w1, b1=b1, w2=w2, b2=b2)
+    return SEParams(**_init_layers(rng, {"fc1": (cr, c), "fc2": (c, cr)}, std, dtype))
 
 
 def se_block(x: Var, p: SEParams) -> Var:
     g = ad.global_avg_pool(x)
-    g = ad.gelu(ad.pointwise(g, p.w1, p.b1))
-    g = ad.sigmoid(ad.pointwise(g, p.w2, p.b2))
+    g = ad.gelu(ad.pointwise(g, *p.fc1))
+    g = ad.sigmoid(ad.pointwise(g, *p.fc2))
     return ad.mul(x, g)  # [n,c,h,w] * [n,c,1,1]
 
 
@@ -309,23 +302,17 @@ class AttentionParams:
     positional term anywhere, so the block is permutation-equivariant over positions.
     """
 
-    ln1_g: Var
-    ln1_b: Var
-    qkv_w: Var
-    qkv_b: Var
-    proj_w: Var
-    proj_b: Var
-    ln2_g: Var
-    ln2_b: Var
-    mlp1_w: Var
-    mlp1_b: Var
-    mlp2_w: Var
-    mlp2_b: Var
+    ln1: Layer
+    qkv: Layer
+    proj: Layer
+    ln2: Layer
+    mlp1: Layer
+    mlp2: Layer
     heads: int = 8
 
     @property
     def channels(self) -> int:
-        return self.qkv_w.data.shape[1]
+        return self.qkv.w.data.shape[1]
 
 
 def init_attention(
@@ -338,8 +325,7 @@ def init_attention(
         raise ConfigError(f"mlp_ratio {mlp_ratio} gives empty hidden layer at c={c}")
     layers = {"qkv": (3 * c, c), "proj": (c, c), "mlp1": (hidden, c), "mlp2": (c, hidden)}
     return AttentionParams(
-        ln1_g=Var(np.ones((c,), dtype=dtype)), ln1_b=Var(np.zeros((c,), dtype=dtype)),
-        ln2_g=Var(np.ones((c,), dtype=dtype)), ln2_b=Var(np.zeros((c,), dtype=dtype)),
+        ln1=init_norm(c, dtype), ln2=init_norm(c, dtype),
         **_init_layers(rng, layers, std, dtype), heads=heads,
     )
 
@@ -350,11 +336,11 @@ def attention_block(x: Var, p: AttentionParams) -> Var:
     c = x.data.shape[1]
     if c != p.channels:
         raise PreconditionError(f"attention input channels {c} != params channels {p.channels}")
-    qkv = ad.pointwise(ad.layer_norm(x, p.ln1_g, p.ln1_b), p.qkv_w, p.qkv_b)
-    x = ad.add(x, ad.pointwise(ad.attention(qkv, p.heads), p.proj_w, p.proj_b))
+    qkv = ad.pointwise(ad.layer_norm(x, *p.ln1), *p.qkv)
+    x = ad.add(x, ad.pointwise(ad.attention(qkv, p.heads), *p.proj))
 
-    h2 = ad.layer_norm(x, p.ln2_g, p.ln2_b)
-    m = ad.pointwise(ad.gelu(ad.pointwise(h2, p.mlp1_w, p.mlp1_b)), p.mlp2_w, p.mlp2_b)
+    h2 = ad.layer_norm(x, *p.ln2)
+    m = ad.pointwise(ad.gelu(ad.pointwise(h2, *p.mlp1)), *p.mlp2)
     return ad.add(x, m)
 
 
@@ -369,8 +355,7 @@ class ResidualWrap:
     per sample with prob drop_path_prob, survivors scaled by 1/(1-p).
     """
 
-    norm_gamma: Var
-    norm_beta: Var
+    norm: Layer
     layer_scale: Var
     drop_path_prob: float = 0.0
 
@@ -381,8 +366,7 @@ def init_residual_wrap(
     if not 0.0 <= drop_path_prob < 1.0:
         raise ConfigError(f"drop_path_prob must be in [0, 1), got {drop_path_prob}")
     return ResidualWrap(
-        norm_gamma=Var(np.ones((c,), dtype=dtype)),
-        norm_beta=Var(np.zeros((c,), dtype=dtype)),
+        norm=init_norm(c, dtype),
         layer_scale=Var(np.full((c,), layer_scale_init, dtype=dtype)),
         drop_path_prob=drop_path_prob,
     )
@@ -395,7 +379,7 @@ def residual_apply(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Var:
-    h = ad.layer_norm(x, wrap.norm_gamma, wrap.norm_beta)
+    h = ad.layer_norm(x, *wrap.norm)
     branch = inner(h)
     if branch.data.shape != x.data.shape:
         raise PreconditionError(
@@ -437,14 +421,14 @@ _GC_TABLE = {
         (8, 2, 4, 4, {"reduction": 4}),
         (6, 1, 3, 7, {"reduction": 3}),
     ], ()),
-    # qkv_b holds the key-projection bias, a flat direction of softmax attention (scores
+    # qkv.b holds the key-projection bias, a flat direction of softmax attention (scores
     # shift uniformly per query): its true gradient there is identically zero, so central
     # differences see only round-off. The op-level bias rule is certified in the test suite.
     "attention": (init_attention, attention_block, [
         (8, 1, 1, 5, {"heads": 1, "mlp_ratio": 2.0}),
         (8, 2, 2, 3, {"heads": 2, "mlp_ratio": 2.0}),
         (12, 1, 3, 1, {"heads": 4, "mlp_ratio": 1.0}),
-    ], ("qkv_b",)),
+    ], ("qkv.b",)),
 }
 
 

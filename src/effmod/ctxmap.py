@@ -4,7 +4,7 @@ Runs an image through the model up to one modulation block and captures that
 block's context output (computed on its post-norm input), reduced to a
 grayscale grid: channel mean, then min-max normalized to 0..255. A constant
 map (e.g. zero input through a freshly built model, whose biases are all
-zero) normalizes to all zeros.
+zero) normalizes to all zeros; a non-finite one raises NumericalError.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
+from . import kernels as K
 from . import model as M
 from .blocks import efficient_mod_ctx
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, NumericalError, PreconditionError
 from .model import Model, _check_input, forward_features
 
 
@@ -64,16 +65,26 @@ def context_map(model: Model, image: np.ndarray, stage: int, block: int) -> Cont
     )
     convs, res = [model.stem, *prefix.downs], M.stage_resolutions(prefix, shape[2:])
     for s, (conv, blocks, (sh, sw)) in enumerate(zip(convs, prefix.stages, res)):
-        dim, t = conv.w.data.shape[0], sh * sw  # the map; each attention's qkv, scores and MLP
-        attn = [e.params for e in blocks if e.kind == "attention"]
-        most = t * max([dim] + [max(3 * dim, p.heads * t, p.mlp1_w.data.shape[0]) for p in attn])
+        # the map; each attention's qkv, scores and MLP map; each modulation's value-map
+        # band, which ad.modulate fills under no_grad: rc * sw * the rows of its first band
+        dim, t = conv.w.data.shape[0], sh * sw
+        sizes = [dim * t]
+        for e in blocks:
+            p = e.params
+            if e.kind == "attention":
+                sizes.append(t * max(3 * dim, p.heads * t, p.mlp1.w.data.shape[0]))
+            elif e.kind == "efficient_mod":
+                rc = p.v.w.data.shape[0]
+                sizes.append(rc * sw * K.row_bands(sh, rc * sw * img.itemsize)[0].stop)
+        most = max(sizes)
         if most > M.MAX_ACTIVATIONS:  # an xxs stage 2 at 2048x2048 would score 8.6 GB of f32
             raise ConfigError(f"stage {s}: {most:,} elements > MAX_ACTIVATIONS = {M.MAX_ACTIVATIONS:,}")
     wrap = entries[block].wrap
-    with ad.no_grad():
+    with ad.no_grad(), np.errstate(all="ignore"):  # a non-finite context raises below
         h = forward_features(prefix, img)
-        normed = ad.layer_norm(h, wrap.norm_gamma, wrap.norm_beta)
-        ctx = efficient_mod_ctx(normed, entries[block].params).data
+        ctx = efficient_mod_ctx(ad.layer_norm(h, *wrap.norm), entries[block].params).data
+    if not np.isfinite(ctx).all():
+        raise NumericalError(f"stage {stage} block {block}: the context became non-finite")
     raw = ctx[0].mean(axis=0)  # channel mean -> [h, w]
     lo, hi = float(raw.min()), float(raw.max())
     if hi > lo:

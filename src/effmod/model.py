@@ -31,7 +31,7 @@ from . import autodiff as ad
 from . import blocks as B
 from .autodiff import Var
 from .errors import ConfigError, PreconditionError
-from .kernels import ConvSpec, check_nchw
+from .kernels import FLOAT_DTYPES, ConvSpec, check_nchw
 
 DOWN_KERNEL, DOWN_STRIDE, DOWN_PAD = 3, 2, 1
 HEADS = 8  # attention heads in every hierarchical model
@@ -275,10 +275,8 @@ class Model:
     stem: ConvLayer
     stages: list  # list[list[BlockEntry]]
     downs: list  # list[ConvLayer], one between consecutive stages
-    head_norm_g: Var
-    head_norm_b: Var
-    head_w: Var
-    head_b: Var
+    head_norm: B.Layer
+    head: B.Layer
     combine: str = "mul"  # modulation fuse op; "sum" is the ablation variant
 
     @property
@@ -299,10 +297,8 @@ class Model:
             if si < len(self.downs):
                 yield f"down{si}.w", self.downs[si].w
                 yield f"down{si}.b", self.downs[si].b
-        yield "head.norm_g", self.head_norm_g
-        yield "head.norm_b", self.head_norm_b
-        yield "head.w", self.head_w
-        yield "head.b", self.head_b
+        names = ("head.norm.w", "head.norm.b", "head.w", "head.b")
+        yield from zip(names, (*self.head_norm, *self.head))
 
 
 def _conv_layer(rng, c_in, c_out, kernel, stride, padding, std, dtype) -> ConvLayer:
@@ -325,6 +321,11 @@ def _assemble(spec, stem: tuple, plan: list, seed, dtype, combine) -> Model:
     """
     if combine not in ("mul", "sum"):
         raise ConfigError(f"combine must be 'mul' or 'sum', got {combine!r}")
+    dt = np.dtype(dtype)
+    if dt not in FLOAT_DTYPES:
+        raise ConfigError(f"model dtype must be float32 or float64, got {dt}")
+    if not abs(spec.layer_scale_init) <= float(np.finfo(dt).max):  # np.full would store inf
+        raise ConfigError(f"layer_scale_init {spec.layer_scale_init:g} is not a finite {dt}")
     rng = np.random.default_rng(seed)
     std = 0.02
     dims = [dim for dim, _ in plan]
@@ -344,16 +345,13 @@ def _assemble(spec, stem: tuple, plan: list, seed, dtype, combine) -> Model:
             downs.append(_conv_layer(
                 rng, dim, dims[si + 1], DOWN_KERNEL, DOWN_STRIDE, DOWN_PAD, std, dtype
             ))
-    head_w, head_b = B.init_layer(rng, (spec.head, dims[-1]), std, dtype)
     return Model(
         spec=spec,
         stem=stem_layer,
         stages=stages,
         downs=downs,
-        head_norm_g=Var(np.ones((dims[-1],), dtype=dtype)),
-        head_norm_b=Var(np.zeros((dims[-1],), dtype=dtype)),
-        head_w=head_w,
-        head_b=head_b,
+        head_norm=B.init_norm(dims[-1], dtype),
+        head=B.init_layer(rng, (spec.head, dims[-1]), std, dtype),
         combine=combine,
     )
 
@@ -455,8 +453,8 @@ def model_forward(model: Model, x, training: bool = False, seed: int = 0, step: 
     """Run the network: forward_features, then GAP -> LayerNorm -> pointwise classifier on
     the [n, c, 1, 1] map; returns logits [n, classes]."""
     h = ad.global_avg_pool(forward_features(model, x, training, seed, step))
-    h = ad.layer_norm(h, model.head_norm_g, model.head_norm_b)
-    h = ad.pointwise(h, model.head_w, model.head_b)
+    h = ad.layer_norm(h, *model.head_norm)
+    h = ad.pointwise(h, *model.head)
     return ad.reshape(h, h.data.shape[:2])
 
 

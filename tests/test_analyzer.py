@@ -153,10 +153,26 @@ def test_report_text_mentions_budget_line():
 
 def test_count_macs_scales_with_resolution():
     m = M.build_model(M.build_preset("micro"), seed=0)
-    head = m.head_w.data.size  # classifier cost is resolution-independent
+    head = m.head.w.data.size  # classifier cost is resolution-independent
     m32 = A.count_macs(m, input_res=(32, 32))
     m64 = A.count_macs(m, input_res=(64, 64))
     assert m64 - head == 4 * (m32 - head)  # conv area quadruples
+
+
+@pytest.mark.parametrize("name", [*M.PRESETS, *M.ISO_SPECS])
+def test_a_layer_is_a_parameter_name_without_its_trailing_w_or_b(name):
+    """Every parameter is a layer's .w or .b or a wrap's .layer_scale, and the analyzer's
+    layers are exactly those names with a trailing .w or .b removed, in walk order."""
+    if name in M.PRESETS:
+        m = M.build_model(M.build_preset(name), seed=0)
+    else:
+        m = M.build_isotropic(M.ISO_SPECS[name], seed=0)
+    names = [n for n, _ in m.named_parameters()]
+    assert all(n.endswith((".w", ".b", ".layer_scale")) for n in names)
+    side = M.total_stride(m)
+    rows = A.complexity_report(m, (side, side)).rows
+    layers = [r.name for r in rows if not r.name.endswith(".scores")]
+    assert layers == list(dict.fromkeys(n[:-2] if n[-2:] in (".w", ".b") else n for n in names))
 
 
 def test_closed_form_rows_exact_in_report():

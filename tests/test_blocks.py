@@ -47,24 +47,25 @@ def test_efficient_mod_composition_oracle():
     p = B.init_efficient_mod(RNG, 5, expansion=3, kernel=3, dtype=np.float64)
     x = RNG.normal(size=(2, 5, 6, 6))
     got = _run(B.efficient_mod, x, p)
-    h = K.pointwise(x, p.f_w.data, _d(p.f_b))
-    h = K.conv2d(h, p.dw_w.data, _d(p.dw_b), ConvSpec(3, groups=5))
-    ctx = K.pointwise(K.gelu(h), p.g_w.data, _d(p.g_b))
-    v = K.pointwise(x, p.v_w.data, _d(p.v_b))
-    want = K.pointwise(K.fuse_modulate(ctx, v), p.p_w.data, _d(p.p_b))
+    h = K.pointwise(x, p.f.w.data, _d(p.f.b))
+    h = K.conv2d(h, p.dw.w.data, _d(p.dw.b), ConvSpec(3, groups=5))
+    ctx = K.pointwise(K.gelu(h), p.g.w.data, _d(p.g.b))
+    v = K.pointwise(x, p.v.w.data, _d(p.v.b))
+    want = K.pointwise(K.fuse_modulate(ctx, v), p.p.w.data, _d(p.p.b))
     np.testing.assert_array_equal(got, want)
 
 
 def test_efficient_mod_identity_params_degenerate_to_gated_gelu():
     """r=1, identity projections, unit 1x1 depthwise -> y = gelu(x) * x."""
     c = 3
-    eye, zero = lambda: ad.Var(np.eye(c)), lambda: ad.Var(np.zeros(c))
+    zero = lambda: ad.Var(np.zeros(c))
+    eye = lambda: B.Layer(ad.Var(np.eye(c)), zero())
     p = B.EfficientModParams(
-        f_w=eye(), f_b=zero(),
-        dw_w=ad.Var(np.ones((c, 1, 1, 1))), dw_b=zero(),
-        g_w=eye(), g_b=zero(),
-        v_w=eye(), v_b=zero(),
-        p_w=eye(), p_b=zero(),
+        f=eye(),
+        dw=B.Layer(ad.Var(np.ones((c, 1, 1, 1))), zero()),
+        g=eye(),
+        v=eye(),
+        p=eye(),
         kernel=1, expansion=1,
     )
     x = RNG.normal(size=(1, c, 4, 4))
@@ -154,11 +155,11 @@ def test_van_composition_oracle():
     p = B.init_van(RNG, 4, dtype=np.float64)
     x = RNG.normal(size=(1, 4, 10, 10))
     got = _run(B.van_block, x, p)
-    h = K.gelu(K.pointwise(x, p.f_w.data, _d(p.f_b)))
-    u = K.conv2d(h, p.dw5_w.data, _d(p.dw5_b), ConvSpec(5, groups=4))
-    u = K.conv2d(u, p.dw7_w.data, _d(p.dw7_b), ConvSpec(7, dilation=3, groups=4))
-    ctx = K.pointwise(u, p.g_w.data, _d(p.g_b))
-    want = K.pointwise(ctx * h, p.p_w.data, _d(p.p_b))
+    h = K.gelu(K.pointwise(x, p.f.w.data, _d(p.f.b)))
+    u = K.conv2d(h, p.dw5.w.data, _d(p.dw5.b), ConvSpec(5, groups=4))
+    u = K.conv2d(u, p.dw7.w.data, _d(p.dw7.b), ConvSpec(7, dilation=3, groups=4))
+    ctx = K.pointwise(u, p.g.w.data, _d(p.g.b))
+    want = K.pointwise(ctx * h, p.p.w.data, _d(p.p.b))
     np.testing.assert_array_equal(got, want)
 
 
@@ -177,11 +178,11 @@ def test_focal_level_one_is_single_term():
     x = RNG.normal(size=(1, 4, 6, 6))
     with ad.no_grad():
         got = B.focal_ctx(ad.Var(x), p).data
-    h = K.pointwise(x, p.f_w.data, _d(p.f_b))
-    (dw_w, dw_b), (z_w, z_b) = p.levels[0], p.gates[0]
-    u = K.gelu(K.conv2d(h, dw_w.data, _d(dw_b), ConvSpec(3, groups=4)))
-    gate = K.pointwise(h, z_w.data, _d(z_b))
-    want = K.pointwise(u * gate, p.g_w.data, _d(p.g_b))
+    h = K.pointwise(x, p.f.w.data, _d(p.f.b))
+    dw, z = p.levels[0], p.gates[0]
+    u = K.gelu(K.conv2d(h, dw.w.data, _d(dw.b), ConvSpec(3, groups=4)))
+    gate = K.pointwise(h, z.w.data, _d(z.b))
+    want = K.pointwise(u * gate, p.g.w.data, _d(p.g.b))
     np.testing.assert_array_equal(got, want)
 
 
@@ -190,13 +191,13 @@ def test_focal_two_levels_equal_explicit_sum():
     x = RNG.normal(size=(2, 3, 7, 7))
     with ad.no_grad():
         got = B.focal_ctx(ad.Var(x), p).data
-    h = K.pointwise(x, p.f_w.data, _d(p.f_b))
+    h = K.pointwise(x, p.f.w.data, _d(p.f.b))
     acc = None
-    for (dw_w, dw_b), (z_w, z_b), k in zip(p.levels, p.gates, p.kernels):
-        u = K.gelu(K.conv2d(h, dw_w.data, _d(dw_b), ConvSpec(k, groups=3)))
-        term = u * K.pointwise(h, z_w.data, _d(z_b))
+    for dw, z, k in zip(p.levels, p.gates, p.kernels):
+        u = K.gelu(K.conv2d(h, dw.w.data, _d(dw.b), ConvSpec(k, groups=3)))
+        term = u * K.pointwise(h, z.w.data, _d(z.b))
         acc = term if acc is None else acc + term
-    want = K.pointwise(acc, p.g_w.data, _d(p.g_b))
+    want = K.pointwise(acc, p.g.w.data, _d(p.g.b))
     np.testing.assert_array_equal(got, want)
 
 
@@ -236,15 +237,15 @@ def test_mbconv_composition_oracle():
     p = B.init_mbconv(RNG, 3, expansion=2, kernel=3, dtype=np.float64)
     x = RNG.normal(size=(2, 3, 5, 5))
     got = _run(B.mbconv_block, x, p)
-    h = K.pointwise(x, p.expand_w.data, _d(p.expand_b))
-    h = K.conv2d(h, p.dw_w.data, _d(p.dw_b), ConvSpec(3, groups=6))
-    want = K.pointwise(K.gelu(h), p.squeeze_w.data, _d(p.squeeze_b))
+    h = K.pointwise(x, p.expand.w.data, _d(p.expand.b))
+    h = K.conv2d(h, p.dw.w.data, _d(p.dw.b), ConvSpec(3, groups=6))
+    want = K.pointwise(K.gelu(h), p.squeeze.w.data, _d(p.squeeze.b))
     np.testing.assert_array_equal(got, want)
 
 
 def test_mbconv_depthwise_runs_at_expanded_width():
     p = B.init_mbconv(RNG, 4, expansion=6, kernel=5)
-    assert p.dw_w.data.shape == (24, 1, 5, 5)
+    assert p.dw.w.data.shape == (24, 1, 5, 5)
 
 
 # ------------------------------------------------------------------- SE
@@ -252,14 +253,14 @@ def test_mbconv_depthwise_runs_at_expanded_width():
 
 def test_se_zero_w2_halves_input():
     p = B.init_se(RNG, 4, reduction=2, dtype=np.float64)
-    p.w2.data = np.zeros_like(p.w2.data)
+    p.fc2.w.data = np.zeros_like(p.fc2.w.data)
     x = RNG.normal(size=(2, 4, 3, 3))
     np.testing.assert_allclose(_run(B.se_block, x, p), 0.5 * x, rtol=1e-15)
 
 
 def test_se_saturated_gate_passes_input_through():
     p = B.init_se(RNG, 4, reduction=2, dtype=np.float64)
-    p.b2.data = np.full_like(p.b2.data, 50.0)
+    p.fc2.b.data = np.full_like(p.fc2.b.data, 50.0)
     x = RNG.normal(size=(1, 4, 3, 3))
     np.testing.assert_allclose(_run(B.se_block, x, p), x, rtol=1e-9, atol=1e-12)
 
@@ -269,8 +270,8 @@ def test_se_composition_oracle():
     x = RNG.normal(size=(2, 8, 4, 4))
     got = _run(B.se_block, x, p)
     g = K.global_avg_pool(x)
-    g = K.gelu(K.pointwise(g, p.w1.data, _d(p.b1)))
-    g = K.sigmoid(K.pointwise(g, p.w2.data, _d(p.b2)))
+    g = K.gelu(K.pointwise(g, p.fc1.w.data, _d(p.fc1.b)))
+    g = K.sigmoid(K.pointwise(g, p.fc2.w.data, _d(p.fc2.b)))
     np.testing.assert_array_equal(got, x * g)
 
 
@@ -295,15 +296,15 @@ def _attention_oracle(x, p):
     n, c, hh, ww = x.shape
     H, d, t = p.heads, c // p.heads, hh * ww
     tok = x.reshape(n, c, t).transpose(0, 2, 1)
-    h = _token_layer_norm(tok, p.ln1_g.data, p.ln1_b.data)
-    qkv = h @ p.qkv_w.data.T + p.qkv_b.data
+    h = _token_layer_norm(tok, p.ln1.w.data, p.ln1.b.data)
+    qkv = h @ p.qkv.w.data.T + p.qkv.b.data
     heads = lambda z: z.reshape(n, t, H, d).transpose(0, 2, 1, 3)
     q, k, v = heads(qkv[..., :c]), heads(qkv[..., c : 2 * c]), heads(qkv[..., 2 * c :])
     att = K.softmax(q @ k.transpose(0, 1, 3, 2) / np.sqrt(d), axis=-1)
     y = (att @ v).transpose(0, 2, 1, 3).reshape(n, t, c)
-    x1 = tok + y @ p.proj_w.data.T + p.proj_b.data
-    h2 = _token_layer_norm(x1, p.ln2_g.data, p.ln2_b.data)
-    m = K.gelu(h2 @ p.mlp1_w.data.T + p.mlp1_b.data) @ p.mlp2_w.data.T + p.mlp2_b.data
+    x1 = tok + y @ p.proj.w.data.T + p.proj.b.data
+    h2 = _token_layer_norm(x1, p.ln2.w.data, p.ln2.b.data)
+    m = K.gelu(h2 @ p.mlp1.w.data.T + p.mlp1.b.data) @ p.mlp2.w.data.T + p.mlp2.b.data
     return (x1 + m).transpose(0, 2, 1).reshape(n, c, hh, ww)
 
 
@@ -332,12 +333,12 @@ def test_attention_single_token_weights_are_one():
     p = B.init_attention(RNG, c, heads=2, dtype=np.float64)
     x = RNG.normal(size=(2, c, 1, 1))
     got = _run(B.attention_block, x, p)
-    h = K.layer_norm(x, p.ln1_g.data, p.ln1_b.data)
-    qkv = K.pointwise(h, p.qkv_w.data, p.qkv_b.data)
-    x1 = x + K.pointwise(qkv[:, 2 * c :], p.proj_w.data, p.proj_b.data)
-    h2 = K.layer_norm(x1, p.ln2_g.data, p.ln2_b.data)
-    m = K.pointwise(K.gelu(K.pointwise(h2, p.mlp1_w.data, p.mlp1_b.data)),
-                    p.mlp2_w.data, p.mlp2_b.data)
+    h = K.layer_norm(x, p.ln1.w.data, p.ln1.b.data)
+    qkv = K.pointwise(h, p.qkv.w.data, p.qkv.b.data)
+    x1 = x + K.pointwise(qkv[:, 2 * c :], p.proj.w.data, p.proj.b.data)
+    h2 = K.layer_norm(x1, p.ln2.w.data, p.ln2.b.data)
+    m = K.pointwise(K.gelu(K.pointwise(h2, p.mlp1.w.data, p.mlp1.b.data)),
+                    p.mlp2.w.data, p.mlp2.b.data)
     np.testing.assert_allclose(got, x1 + m, rtol=1e-12, atol=1e-13)
 
 
@@ -354,8 +355,8 @@ def test_attention_permutation_equivariance():
 
 def test_attention_zero_input_zero_gamma_gives_zeros():
     p = B.init_attention(RNG, 8, heads=2, dtype=np.float64)
-    p.ln1_g.data = np.zeros_like(p.ln1_g.data)
-    p.ln2_g.data = np.zeros_like(p.ln2_g.data)
+    p.ln1.w.data = np.zeros_like(p.ln1.w.data)
+    p.ln2.w.data = np.zeros_like(p.ln2.w.data)
     out = _run(B.attention_block, np.zeros((1, 8, 2, 2)), p)
     assert not out.any()
 
@@ -452,7 +453,7 @@ def test_residual_branch_magnitude_bounded_by_layer_scale():
     x = RNG.normal(size=(2, c, 6, 6))
     out = _run(B.residual_apply, x, _effmod_inner(p), wrap)
     with ad.no_grad():
-        normed = ad.layer_norm(ad.Var(x), wrap.norm_gamma, wrap.norm_beta)
+        normed = ad.layer_norm(ad.Var(x), *wrap.norm)
         inner = B.efficient_mod(normed, p).data
     # small atol: recovering a ~1e-11 branch from an O(1) sum costs one ulp
     assert np.abs(out - x).max() <= 1e-4 * np.abs(inner).max() + 1e-15
@@ -489,8 +490,7 @@ def test_drop_path_mask_is_a_constant_with_the_same_parameter_grads():
     c, prob = 3, 0.5
     p = B.init_efficient_mod(RNG, c, expansion=2, kernel=3, dtype=np.float64)
     wrap = B.init_residual_wrap(c, layer_scale_init=0.1, drop_path_prob=prob, dtype=np.float64)
-    params = [v for v in vars(p).values() if isinstance(v, ad.Var)]
-    params += [wrap.norm_gamma, wrap.norm_beta, wrap.layer_scale]
+    params = [*B.named_params(p).values(), *B.named_params(wrap).values()]
     x = ad.Var(RNG.normal(size=(6, c, 4, 4)))
 
     def grads(out):
@@ -512,7 +512,7 @@ def test_drop_path_mask_is_a_constant_with_the_same_parameter_grads():
 
     # The same step with the mask as a leaf on the tape.
     keep = (np.random.default_rng(3).random(6) >= prob).astype(np.float64) / (1.0 - prob)
-    h = ad.layer_norm(x, wrap.norm_gamma, wrap.norm_beta)
+    h = ad.layer_norm(x, *wrap.norm)
     scaled = ad.mul(B.efficient_mod(h, p), ad.reshape(wrap.layer_scale, (1, c, 1, 1)))
     ref = ad.add(x, ad.mul(scaled, ad.Var(keep.reshape(-1, 1, 1, 1))))
     assert out.data.tobytes() == ref.data.tobytes()
@@ -634,16 +634,16 @@ def test_block_grad_check_restores_every_leaf(monkeypatch):
         assert list(leaves)[0] == "x", kind
         for name, v in leaves.items():
             assert v.data.tobytes() == before[name].tobytes(), (kind, name)
-    assert {"f_w", "dw_w", "p_w"} <= set(seen[0][0])  # efficient_mod, the first kind
+    assert {"f.w", "dw.w", "p.w"} <= set(seen[0][0])  # efficient_mod, the first kind
 
 
 @pytest.mark.parametrize("case", range(B.GC_CASES))
 def test_attention_grad_check_certifies_its_biases_but_the_key_bias(case):
-    """Attention is certified with its projection and MLP biases; only qkv_b, whose key part
+    """Attention is certified with its projection and MLP biases; only qkv.b, whose key part
     is a flat direction of the softmax, is left out."""
     rep = B.block_grad_check("attention", case)
     names = {r.name for r in rep.rows}
-    assert {"proj_b", "mlp1_b", "mlp2_b"} <= names and "qkv_b" not in names
+    assert {"proj.b", "mlp1.b", "mlp2.b"} <= names and "qkv.b" not in names
     assert rep.passed, rep.to_text()
 
 

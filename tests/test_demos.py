@@ -1,4 +1,4 @@
-"""Demo scripts run end to end."""
+"""Demo scripts and the README's code run end to end."""
 
 import os
 import re
@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from effmod import model as M
 from effmod.pnm import read_pnm
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,3 +62,19 @@ def test_context_maps_demo_runs(tmp_path):
     assert "  stage 2 block 0: context 4x4" in done.stdout
     for stage, side in enumerate((16, 8, 4)):  # a 64x64 input at strides 4, 8 and 16
         assert read_pnm(str(tmp_path / f"ctxmap_stage{stage}.pgm")).shape == (side, side)
+
+
+def _readme_block(lang):
+    """The README's one fenced block of this language, so a rename cannot leave it stale."""
+    blocks = re.findall(rf"^```{lang}\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) == 1, lang
+    return blocks[0]
+
+
+def test_readme_library_example_runs():
+    exec(compile(_readme_block("python"), "README.md", "exec"), {})
+
+
+def test_readme_spec_file_builds():
+    model = M.build_model(M.spec_from_json(_readme_block("json")), seed=0)
+    assert [len(stage) for stage in model.stages] == [2, 2, 7, 4]

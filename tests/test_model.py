@@ -17,7 +17,7 @@ from effmod import kernels as K
 from effmod import model as M
 from effmod.analyzer import complexity_report
 from effmod.ctxmap import context_map
-from effmod.errors import ConfigError, PreconditionError
+from effmod.errors import ConfigError, NumericalError, PreconditionError
 
 RNG = np.random.default_rng(11)
 
@@ -329,7 +329,7 @@ def test_parameters_are_drawn_in_parameter_order(name, seed, dtype):
         shape = v.data.shape
         if len(shape) >= 2:
             want = B.trunc_normal(rng, shape, 0.02, dtype)
-        elif pname.endswith(("_g", ".norm_gamma")):
+        elif pname.endswith(".w"):  # a 1-D weight is a norm gain
             want = np.ones(shape, dtype)
         elif pname.endswith(".layer_scale"):
             want = np.full(shape, spec.layer_scale_init, dtype)
@@ -356,7 +356,7 @@ def test_parameter_naming_layout():
     assert names[0] == "stem.w" and names[1] == "stem.b"
     assert any(n.startswith("stage0.block0.wrap.") for n in names)
     assert "down0.w" in names and "down2.w" in names
-    assert names[-4:] == ["head.norm_g", "head.norm_b", "head.w", "head.b"]
+    assert names[-4:] == ["head.norm.w", "head.norm.b", "head.w", "head.b"]
     assert len(names) == len(set(names))
 
 
@@ -580,6 +580,65 @@ def test_context_map_checks_its_prefix_against_the_activation_budget(
         context_map(model, img, stage=3, block=0)
 
 
+# stage 1 block 0 runs stage 0, whose modulation block fills [1, rc, rows, w] value-map bands
+WIDE_MOD = M.ModelSpec(
+    stem=M.StemSpec(), head=4,
+    stages=(M.StageSpec(2, 1, expansion_pattern=(500,)), *[M.StageSpec(8, 1)] * 3),
+)
+
+
+def test_context_map_counts_each_modulation_band_against_the_activation_budget(monkeypatch):
+    """At 64x64, stage 0 is 16x16 and its rc = 1000 value map runs in bands of
+    BAND_BYTES // (rc * 16 * 4) rows under no_grad: the band, not the whole map, is counted."""
+    model, img = M.build_model(WIDE_MOD, seed=0), np.zeros((3, 64, 64), np.float32)
+    rows = K.BAND_BYTES // (1000 * 16 * 4)
+    assert 1 < rows < 16
+    largest = 1000 * 16 * rows
+
+    def forward(*args):
+        raise _Ran
+
+    monkeypatch.setattr(ctxmap, "forward_features", forward)
+    monkeypatch.setattr(M, "MAX_ACTIVATIONS", largest)
+    with pytest.raises(_Ran):
+        context_map(model, img, stage=1, block=0)
+    monkeypatch.setattr(M, "MAX_ACTIVATIONS", largest - 1)
+    with pytest.raises(ConfigError, match=f"stage 0: {largest:,} elements"):
+        context_map(model, img, stage=1, block=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_layer_scale_the_dtype_cannot_hold_is_refused_before_any_draw(monkeypatch, dtype):
+    """1e39 is past float32's 3.4e38, where np.full would store inf; float64 holds it, 1e309
+    it cannot. Neither build draws a parameter first."""
+    big = 1e39 if dtype == np.float32 else float("inf")
+    micro = dataclasses.replace(M.build_preset("micro"), layer_scale_init=big)
+    iso = dataclasses.replace(M.ISO_SPECS["iso-effmod-196-11"], layer_scale_init=-big)
+
+    def draw(*args):
+        raise _Ran
+
+    monkeypatch.setattr(B, "trunc_normal", draw)
+    with pytest.raises(ConfigError, match=f"layer_scale_init .* {np.dtype(dtype).name}"):
+        M.build_model(micro, seed=0, dtype=dtype)
+    with pytest.raises(ConfigError, match="layer_scale_init"):
+        M.build_isotropic(iso, seed=0, dtype=dtype)
+    with pytest.raises(_Ran):  # the largest finite scale builds
+        M.build_model(dataclasses.replace(micro, layer_scale_init=float(np.finfo(dtype).max)),
+                      seed=0, dtype=dtype)
+
+
+def test_context_map_refuses_a_non_finite_context():
+    """An inf layer scale upstream makes the tapped context NaN: NumericalError, not a
+    [nan, nan] range over an all-zero grid."""
+    m = M.build_model(M.build_preset("micro"), seed=0)
+    m.stages[0][0].wrap.layer_scale.data[:] = np.inf
+    img = RNG.random((3, 64, 64)).astype(np.float32)
+    with pytest.raises(NumericalError, match="stage 1 block 0"):
+        context_map(m, img, stage=1, block=0)
+    assert np.isfinite(context_map(m, img, stage=0, block=0).raw_max)  # upstream of the inf
+
+
 def test_forward_features_is_the_pre_head_map():
     m = M.build_model(M.build_preset("micro"), seed=0, dtype=np.float64)
     x = RNG.normal(size=(2, 3, 64, 64))
@@ -589,7 +648,7 @@ def test_forward_features_is_the_pre_head_map():
     assert feats.shape == (2, 32, 2, 2)  # last stage dim at 64/32
     h = feats.mean(axis=(2, 3))
     h = (h - h.mean(axis=1, keepdims=True)) / np.sqrt(h.var(axis=1, keepdims=True) + 1e-6)
-    want = (h * m.head_norm_g.data + m.head_norm_b.data) @ m.head_w.data.T + m.head_b.data
+    want = (h * m.head_norm.w.data + m.head_norm.b.data) @ m.head.w.data.T + m.head.b.data
     np.testing.assert_allclose(logits, want, rtol=1e-10, atol=1e-12)
 
 
@@ -601,8 +660,8 @@ def test_pointwise_head_equals_the_pooled_linear_map(preset):
     with ad.no_grad():
         feats = M.forward_features(m, x).data
         logits = M.model_forward(m, x).data
-    h = K.layer_norm(feats.mean(axis=(2, 3), keepdims=True), m.head_norm_g.data, m.head_norm_b.data)
-    want = h[:, :, 0, 0] @ m.head_w.data.T + m.head_b.data
+    h = K.layer_norm(feats.mean(axis=(2, 3), keepdims=True), m.head_norm.w.data, m.head_norm.b.data)
+    want = h[:, :, 0, 0] @ m.head.w.data.T + m.head.b.data
     np.testing.assert_allclose(logits, want, rtol=1e-12, atol=1e-12)
 
 

@@ -111,6 +111,10 @@ REFUSALS = {
         ConfigError, "attn_mlp_ratio must be positive, got 0",
         lambda: dataclasses.replace(MICRO, attn_mlp_ratio=0).validate(),
     ),
+    "build_model-int-dtype": (
+        ConfigError, "model dtype must be float32 or float64, got int64",
+        lambda: M.build_model(MICRO, dtype=np.int64),
+    ),
     "cross_entropy-1d-logits": (
         PreconditionError, "logits: expected [n, classes], got (4,)",
         lambda: ad.cross_entropy(ad.Var(np.zeros(4)), np.zeros(4, np.int64)),
